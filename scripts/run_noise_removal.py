@@ -4,21 +4,11 @@ print the retained-set composition at full, two-thirds and one-third
 retention, per seed."""
 
 import argparse
-import csv
 from pathlib import Path
 
-from pairsieve.config import RunConfig
-from pairsieve.data import GenConfig
+from pairsieve.config import noise_removal_config
+from pairsieve.data import write_csv
 from pairsieve.harness import pretrain
-
-
-def build_config(seed: int, n_pairs: int) -> RunConfig:
-    cfg = RunConfig(data=GenConfig(n_pairs=n_pairs, seed=seed), seed=seed)
-    cfg.n_val = 500
-    cfg.stop.enabled = False
-    cfg.train.filter_epochs_max = 11
-    cfg.train.epochs = 12
-    return cfg
 
 
 def main() -> None:
@@ -32,7 +22,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed in (int(s) for s in args.seeds.split(",")):
-        cfg = build_config(seed, args.n_pairs)
+        cfg = noise_removal_config(seed, args.n_pairs)
         report = pretrain(cfg, out_dir=out / f"seed{seed}")
         train_n = args.n_pairs - cfg.n_val
         snapshots = {}
@@ -58,10 +48,8 @@ def main() -> None:
                 f"good={row['good']:.3f} clean={row['clean']:.3f} noisy={row['noisy']:.3f}"
             )
 
-    with open(out / "composition.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    names = list(rows[0])
+    write_csv(out / "composition.csv", names, ([row[k] for k in names] for row in rows))
     print(f"wrote {out / 'composition.csv'}")
 
 

@@ -5,8 +5,7 @@ desk-scale config so a full grid finishes in minutes."""
 
 import argparse
 
-from pairsieve.config import RunConfig
-from pairsieve.data import GenConfig
+from pairsieve.config import comparison_config
 from pairsieve.harness import DEFAULT_GRIDS, cmd_sweep
 
 
@@ -19,11 +18,8 @@ def main() -> None:
     ap.add_argument("--out-dir", default="out/sweeps")
     args = ap.parse_args()
 
-    cfg = RunConfig(data=GenConfig(n_pairs=args.n_pairs, seed=0), seed=0)
-    cfg.n_val = min(500, args.n_pairs // 5)
+    cfg = comparison_config(0, n_pairs=args.n_pairs, n_val=min(500, args.n_pairs // 5))
     cfg.mlm_on = args.axis == "text_batch"
-    cfg.stop.enabled = False
-    cfg.train.base_lr = 2e-2
     cfg.train.filter_epochs_max = 6
     cfg.train.epochs = 16
 

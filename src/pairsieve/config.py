@@ -130,14 +130,20 @@ def to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _construct(cls, payload, where: str):
+    """Build one config dataclass; an unknown key or a mistyped value is a ConfigError."""
+    try:
+        return cls(**payload)
+    except TypeError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def from_dict(payload: dict) -> RunConfig:
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _SECTIONS:
-            kwargs[key] = _SECTIONS[key](**value)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+    kwargs = {
+        key: _construct(_SECTIONS[key], value, key) if key in _SECTIONS else value
+        for key, value in payload.items()
+    }
+    return _construct(RunConfig, kwargs, "config")
 
 
 def to_json(cfg: RunConfig) -> str:
@@ -175,14 +181,35 @@ def apply_override(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
         if raw.lower() not in ("true", "false", "1", "0"):
             raise ConfigError(f"{dotted}: expected a boolean, got {raw!r}")
         value = raw.lower() in ("true", "1")
-    elif isinstance(current, int) and not isinstance(current, bool):
-        value = int(raw)
-    elif isinstance(current, float):
-        value = float(raw)
-    elif current is None:
-        value = int(raw)  # only step_budget/world_seed are optional ints
+    elif isinstance(current, (int, float)) or current is None:
+        # Fields that default to None (step_budget, world_seed, ...) are optional ints.
+        parse = float if isinstance(current, float) else int
+        try:
+            value = parse(raw)
+        except ValueError as e:
+            raise ConfigError(f"{dotted}: expected {parse.__name__}, got {raw!r}") from e
     else:
         value = raw
     setattr(target, leaf, value)
     # Re-run validation by round-tripping the dataclass tree.
     return from_dict(to_dict(cfg))
+
+
+def noise_removal_config(seed: int, n_pairs: int = 10000) -> RunConfig:
+    """Noise-removal experiment: 11 filtering epochs, then one on the frozen subset."""
+    cfg = RunConfig(data=GenConfig(n_pairs=n_pairs, seed=seed), seed=seed)
+    cfg.n_val = 500
+    cfg.stop.enabled = False
+    cfg.train.filter_epochs_max = 11
+    cfg.train.epochs = 12
+    return cfg
+
+
+def comparison_config(seed: int, n_pairs: int = 2500, n_val: int = 500, lr: float = 2e-2) -> RunConfig:
+    """Desk-scale base for comparing arms: masked-token task and stop rule off."""
+    cfg = RunConfig(data=GenConfig(n_pairs=n_pairs, seed=seed), seed=seed)
+    cfg.mlm_on = False
+    cfg.stop.enabled = False
+    cfg.n_val = n_val
+    cfg.train.base_lr = lr
+    return cfg

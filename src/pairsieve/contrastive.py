@@ -129,6 +129,31 @@ def contrastive_loss(
 KeyLookup = Callable[[np.ndarray], np.ndarray]
 
 
+def contrastive_forward(
+    state: EncoderPairState,
+    queue: MemoryQueue,
+    batch: PairBatch,
+    tau: float,
+    key_lookup: KeyLookup | None = None,
+) -> tuple[np.ndarray, BatchCache, float, np.ndarray]:
+    """Keys, query forward pass and contrastive loss of one training step.
+
+    Keys come from the frozen encoder (or a precomputed lookup holding
+    the same bits). Returns (keys, query forward cache, loss,
+    d(loss)/d(queries)).
+    """
+    if batch.ids.shape[0] == 0:
+        raise EmptyBatch("training batch is empty")
+    if key_lookup is not None:
+        keys = key_lookup(batch.ids)
+    else:
+        keys, _ = encode_batch(state.key_encoder, batch.x_a)
+    queries, cache = encode_batch(state.query_encoder, batch.x_b)
+    cbatch = ContrastiveBatch(queries=queries, positives=keys, ids=batch.ids, cache=cache)
+    loss, d_queries = contrastive_loss(cbatch, queue, tau)
+    return keys, cache, loss, d_queries
+
+
 def training_step(
     state: EncoderPairState,
     queue: MemoryQueue,
@@ -140,19 +165,10 @@ def training_step(
 ) -> tuple[EncoderPairState, MemoryQueue, float]:
     """One contrastive update of the query encoder.
 
-    Keys come from the frozen encoder (or a precomputed lookup holding
-    the same bits); the batch's keys are pushed only after the loss, so
-    a pair never serves as its own negative within the step.
+    The batch's keys are pushed only after the loss, so a pair never
+    serves as its own negative within the step.
     """
-    if batch.ids.shape[0] == 0:
-        raise EmptyBatch("training batch is empty")
-    if key_lookup is not None:
-        keys = key_lookup(batch.ids)
-    else:
-        keys, _ = encode_batch(state.key_encoder, batch.x_a)
-    queries, cache = encode_batch(state.query_encoder, batch.x_b)
-    cbatch = ContrastiveBatch(queries=queries, positives=keys, ids=batch.ids, cache=cache)
-    loss, d_queries = contrastive_loss(cbatch, queue, tau)
+    keys, cache, loss, d_queries = contrastive_forward(state, queue, batch, tau, key_lookup)
     if lr > 0:
         grads = encode_backward(state.query_encoder, cache, d_queries)
         state.query_encoder = sgd_step(state.query_encoder, grads, lr, weight_decay)

@@ -10,17 +10,16 @@ of successive model snapshots. Pruned pairs are never re-admitted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, isfinite
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, Label
+from .data import Dataset, Label, write_csv
 from .encoder import EncoderPairState, EncoderParams, clone_params, encode_batch
-from .errors import EmptySet, LedgerMiss
+from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
 
 
 @dataclass
@@ -58,9 +57,9 @@ class StopRule:
 
     def __post_init__(self):
         if self.min_improvement < 0:
-            raise ValueError("min_improvement must be >= 0")
+            raise ConfigError("min_improvement must be >= 0")
         if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+            raise ConfigError("patience must be >= 1")
 
 
 @dataclass
@@ -90,10 +89,16 @@ def score_pairs(shadow: ShadowModel, ds: Dataset, ids: Sequence[int]) -> dict[in
 def update_total_scores(
     ledger: ScoreLedger, scores: Mapping[int, float], alpha: float
 ) -> ScoreLedger:
-    """Apply total <- alpha * total + score for every scored id."""
-    for rid in scores:
+    """Apply total <- alpha * total + score for every scored id.
+
+    Every id and score is checked before the ledger changes: a NaN total
+    would make the rank order depend on the input order.
+    """
+    for rid, s in scores.items():
         if rid not in ledger.totals:
             raise LedgerMiss(f"id {rid} not tracked by ledger")
+        if not isfinite(s):
+            raise NonFiniteLoss(f"score {s} for id {rid} is not finite")
     for rid, s in scores.items():
         ledger.totals[rid] = alpha * ledger.totals[rid] + s
         ledger.last[rid] = s
@@ -174,16 +179,17 @@ def write_ledger_dump(
 ) -> None:
     """Per-pair epoch dump: id, epoch score, total, retained flag, label."""
     retained = set(int(i) for i in retained_ids)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "epoch_score", "total_score", "retained", "oracle_label"])
-        for rid in sorted(int(i) for i in all_ids):
-            w.writerow(
-                [
-                    rid,
-                    repr(ledger.last.get(rid, 0.0)),
-                    repr(ledger.totals[rid]),
-                    int(rid in retained),
-                    labels[rid].tag,
-                ]
-            )
+    write_csv(
+        path,
+        ["id", "epoch_score", "total_score", "retained", "oracle_label"],
+        (
+            [
+                rid,
+                repr(ledger.last.get(rid, 0.0)),
+                repr(ledger.totals[rid]),
+                int(rid in retained),
+                labels[rid].tag,
+            ]
+            for rid in sorted(int(i) for i in all_ids)
+        ),
+    )

@@ -11,12 +11,13 @@ pair content.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class GenConfig:
     ``world_seed`` keys the mixing matrices that define the two modality
     spaces; datasets meant to be encodable by one model must share it.
     It defaults to ``seed``, which keys everything else (labels, latents,
-    noise, tokens).
+    noise, tokens); ``world`` resolves that default.
     """
 
     n_pairs: int
@@ -96,6 +97,11 @@ class GenConfig:
             raise ConfigError("vocab must be at least 2")
         if not 1 <= self.token_coords <= min(self.seq_len, self.d_b):
             raise ConfigError("token_coords must be in [1, min(seq_len, d_b)]")
+
+    @property
+    def world(self) -> int:
+        """The seed keying the mixing matrices: ``world_seed``, else ``seed``."""
+        return self.seed if self.world_seed is None else self.world_seed
 
 
 @dataclass
@@ -159,8 +165,7 @@ def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
 
 def mixing_matrices(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fixed orthonormal-column maps from latent space to each modality."""
-    world = cfg.seed if cfg.world_seed is None else cfg.world_seed
-    rng = substream(world, "mixing")
+    rng = substream(cfg.world, "mixing")
     mats = []
     for d in (cfg.d_a, cfg.d_b):
         g = rng.standard_normal((d, cfg.latent_dim))
@@ -294,3 +299,11 @@ def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         np.array(labels, dtype=np.int8),
         np.array(tokens, dtype=np.int64),
     )
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line and then one CSV line per row."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)

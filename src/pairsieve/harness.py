@@ -8,9 +8,8 @@ byte-stable across reruns.
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .curation import (
     update_total_scores,
     write_ledger_dump,
 )
-from .data import Dataset, GenConfig, Label, generate_dataset, split_validation, write_manifest
+from .data import Dataset, GenConfig, Label, generate_dataset, split_validation, write_csv, write_manifest
 from .distill import DistillJob, distill_mse, run_distillation
 from .encoder import (
     EncoderPairState,
@@ -89,6 +88,20 @@ class TeacherBundle:
     view: np.ndarray
 
 
+def _clean_pairs(cfg: RunConfig, n_pairs: int, tag: str) -> Dataset:
+    """All-good pairs in the run's world, keyed by the stage seed ``tag``."""
+    data_cfg = replace(
+        cfg.data,
+        n_pairs=n_pairs,
+        f_good=1.0,
+        f_clean=0.0,
+        f_noisy=0.0,
+        seed=stage_seed(cfg.seed, tag),
+        world_seed=cfg.data.world,
+    )
+    return generate_dataset(data_cfg)
+
+
 def train_teacher(cfg: RunConfig) -> TeacherBundle:
     """Contrastively pretrain both towers on a clean synthetic set.
 
@@ -96,23 +109,8 @@ def train_teacher(cfg: RunConfig) -> TeacherBundle:
     frozen afterwards, the text tower becomes the distillation teacher.
     """
     seed = cfg.seed
-    data_cfg = GenConfig(
-        n_pairs=cfg.teacher.n_pairs,
-        latent_dim=cfg.data.latent_dim,
-        d_a=cfg.data.d_a,
-        d_b=cfg.data.d_b,
-        f_good=1.0,
-        f_clean=0.0,
-        f_noisy=0.0,
-        sigma_good=cfg.data.sigma_good,
-        sigma_clean=cfg.data.sigma_clean,
-        vocab=cfg.data.vocab,
-        seq_len=cfg.data.seq_len,
-        seed=stage_seed(seed, "teacher_data"),
-        world_seed=cfg.data.world_seed if cfg.data.world_seed is not None else cfg.data.seed,
-    )
-    ds = generate_dataset(data_cfg)
-    view = view_map(data_cfg.world_seed, cfg.data.d_b)
+    ds = _clean_pairs(cfg, cfg.teacher.n_pairs, "teacher_data")
+    view = view_map(cfg.data.world, cfg.data.d_b)
     x_view = ds.x_b @ view.T
 
     enc_a = init_params(stage_seed(seed, "key_init"), cfg.data.d_a, cfg.encoder.hidden, cfg.encoder.embed_dim)
@@ -147,23 +145,7 @@ def distill_student(cfg: RunConfig, teacher: TeacherBundle) -> tuple[EncoderPara
     vector, so matched outputs require learning the embedding, not the
     identity. Returns (student, held-out MSE, loss curve).
     """
-    total = cfg.distill.corpus_size + cfg.distill.held_out
-    data_cfg = GenConfig(
-        n_pairs=total,
-        latent_dim=cfg.data.latent_dim,
-        d_a=cfg.data.d_a,
-        d_b=cfg.data.d_b,
-        f_good=1.0,
-        f_clean=0.0,
-        f_noisy=0.0,
-        sigma_good=cfg.data.sigma_good,
-        sigma_clean=cfg.data.sigma_clean,
-        vocab=cfg.data.vocab,
-        seq_len=cfg.data.seq_len,
-        seed=stage_seed(cfg.seed, "distill_data"),
-        world_seed=cfg.data.world_seed if cfg.data.world_seed is not None else cfg.data.seed,
-    )
-    ds = generate_dataset(data_cfg)
+    ds = _clean_pairs(cfg, cfg.distill.corpus_size + cfg.distill.held_out, "distill_data")
     x_student = ds.x_b
     x_teacher = x_student @ teacher.view.T
     split = cfg.distill.corpus_size
@@ -228,7 +210,6 @@ class RunReport:
     total_steps: int = 0
     final_retained_ids: list[int] = field(default_factory=list)
     out_dir: str | None = None
-    checkpoints: dict[str, str] = field(default_factory=dict)
 
     def log(self, epoch: int, metric: str, value: float) -> None:
         self.rows.append((epoch, metric, float(value)))
@@ -295,10 +276,9 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
     key_matrix, _ = encode_batch(state.key_encoder, train.x_a)
     if out is not None:
         write_store(out / "keys.ecst", key_matrix)
-    id_to_row = {int(i): r for r, i in enumerate(train.ids)}
 
     def key_lookup(ids: np.ndarray) -> np.ndarray:
-        return key_matrix[[id_to_row[int(i)] for i in ids]]
+        return key_matrix[train.rows_for_ids(ids)]
 
     ledger = ScoreLedger.fresh(train.ids)
     cur = CurationState(
@@ -429,18 +409,12 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
         save_params(ck / "query.ecpm", state.query_encoder)
         write_store(ck / "mlm_head.ecst", np.vstack([state.mlm.w, state.mlm.b[None, :]]))
         write_store(ck / "token_lift.ecst", state.mlm.lift)
-        report.checkpoints = {
-            "key": str(ck / "key.ecpm"),
-            "query": str(ck / "query.ecpm"),
-            "mlm_head": str(ck / "mlm_head.ecst"),
-            "token_lift": str(ck / "token_lift.ecst"),
-        }
         write_metrics_csv(out / "metrics.csv", report.run_id, report.rows)
-        with open(out / "timing.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["run_id", "epoch", "metric", "value"])
-            for epoch, metric, value in report.timing_rows:
-                w.writerow([report.run_id, epoch, metric, repr(value)])
+        write_csv(
+            out / "timing.csv",
+            ["run_id", "epoch", "metric", "value"],
+            ([report.run_id, epoch, metric, repr(value)] for epoch, metric, value in report.timing_rows),
+        )
     return report
 
 
@@ -470,16 +444,12 @@ def cmd_distill(cfg: RunConfig, out_dir: str | Path) -> float:
     save_params(out / "teacher_key.ecpm", teacher.key_encoder)
     save_params(out / "teacher_text.ecpm", teacher.text_encoder)
     save_params(out / "student.ecpm", student)
-    with open(out / "distill_curve.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "loss"])
-        for i, loss in enumerate(curve):
-            w.writerow([i, repr(loss)])
-    with open(out / "distill_summary.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value"])
-        w.writerow(["held_out_mse", repr(held)])
-        w.writerow(["target_mse", repr(cfg.distill.target_mse)])
+    write_csv(out / "distill_curve.csv", ["step", "loss"], ([i, repr(loss)] for i, loss in enumerate(curve)))
+    write_csv(
+        out / "distill_summary.csv",
+        ["metric", "value"],
+        [["held_out_mse", repr(held)], ["target_mse", repr(cfg.distill.target_mse)]],
+    )
     return held
 
 
@@ -519,9 +489,9 @@ def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
     d = Path(data_dir)
     ids, labels, tokens = read_manifest(d / "manifest.jsonl")
     with open_store(d / "x_a.ecst") as sa:
-        x_a = np.vstack([sa.read_at(i) for i in range(len(sa))]) if len(sa) else np.empty((0, cfg.d_a))
+        x_a = sa.read_many(range(len(sa)))
     with open_store(d / "x_b.ecst") as sb:
-        x_b = np.vstack([sb.read_at(i) for i in range(len(sb))]) if len(sb) else np.empty((0, cfg.d_b))
+        x_b = sb.read_many(range(len(sb)))
     return Dataset(ids=ids, labels=labels, x_a=x_a, x_b=x_b, tokens=tokens, config=cfg, split="full")
 
 
@@ -575,12 +545,8 @@ def cmd_sweep(
                 row["step_time_s"] = benchmark_step_time(cfg, int(value))
             results.append(row)
 
-    with open(out / f"sweep_{axis}.csv", "w", newline="") as f:
-        names = list(results[0].keys())
-        w = csv.DictWriter(f, fieldnames=names)
-        w.writeheader()
-        for row in results:
-            w.writerow(row)
+    names = list(results[0])
+    write_csv(out / f"sweep_{axis}.csv", names, ([row[k] for k in names] for row in results))
     return results
 
 

@@ -7,7 +7,6 @@ oracle comparisons in the tests meaningful.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -15,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .curation import ScoreLedger
-from .data import Label
+from .data import Label, write_csv
 from .errors import MissingTruth
 
 
@@ -132,17 +131,17 @@ def export_distribution(
 
 
 def write_distribution(path: str | Path, dump: DistributionDump) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "s_epoch", "c_total", "label"])
-        for rid, s, c, lab in dump.rows:
-            w.writerow([rid, repr(s), repr(c), lab])
+    write_csv(
+        path,
+        ["id", "s_epoch", "c_total", "label"],
+        ([rid, repr(s), repr(c), lab] for rid, s, c, lab in dump.rows),
+    )
 
 
 def write_metrics_csv(path: str | Path, run_id: str, rows: list[tuple[int, str, float]]) -> None:
     """Long-format metrics file: run_id, epoch, metric, value."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["run_id", "epoch", "metric", "value"])
-        for epoch, metric, value in rows:
-            w.writerow([run_id, epoch, metric, repr(float(value))])
+    write_csv(
+        path,
+        ["run_id", "epoch", "metric", "value"],
+        ([run_id, epoch, metric, repr(float(value))] for epoch, metric, value in rows),
+    )

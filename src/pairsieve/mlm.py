@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrastive import MemoryQueue, PairBatch, contrastive_loss, ContrastiveBatch, KeyLookup
+# contrastive_loss stays bound here: perfbench/tests checks that tracing rebinds it in every module.
+from .contrastive import KeyLookup, MemoryQueue, PairBatch, contrastive_forward, contrastive_loss  # noqa: F401
 from .encoder import (
     EncoderPairState,
     GradSet,
@@ -167,31 +168,22 @@ def combined_step(
     The masked-token gradient enters scaled by batch_text/batch_pairs; at
     weight zero the update is exactly the contrastive-only step.
     """
-    if key_lookup is not None:
-        keys = key_lookup(pair_batch.ids)
-    else:
-        keys, _ = encode_batch(state.key_encoder, pair_batch.x_a)
-    queries, cache = encode_batch(state.query_encoder, pair_batch.x_b)
-    cbatch = ContrastiveBatch(queries=queries, positives=keys, ids=pair_batch.ids, cache=cache)
-    loss_c, d_queries = contrastive_loss(cbatch, queue, tau)
-
+    keys, cache, loss_c, d_queries = contrastive_forward(state, queue, pair_batch, tau, key_lookup)
     w = weights.weight
     loss_mlm = 0.0
+    mlm_grads = None
     if w > 0 and text_batch is not None:
         loss_mlm, mlm_grads = mlm_loss(state.query_encoder, state.mlm, text_batch)
-        if lr > 0:
-            enc_grads = encode_backward(state.query_encoder, cache, d_queries)
-            total = enc_grads.plus(mlm_grads.encoder, weight=w)
-            state.query_encoder = sgd_step(state.query_encoder, total, lr, weight_decay)
+    if lr > 0:
+        grads = encode_backward(state.query_encoder, cache, d_queries)
+        if mlm_grads is not None:
+            grads = grads.plus(mlm_grads.encoder, weight=w)
             state.mlm = MlmHead(
                 lift=state.mlm.lift,
                 w=state.mlm.w - lr * (w * mlm_grads.head_w + weight_decay * state.mlm.w),
                 b=state.mlm.b - lr * w * mlm_grads.head_b,
             )
-    else:
-        if lr > 0:
-            enc_grads = encode_backward(state.query_encoder, cache, d_queries)
-            state.query_encoder = sgd_step(state.query_encoder, enc_grads, lr, weight_decay)
+        state.query_encoder = sgd_step(state.query_encoder, grads, lr, weight_decay)
     state.step += 1
     queue.push(keys, pair_batch.ids)
     return state, queue, (loss_c, loss_mlm)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from pairsieve.config import RunConfig
+from pairsieve.config import RunConfig, comparison_config, noise_removal_config
 from pairsieve.contrastive import (
     ContrastiveBatch,
     MemoryQueue,
@@ -146,21 +146,12 @@ def test_criterion_03_rank_filter_geometry():
 
 
 # ------------------------------------------------------- criteria 4 and 5
-def _noise_removal_config(seed):
-    cfg = RunConfig(data=GenConfig(n_pairs=10000, seed=seed), seed=seed)
-    cfg.n_val = 500
-    cfg.stop.enabled = False
-    cfg.train.filter_epochs_max = 11
-    cfg.train.epochs = 12
-    return cfg
-
-
 @pytest.fixture(scope="module")
 def noise_removal_runs():
     runs = []
     for seed in SEEDS:
         t0 = time.monotonic()
-        rep = pretrain(_noise_removal_config(seed))
+        rep = pretrain(noise_removal_config(seed))
         runs.append((seed, rep, time.monotonic() - t0))
     return runs
 
@@ -203,26 +194,17 @@ def test_criterion_05_filtering_ratio(noise_removal_runs):
 
 
 # ---------------------------------------------------------------- criterion 6
-def _comparison_config(seed, n=2500, n_val=500, lr=2e-2):
-    cfg = RunConfig(data=GenConfig(n_pairs=n, seed=seed), seed=seed)
-    cfg.mlm_on = False
-    cfg.stop.enabled = False
-    cfg.n_val = n_val
-    cfg.train.base_lr = lr
-    return cfg
-
-
 def test_criterion_06_filtering_benefit():
     epochs = 20
     diffs = []
     for seed in SEEDS:
-        base = _comparison_config(seed)
+        base = comparison_config(seed)
         budget = epochs * math.ceil((base.data.n_pairs - base.n_val) / base.train.batch_pairs)
-        on = _comparison_config(seed)
+        on = comparison_config(seed)
         on.train.epochs = 200
         on.train.step_budget = budget
         on.train.filter_epochs_max = 8
-        off = _comparison_config(seed)
+        off = comparison_config(seed)
         off.filtering_on = False
         off.train.epochs = 200
         off.train.step_budget = budget
@@ -250,7 +232,7 @@ def test_criterion_07_keep_fraction_interior_optimum():
     for seed in SEEDS:
         fracs = {}
         for keep in (0.9, 0.99):
-            cfg = _comparison_config(seed)
+            cfg = comparison_config(seed)
             cfg.train.keep_fraction = keep
             cfg.train.filter_epochs_max = 6
             cfg.train.epochs = 8
@@ -269,7 +251,7 @@ def test_criterion_08_queue_behaviour():
     for seed in SEEDS:
         recalls = {}
         for capacity in (8, 512):
-            cfg = _comparison_config(seed)
+            cfg = comparison_config(seed)
             cfg.train.queue_capacity = capacity
             cfg.train.filter_epochs_max = 6
             cfg.train.epochs = 16
@@ -402,7 +384,7 @@ def test_criterion_12_ensemble_shadow_ablation():
     for seed in SEEDS:
         recalls = {}
         for refresh in (True, False):
-            cfg = _comparison_config(seed)
+            cfg = comparison_config(seed)
             cfg.shadow_refresh_on = refresh
             cfg.train.filter_epochs_max = 6
             cfg.train.epochs = 16

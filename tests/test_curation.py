@@ -18,7 +18,7 @@ from pairsieve.curation import (
 )
 from pairsieve.data import GenConfig, Label, generate_dataset
 from pairsieve.encoder import EncoderPairState, init_params
-from pairsieve.errors import EmptySet, LedgerMiss
+from pairsieve.errors import EmptySet, LedgerMiss, NonFiniteLoss
 
 
 def _shadow(seed=0, d_a=8, d_b=6, d_e=4):
@@ -60,6 +60,18 @@ def test_update_total_scores_unknown_id():
     ledger = ScoreLedger(totals={1: 0.0})
     with pytest.raises(LedgerMiss):
         update_total_scores(ledger, {2: 0.5}, alpha=0.9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_update_total_scores_rejects_non_finite(bad):
+    # A NaN total would make rank_and_filter's order depend on input order,
+    # so the whole update is refused before any entry changes.
+    ledger = ScoreLedger(totals={1: 0.5, 2: 0.25})
+    with pytest.raises(NonFiniteLoss):
+        update_total_scores(ledger, {1: 0.1, 2: bad}, alpha=0.9)
+    assert ledger.totals == {1: 0.5, 2: 0.25}
+    assert ledger.last == {}
+    assert ledger.epoch == 0
 
 
 @given(

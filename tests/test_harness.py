@@ -126,6 +126,15 @@ def test_load_dataset_dir_round_trip(tmp_path):
     assert ds.tokens.tobytes() == direct.tokens.tobytes()
 
 
+def test_load_dataset_dir_empty(tmp_path):
+    cfg = tiny_config(2, n_pairs=0)
+    cmd_gen_data(cfg, tmp_path / "d")
+    ds = load_dataset_dir(tmp_path / "d", cfg.data)
+    assert len(ds) == 0
+    assert ds.x_a.shape == (0, cfg.data.d_a)
+    assert ds.x_b.shape == (0, cfg.data.d_b)
+
+
 def test_pretrain_deterministic_metrics(tmp_path):
     cfg = tiny_config(4)
     pretrain(cfg, out_dir=tmp_path / "a")
@@ -236,7 +245,7 @@ def test_teacher_quality_on_clean_pairs():
         f_clean=0.0,
         f_noisy=0.0,
         seed=777,
-        world_seed=cfg.data.world_seed if cfg.data.world_seed is not None else cfg.data.seed,
+        world_seed=cfg.data.world,
     )
     ds = generate_dataset(probe)
     keys, _ = encode_batch(teacher.key_encoder, ds.x_a)
@@ -294,6 +303,24 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
     assert bad == 2  # fractions no longer sum to one -> config error
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
+
+    # Malformed values, lists and config keys are config errors too, not tracebacks.
+    unknown_section = tmp_path / "unknown_section.json"
+    unknown_section.write_text('{"trian": {}}')
+    unknown_field = tmp_path / "unknown_field.json"
+    unknown_field.write_text('{"train": {"epoks": 3}}')
+    out = str(tmp_path / "out3")
+    for argv in (
+        ["pretrain", "--out-dir", out, "--set", "train.epochs=abc"],
+        ["pretrain", "--out-dir", out, "--set", "stop.patience=0"],
+        ["sweep", "--axis", "queue", "--values", "8,", "--out-dir", out],
+        ["sweep", "--axis", "queue", "--values", "8", "--seeds", "0,x", "--out-dir", out],
+        ["pretrain", "--config", str(unknown_section), "--out-dir", out],
+        ["pretrain", "--config", str(unknown_field), "--out-dir", out],
+    ):
+        assert main(argv) == 2, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError", argv
 
 
 def test_cli_pretrain_and_eval(tmp_path, capsys):
