@@ -6,6 +6,7 @@ desk-scale config so a full grid finishes in minutes."""
 import argparse
 
 from pairsieve.config import comparison_config
+from pairsieve.errors import ConfigError
 from pairsieve.harness import DEFAULT_GRIDS, cmd_sweep
 
 
@@ -24,8 +25,10 @@ def main() -> None:
     cfg.train.epochs = 16
 
     values = args.values.split(",") if args.values else None
-    seeds = [int(s) for s in args.seeds.split(",")]
-    results = cmd_sweep(cfg, args.axis, values, seeds, args.out_dir)
+    try:
+        results = cmd_sweep(cfg, args.axis, values, args.seeds.split(","), args.out_dir)
+    except ConfigError as e:
+        ap.error(str(e))
     for row in results:
         extra = f" step_time={row['step_time_s']*1e6:.0f}us" if "step_time_s" in row else ""
         print(

@@ -44,14 +44,6 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def _parse_list(flag: str, raw: str, cast) -> list:
-    """Comma-separated values of one type; a malformed entry is a ConfigError."""
-    try:
-        return [cast(v) for v in raw.split(",")]
-    except ValueError as e:
-        raise ConfigError(f"{flag}: expected comma-separated {cast.__name__} values, got {raw!r}") from e
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     p.add_argument("--out-dir", required=True, help="directory for all outputs")
@@ -110,9 +102,8 @@ def main(argv: list[str] | None = None) -> int:
             held = harness.cmd_distill(cfg, args.out_dir)
             print(json.dumps({"held_out_mse": held}))
         elif args.command == "sweep":
-            cast = harness.SWEEP_AXES[args.axis][2]
-            values = _parse_list("--values", args.values, cast) if args.values else None
-            seeds = _parse_list("--seeds", args.seeds, int)
+            values = args.values.split(",") if args.values else None
+            seeds = args.seeds.split(",")
             results = harness.cmd_sweep(cfg, args.axis, values, seeds, args.out_dir)
             print(json.dumps({"rows": len(results), "out_dir": args.out_dir}))
         elif args.command == "eval":

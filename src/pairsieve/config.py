@@ -205,11 +205,11 @@ def noise_removal_config(seed: int, n_pairs: int = 10000) -> RunConfig:
     return cfg
 
 
-def comparison_config(seed: int, n_pairs: int = 2500, n_val: int = 500, lr: float = 2e-2) -> RunConfig:
+def comparison_config(seed: int, n_pairs: int = 2500, n_val: int = 500) -> RunConfig:
     """Desk-scale base for comparing arms: masked-token task and stop rule off."""
     cfg = RunConfig(data=GenConfig(n_pairs=n_pairs, seed=seed), seed=seed)
     cfg.mlm_on = False
     cfg.stop.enabled = False
     cfg.n_val = n_val
-    cfg.train.base_lr = lr
+    cfg.train.base_lr = 2e-2
     return cfg

@@ -89,11 +89,8 @@ def score_pairs(shadow: ShadowModel, ds: Dataset, ids: Sequence[int]) -> dict[in
 def update_total_scores(
     ledger: ScoreLedger, scores: Mapping[int, float], alpha: float
 ) -> ScoreLedger:
-    """Apply total <- alpha * total + score for every scored id.
-
-    Every id and score is checked before the ledger changes: a NaN total
-    would make the rank order depend on the input order.
-    """
+    """Apply total <- alpha * total + score for every scored id."""
+    # Check everything before the ledger changes: a NaN total would make the rank order input-dependent.
     for rid, s in scores.items():
         if rid not in ledger.totals:
             raise LedgerMiss(f"id {rid} not tracked by ledger")

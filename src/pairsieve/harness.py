@@ -43,6 +43,7 @@ from .encoder import (
     save_params,
     sgd_step,
 )
+from .errors import ConfigError
 from .metrics import (
     export_distribution,
     f1_at_threshold,
@@ -512,14 +513,18 @@ def cmd_sweep(
     cfg: RunConfig,
     axis: str,
     values: list | None,
-    seeds: list[int],
+    seeds: list,
     out_dir: str | Path,
 ) -> list[dict]:
-    """Run the pipeline per (value, seed) and emit a comparison CSV."""
+    """Run the pipeline per (value, seed) and emit a comparison CSV; values and seeds may be strings."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (choose from {sorted(SWEEP_AXES)})")
     section, fieldname, cast = SWEEP_AXES[axis]
-    values = [cast(v) for v in (values if values else DEFAULT_GRIDS[axis])]
+    try:
+        values = [cast(v) for v in (values if values else DEFAULT_GRIDS[axis])]
+        seeds = [int(s) for s in seeds]
+    except ValueError as e:
+        raise ConfigError(f"{axis} sweep: malformed value or seed ({e})") from e
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
