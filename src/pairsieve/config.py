@@ -163,17 +163,18 @@ def save_config(path: str | Path, cfg: RunConfig) -> None:
 
 
 def apply_override(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
-    """Set one config field from a "section.field=value" CLI override."""
+    """Copy of ``cfg`` with one field set from a "section.field=value" CLI override."""
+    payload = to_dict(cfg)
     parts = dotted.split(".")
-    target = cfg
+    target = payload
     for name in parts[:-1]:
-        if not hasattr(target, name):
+        if not isinstance(target, dict) or name not in target:
             raise ConfigError(f"unknown config section {name!r}")
-        target = getattr(target, name)
+        target = target[name]
     leaf = parts[-1]
-    if not hasattr(target, leaf):
+    if not isinstance(target, dict) or leaf not in target:
         raise ConfigError(f"unknown config field {dotted!r}")
-    current = getattr(target, leaf)
+    current = target[leaf]
     value: object
     if raw in ("null", "none", "None"):
         value = None
@@ -190,9 +191,9 @@ def apply_override(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
             raise ConfigError(f"{dotted}: expected {parse.__name__}, got {raw!r}") from e
     else:
         value = raw
-    setattr(target, leaf, value)
-    # Re-run validation by round-tripping the dataclass tree.
-    return from_dict(to_dict(cfg))
+    target[leaf] = value
+    # Rebuilding the dataclass tree re-runs validation.
+    return from_dict(payload)
 
 
 def noise_removal_config(seed: int, n_pairs: int = 10000) -> RunConfig:

@@ -66,11 +66,8 @@ class StopRule:
 class CurationState:
     """Filtering-loop state carried across epochs."""
 
-    alpha: float
-    keep_fraction: float
     shadow: ShadowModel
     retained_ids: list[int]
-    epoch: int = 0
     filtering_active: bool = True
     validation_history: list[float] = field(default_factory=list)
 

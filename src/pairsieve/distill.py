@@ -35,7 +35,6 @@ class DistillJob:
     base_lr: float = 0.05
     batch_size: int = 256
     warmup_frac: float = 0.05
-    target_mse: float = 0.05
 
     def __post_init__(self):
         if self.x_teacher.shape[0] != self.x_student.shape[0]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMismatch, DimMismatch, FormatError, ZeroNorm
+from .errors import CacheMismatch, DimMismatch, FormatError, NonFiniteLoss, ZeroNorm
 from .rng import substream
 
 CHECKPOINT_MAGIC = b"ECPM"
@@ -162,6 +162,8 @@ def encode_batch(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCach
     h = np.tanh(x @ p.w1 + p.b1)
     raw = h @ p.w2 + p.b2
     norm = np.linalg.norm(raw, axis=1)
+    if not np.all(np.isfinite(norm)):
+        raise NonFiniteLoss("encoder produced a non-finite embedding norm")
     if np.any(norm == 0.0):
         raise ZeroNorm("encoder produced a zero embedding before normalization")
     emb = raw / norm[:, None]

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from math import ceil
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, save_config
+from .config import RunConfig, apply_override, save_config
 from .contrastive import ContrastiveBatch, MemoryQueue, PairBatch, contrastive_loss, training_step
 from .curation import (
     CurationState,
@@ -160,7 +161,6 @@ def distill_student(cfg: RunConfig, teacher: TeacherBundle) -> tuple[EncoderPara
         x_student=x_student[:split],
         base_lr=cfg.distill.base_lr,
         batch_size=cfg.distill.batch_size,
-        target_mse=cfg.distill.target_mse,
     )
     student, curve = run_distillation(job, cfg.distill.steps, seed=cfg.seed)
     held = distill_mse(teacher.text_encoder, student, x_teacher[split:], x_student[split:])
@@ -283,8 +283,6 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
 
     ledger = ScoreLedger.fresh(train.ids)
     cur = CurationState(
-        alpha=cfg.train.alpha,
-        keep_fraction=cfg.train.keep_fraction,
         shadow=ShadowModel.snapshot_of(state),
         retained_ids=[int(i) for i in train.ids],
         filtering_active=cfg.filtering_on,
@@ -309,7 +307,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
             and counters["filter_events"] >= cfg.train.filter_epochs_max
         ):
             cur.filtering_active = False
-        if cfg.filtering_on and cur.filtering_active:
+        if cur.filtering_active:
             scores = score_pairs(cur.shadow, train, cur.retained_ids)
             update_total_scores(ledger, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
@@ -331,7 +329,6 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
                     out / f"distribution_epoch{epoch}.csv",
                     export_distribution(ledger, labels, epoch, cur.retained_ids),
                 )
-        cur.epoch = epoch
 
         comp = noise_composition(cur.retained_ids, labels)
         report.log(epoch, "retained_count", len(cur.retained_ids))
@@ -391,12 +388,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
             report.log(epoch, name, value)
         cur.validation_history.append(vm["val_f1"])
 
-        if (
-            cfg.filtering_on
-            and cur.filtering_active
-            and cfg.stop.enabled
-            and check_stop(cur.validation_history, cfg.stop)
-        ):
+        if cur.filtering_active and cfg.stop.enabled and check_stop(cur.validation_history, cfg.stop):
             cur.filtering_active = False
         report.log(epoch, "filtering_active", float(cur.filtering_active))
 
@@ -490,16 +482,16 @@ def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
     d = Path(data_dir)
     ids, labels, tokens = read_manifest(d / "manifest.jsonl")
     with open_store(d / "x_a.ecst") as sa:
-        x_a = sa.read_many(range(len(sa)))
+        x_a = sa.read_all()
     with open_store(d / "x_b.ecst") as sb:
-        x_b = sb.read_many(range(len(sb)))
+        x_b = sb.read_all()
     return Dataset(ids=ids, labels=labels, x_a=x_a, x_b=x_b, tokens=tokens, config=cfg, split="full")
 
 
 SWEEP_AXES = {
-    "lambda": ("train", "keep_fraction", float),
-    "queue": ("train", "queue_capacity", int),
-    "text_batch": ("train", "batch_text", int),
+    "lambda": "train.keep_fraction",
+    "queue": "train.queue_capacity",
+    "text_batch": "train.batch_text",
 }
 
 DEFAULT_GRIDS = {
@@ -516,39 +508,44 @@ def cmd_sweep(
     seeds: list,
     out_dir: str | Path,
 ) -> list[dict]:
-    """Run the pipeline per (value, seed) and emit a comparison CSV; values and seeds may be strings."""
+    """Run the pipeline per (value, seed) and emit a comparison CSV; values and seeds may be strings.
+
+    Every grid point is built and validated before anything runs.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (choose from {sorted(SWEEP_AXES)})")
-    section, fieldname, cast = SWEEP_AXES[axis]
+    dotted = SWEEP_AXES[axis]
     try:
-        values = [cast(v) for v in (values if values else DEFAULT_GRIDS[axis])]
         seeds = [int(s) for s in seeds]
     except ValueError as e:
-        raise ConfigError(f"{axis} sweep: malformed value or seed ({e})") from e
+        raise ConfigError(f"{axis} sweep: malformed seed ({e})") from e
+    points = [
+        apply_override(cfg.with_seed(seed), dotted, str(raw))
+        for raw in (values if values else DEFAULT_GRIDS[axis])
+        for seed in seeds
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for value in values:
-        for seed in seeds:
-            variant = cfg.with_seed(seed)
-            setattr(getattr(variant, section), fieldname, value)
-            sub = out / f"{axis}_{value}_seed{seed}"
-            report = pretrain(variant, out_dir=sub)
-            last_epoch = max(e for e, _, _ in report.rows)
-            row = {
-                "axis": axis,
-                "value": value,
-                "seed": seed,
-                "val_f1": report.metric(last_epoch, "val_f1"),
-                "val_r1_b2a": report.metric(last_epoch, "val_r1_b2a"),
-                "frac_noisy": report.metric(last_epoch, "frac_noisy"),
-                "retained_count": report.metric(last_epoch, "retained_count"),
-                "total_steps": report.total_steps,
-            }
-            if axis == "queue":
-                row["step_time_s"] = benchmark_step_time(cfg, int(value))
-            results.append(row)
+    for variant in points:
+        value = reduce(getattr, dotted.split("."), variant)
+        sub = out / f"{axis}_{value}_seed{variant.seed}"
+        report = pretrain(variant, out_dir=sub)
+        last_epoch = max(e for e, _, _ in report.rows)
+        row = {
+            "axis": axis,
+            "value": value,
+            "seed": variant.seed,
+            "val_f1": report.metric(last_epoch, "val_f1"),
+            "val_r1_b2a": report.metric(last_epoch, "val_r1_b2a"),
+            "frac_noisy": report.metric(last_epoch, "frac_noisy"),
+            "retained_count": report.metric(last_epoch, "retained_count"),
+            "total_steps": report.total_steps,
+        }
+        if axis == "queue":
+            row["step_time_s"] = benchmark_step_time(cfg, value)
+        results.append(row)
 
     names = list(results[0])
     write_csv(out / f"sweep_{axis}.csv", names, ([row[k] for k in names] for row in results))

@@ -59,22 +59,17 @@ def mask_batch(
     p_replace: float,
     rng: np.random.Generator,
     vocab: int,
-    scheme: str = "split",
 ) -> MaskedBatch:
     """Corrupt sequences for masked-token training.
 
-    Every token is independently selected with probability ``p_mask``. In
-    the default "split" scheme a selected token becomes a uniformly
-    random different token with probability ``p_replace`` and the mask
-    token otherwise. The "bert" scheme uses the classic 80/10/10
-    mask/random/keep split instead (``p_replace`` ignored).
+    Every token is independently selected with probability ``p_mask``. A
+    selected token becomes a uniformly random different token with
+    probability ``p_replace`` and the mask token otherwise.
     """
     if not 0 < p_mask < 1:
         raise ConfigError(f"p_mask must be in (0, 1), got {p_mask}")
     if not 0 <= p_replace < 1:
         raise ConfigError(f"p_replace must be in [0, 1), got {p_replace}")
-    if scheme not in ("split", "bert"):
-        raise ConfigError(f"unknown masking scheme {scheme!r}")
     sequences = np.atleast_2d(sequences)
     if sequences.size == 0:
         raise EmptyBatch("no sequences to mask")
@@ -87,13 +82,8 @@ def mask_batch(
     repl = repl + (repl >= sequences)
 
     corrupted = sequences.copy()
-    if scheme == "split":
-        to_replace = selected & (branch < p_replace)
-        to_mask = selected & ~to_replace
-    else:
-        to_mask = selected & (branch < 0.8)
-        to_replace = selected & (branch >= 0.8) & (branch < 0.9)
-        # remaining selected positions keep their token
+    to_replace = selected & (branch < p_replace)
+    to_mask = selected & ~to_replace
     corrupted[to_mask] = vocab
     corrupted[to_replace] = repl[to_replace]
 

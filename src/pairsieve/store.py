@@ -105,11 +105,12 @@ class StoreHandle:
             raise FormatError(f"{self.path}: short read at row {index}")
         return np.frombuffer(blob, dtype="<f8").copy()
 
-    def read_many(self, indices) -> np.ndarray:
-        """Gather rows for an index sequence (order preserved)."""
-        out = np.empty((len(indices), self.header.dim))
-        for i, idx in enumerate(indices):
-            out[i] = self.read_at(int(idx))
+    def read_all(self) -> np.ndarray:
+        """Return every row, read with one call into a preallocated array."""
+        out = np.empty((self.header.count, self.header.dim), dtype="<f8")
+        self._f.seek(HEADER_SIZE)
+        if self._f.readinto(out) != out.nbytes:
+            raise FormatError(f"{self.path}: short read")
         return out
 
 

@@ -139,9 +139,7 @@ def test_update_shadow_snapshot_isolation():
     state = EncoderPairState(
         key_encoder=init_params(1, 8, 5, 4), query_encoder=init_params(2, 6, 5, 4)
     )
-    cur = CurationState(
-        alpha=0.9, keep_fraction=0.9, shadow=_shadow(9), retained_ids=[0, 1]
-    )
+    cur = CurationState(shadow=_shadow(9), retained_ids=[0, 1])
     cur = update_shadow(cur, state)
     ids = [int(i) for i in ds.ids[:5]]
     before = score_pairs(cur.shadow, ds, ids)

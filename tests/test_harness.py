@@ -76,9 +76,13 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_config_override():
-    cfg = tiny_config()
-    cfg = apply_override(cfg, "train.keep_fraction", "0.8")
+    base = tiny_config()
+    before = to_json(base)
+    cfg = apply_override(base, "train.keep_fraction", "0.8")
     assert cfg.train.keep_fraction == 0.8
+    cfg = apply_override(cfg, "train.queue_capacity", "512")
+    assert cfg.train.queue_capacity == 512
+    assert to_json(base) == before  # the argument is never changed
     cfg = apply_override(cfg, "mlm_on", "false")
     assert cfg.mlm_on is False
     with pytest.raises(ConfigError):
@@ -166,7 +170,7 @@ def test_frozen_key_tower_and_store_consistency(tmp_path):
     train, _ = split_validation(full, cfg.n_val, cfg.seed)
     fresh, _ = encode_batch(key_enc, train.x_a)
     with open_store(tmp_path / "run/keys.ecst") as store:
-        stored = store.read_many(range(len(store)))
+        stored = store.read_all()
     assert stored.tobytes() == fresh.tobytes()
 
 
@@ -315,12 +319,28 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
         ["pretrain", "--out-dir", out, "--set", "stop.patience=0"],
         ["sweep", "--axis", "queue", "--values", "8,", "--out-dir", out],
         ["sweep", "--axis", "queue", "--values", "8", "--seeds", "0,x", "--out-dir", out],
+        # Out-of-range grid values fail validation before any point runs.
+        ["sweep", "--axis", "queue", "--values", "0", "--out-dir", out],
+        ["sweep", "--axis", "lambda", "--values", "1.5", "--out-dir", out],
+        ["sweep", "--axis", "text_batch", "--values", "-1", "--out-dir", out],
         ["pretrain", "--config", str(unknown_section), "--out-dir", out],
         ["pretrain", "--config", str(unknown_field), "--out-dir", out],
     ):
         assert main(argv) == 2, argv
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError", argv
+        assert not (tmp_path / "out3").exists(), argv
+
+
+def test_cli_pretrain_divergence_exits_nonfinite(tmp_path, capsys):
+    # An lr this large overflows the embedding norm; the run must not finish with exit 0.
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg_path, tiny_config(17))
+    argv = ["pretrain", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]
+    with np.errstate(over="ignore"):
+        assert main(argv + ["--set", "train.base_lr=1e6"]) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NonFiniteLoss"
 
 
 def test_cli_pretrain_and_eval(tmp_path, capsys):

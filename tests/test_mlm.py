@@ -80,19 +80,6 @@ def test_monte_carlo_masking_frequencies():
     assert abs(replaced / selected - 0.20) <= 0.005
 
 
-def test_bert_scheme_keeps_some_tokens():
-    rng = substream(4, "mask", 0)
-    seqs = rng.integers(0, VOCAB, size=(200, 12))
-    mb = mask_batch(seqs, 0.5, 0.2, substream(4, "mask", 1), VOCAB, scheme="bert")
-    corrupted = mb.tokens[mb.mask_rows, mb.mask_cols]
-    originals = seqs[mb.mask_rows, mb.mask_cols]
-    n = corrupted.shape[0]
-    frac_mask = np.mean(corrupted == VOCAB)
-    frac_keep = np.mean(corrupted == originals)
-    assert 0.7 < frac_mask < 0.9
-    assert 0.05 < frac_keep < 0.15
-
-
 def _toy_head(seed=5, d_in=6, d_e=4):
     return init_mlm_head(seed, VOCAB, d_in, d_e)
 

@@ -78,6 +78,16 @@ def test_payload_size_mismatch_detected(tmp_path):
         open_store(truncated)
 
 
+def test_read_all_short_read_detected(tmp_path):
+    path = tmp_path / "t.ecst"
+    write_store(path, np.ones((2000, 3)))  # larger than one read buffer
+    with open_store(path) as h:
+        with open(path, "r+b") as f:
+            f.truncate(HEADER_SIZE + 8)  # shrunk after the size check at open
+        with pytest.raises(FormatError):
+            h.read_all()
+
+
 def test_inconsistent_dims_rejected(tmp_path):
     with pytest.raises(DimMismatch):
         write_store(tmp_path / "d.ecst", [np.ones(3), np.ones(4)])
@@ -97,5 +107,5 @@ def test_round_trip_property(tmp_path_factory, rows):
     assert header.count == rows.shape[0]
     assert header.dim == rows.shape[1]
     with open_store(path) as h:
-        got = h.read_many(range(len(h)))
+        got = h.read_all()
     assert got.tobytes() == rows.tobytes()
