@@ -89,6 +89,7 @@ def test_config_override():
         apply_override(cfg, "train.nope", "1")
     with pytest.raises(ConfigError):
         apply_override(cfg, "train.keep_fraction", "1.5")
+    assert cfg.train.keep_fraction == 0.8  # a rejected override leaves no trace
 
 
 def test_config_validation_surfaces():
