@@ -23,20 +23,25 @@ from .errors import DimMismatch, EmptyBatch, NoNegatives
 
 
 class MemoryQueue:
-    """Fixed-capacity FIFO of (key embedding, source id) entries."""
+    """Fixed-capacity FIFO of (key embedding, source id) entries, oldest first.
+
+    Every push builds new read-only arrays, so a snapshot never changes
+    after it is taken and needs no copy.
+    """
 
     def __init__(self, capacity: int, dim: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.dim = dim
-        self._emb = np.empty((capacity, dim))
-        self._ids = np.empty(capacity, dtype=np.int64)
-        self._cursor = 0
-        self._count = 0
+        self._keep(np.empty((0, dim)), np.empty(0, dtype=np.int64))
+
+    def _keep(self, emb: np.ndarray, ids: np.ndarray) -> None:
+        self._emb, self._ids = emb[-self.capacity :], ids[-self.capacity :]
+        self._emb.flags.writeable = self._ids.flags.writeable = False
 
     def __len__(self) -> int:
-        return self._count
+        return self._ids.shape[0]
 
     def push(self, keys: np.ndarray, ids: Sequence[int]) -> "MemoryQueue":
         """Append keys in order, evicting oldest entries past capacity."""
@@ -47,19 +52,13 @@ class MemoryQueue:
             raise DimMismatch(f"key dim {keys.shape[1]}, queue dim {self.dim}")
         if keys.shape[0] != len(ids):
             raise DimMismatch("one id required per key")
-        for row, rid in zip(keys, ids):
-            self._emb[self._cursor] = row
-            self._ids[self._cursor] = rid
-            self._cursor = (self._cursor + 1) % self.capacity
-            self._count = min(self._count + 1, self.capacity)
+        ids = np.asarray(ids, dtype=np.int64)
+        self._keep(np.concatenate([self._emb, keys]), np.concatenate([self._ids, ids]))
         return self
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current entries oldest-first: (embeddings, source ids)."""
-        if self._count < self.capacity:
-            return self._emb[: self._count].copy(), self._ids[: self._count].copy()
-        order = np.r_[self._cursor : self.capacity, 0 : self._cursor]
-        return self._emb[order].copy(), self._ids[order].copy()
+        """Current entries oldest-first: (embeddings, source ids), read-only."""
+        return self._emb, self._ids
 
 
 @dataclass

@@ -40,7 +40,6 @@ class ScoreLedger:
 
     totals: dict[int, float]
     last: dict[int, float] = field(default_factory=dict)
-    epoch: int = 0
 
     @classmethod
     def fresh(cls, ids: Sequence[int]) -> "ScoreLedger":
@@ -96,7 +95,6 @@ def update_total_scores(
     for rid, s in scores.items():
         ledger.totals[rid] = alpha * ledger.totals[rid] + s
         ledger.last[rid] = s
-    ledger.epoch += 1
     return ledger
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientData
+from .errors import ConfigError, FormatError, InsufficientData
 from .rng import substream
 
 
@@ -114,7 +114,6 @@ class Dataset:
     x_b: np.ndarray  # (n, d_b)
     tokens: np.ndarray  # (n, seq_len) int64
     config: GenConfig
-    split: str = "full"
     _row_of: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -137,7 +136,7 @@ class Dataset:
             self._row_of.update({int(v): i for i, v in enumerate(self.ids)})
         return np.array([self._row_of[int(v)] for v in ids], dtype=np.int64)
 
-    def take_rows(self, rows: np.ndarray, split: str) -> "Dataset":
+    def take_rows(self, rows: np.ndarray) -> "Dataset":
         return Dataset(
             ids=self.ids[rows].copy(),
             labels=self.labels[rows].copy(),
@@ -145,7 +144,6 @@ class Dataset:
             x_b=self.x_b[rows].copy(),
             tokens=self.tokens[rows].copy(),
             config=self.config,
-            split=split,
         )
 
     def label_counts(self) -> dict[Label, int]:
@@ -232,7 +230,6 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         x_b=x_b,
         tokens=tokens,
         config=cfg,
-        split="full",
     )
 
 
@@ -247,8 +244,8 @@ def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Datas
     val_rows = np.sort(perm[:n_val])
     mask = np.ones(len(ds), dtype=bool)
     mask[val_rows] = False
-    train = ds.take_rows(np.flatnonzero(mask), split="train")
-    val = ds.take_rows(val_rows, split="validation")
+    train = ds.take_rows(np.flatnonzero(mask))
+    val = ds.take_rows(val_rows)
     return train, val
 
 
@@ -269,7 +266,7 @@ def threshold_subsets(
                 f"threshold {t}: {eligible.size} eligible pairs, need {m}"
             )
         pick = substream(seed, "subset", ti).permutation(eligible)[:m]
-        subsets.append(ds.take_rows(np.sort(pick), split="subset"))
+        subsets.append(ds.take_rows(np.sort(pick)))
     return subsets
 
 
@@ -289,16 +286,22 @@ def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Return (ids, labels, tokens) arrays from a manifest file."""
     ids, labels, tokens = [], [], []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            row = json.loads(line)
-            ids.append(row["id"])
-            labels.append(Label.from_tag(row["oracle_label"]))
-            tokens.append(row["tokens"])
-    return (
-        np.array(ids, dtype=np.int64),
-        np.array(labels, dtype=np.int8),
-        np.array(tokens, dtype=np.int64),
-    )
+        for lineno, line in enumerate(f, start=1):
+            try:
+                row = json.loads(line)
+                ids.append(row["id"])
+                labels.append(Label.from_tag(row["oracle_label"]))
+                tokens.append(row["tokens"])
+            except (ValueError, KeyError, TypeError) as e:
+                raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
+    try:
+        return (
+            np.array(ids, dtype=np.int64),
+            np.array(labels, dtype=np.int8),
+            np.array(tokens, dtype=np.int64),
+        )
+    except ValueError as e:
+        raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({e})") from e
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

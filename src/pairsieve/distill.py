@@ -23,6 +23,9 @@ from .encoder import (
 from .errors import DimMismatch, EmptyBatch, NonFiniteLoss
 from .rng import substream
 
+# Share of the distillation steps spent ramping the lr up from zero.
+WARMUP_FRAC = 0.05
+
 
 @dataclass
 class DistillJob:
@@ -34,7 +37,6 @@ class DistillJob:
     x_student: np.ndarray  # (n, student.d_in) student-view inputs, row-aligned
     base_lr: float = 0.05
     batch_size: int = 256
-    warmup_frac: float = 0.05
 
     def __post_init__(self):
         if self.x_teacher.shape[0] != self.x_student.shape[0]:
@@ -83,7 +85,7 @@ def run_distillation(
         raise ValueError("steps must be positive")
     n = job.x_teacher.shape[0]
     student = job.student
-    warmup = int(round(job.warmup_frac * steps))
+    warmup = int(round(WARMUP_FRAC * steps))
     losses: list[float] = []
     full_batch = job.batch_size >= n
     for step in range(steps):

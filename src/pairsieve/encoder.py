@@ -25,7 +25,7 @@ _HEADER = struct.Struct("<4sIIII")
 
 @dataclass
 class EncoderParams:
-    """Weights of one encoder tower: x -> l2_normalize(W2^T tanh(W1^T x + b1) + b2)."""
+    """Weights of one encoder tower: x -> v / |v| with v = W2^T tanh(W1^T x + b1) + b2."""
 
     w1: np.ndarray  # (d_in, hidden)
     b1: np.ndarray  # (hidden,)
@@ -85,10 +85,6 @@ class MlmHead:
     w: np.ndarray  # (embed_dim, vocab)
     b: np.ndarray  # (vocab,)
 
-    @property
-    def vocab(self) -> int:
-        return self.w.shape[1]
-
 
 @dataclass
 class EncoderPairState:
@@ -103,10 +99,6 @@ class EncoderPairState:
     query_encoder: EncoderParams
     mlm: MlmHead | None = None
     step: int = 0
-
-    @property
-    def embed_dim(self) -> int:
-        return self.query_encoder.embed_dim
 
 
 @dataclass
@@ -168,12 +160,6 @@ def encode_batch(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCach
         raise ZeroNorm("encoder produced a zero embedding before normalization")
     emb = raw / norm[:, None]
     return emb, BatchCache(id(p), x, h, emb, norm)
-
-
-def encode(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCache]:
-    """Single-vector convenience wrapper around encode_batch."""
-    emb, cache = encode_batch(p, x[None, :])
-    return emb[0], cache
 
 
 def encode_backward(p: EncoderParams, cache: BatchCache, upstream: np.ndarray) -> GradSet:

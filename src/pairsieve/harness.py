@@ -44,7 +44,7 @@ from .encoder import (
     save_params,
     sgd_step,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .metrics import (
     export_distribution,
     f1_at_threshold,
@@ -177,8 +177,8 @@ def validation_metrics(state: EncoderPairState, val: Dataset) -> dict[str, float
     queries, _ = encode_batch(state.query_encoder, val.x_b)
     n = len(val)
     truth = np.arange(n)
-    b2a = recall_at_k(queries, keys, truth, ks=(1, 5, 10), direction="b_to_a")
-    a2b = recall_at_k(keys, queries, truth, ks=(1, 5, 10), direction="a_to_b")
+    b2a = recall_at_k(queries, keys, truth, ks=(1, 5, 10))
+    a2b = recall_at_k(keys, queries, truth, ks=(1, 5, 10))
     true_scores = np.sum(keys * queries, axis=1)
     mismatch_scores = np.sum(keys * np.roll(queries, 1, axis=0), axis=1)
     if n >= 2:
@@ -327,7 +327,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
                 )
                 write_distribution(
                     out / f"distribution_epoch{epoch}.csv",
-                    export_distribution(ledger, labels, epoch, cur.retained_ids),
+                    export_distribution(ledger, labels, cur.retained_ids),
                 )
 
         comp = noise_composition(cur.retained_ids, labels)
@@ -485,7 +485,9 @@ def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
         x_a = sa.read_all()
     with open_store(d / "x_b.ecst") as sb:
         x_b = sb.read_all()
-    return Dataset(ids=ids, labels=labels, x_a=x_a, x_b=x_b, tokens=tokens, config=cfg, split="full")
+    if not len(ids) == len(x_a) == len(x_b):
+        raise FormatError(f"{d}: manifest has {len(ids)} rows, x_a.ecst {len(x_a)}, x_b.ecst {len(x_b)}")
+    return Dataset(ids=ids, labels=labels, x_a=x_a, x_b=x_b, tokens=tokens, config=cfg)
 
 
 SWEEP_AXES = {

@@ -20,9 +20,7 @@ from .errors import MissingTruth
 
 @dataclass
 class RetrievalResult:
-    direction: str  # "a_to_b" or "b_to_a"
     recalls: dict[int, float]  # k -> recall@k
-    query_count: int
 
 
 def recall_at_k(
@@ -30,7 +28,6 @@ def recall_at_k(
     keys: np.ndarray,
     truth: Sequence[int],
     ks: Sequence[int] = (1, 5, 10),
-    direction: str = "b_to_a",
 ) -> RetrievalResult:
     """Fraction of queries whose true key ranks in the top k by cosine.
 
@@ -52,7 +49,7 @@ def recall_at_k(
     ).sum(axis=1)
     rank = better + equal_before  # 0-based
     recalls = {int(k): float(np.mean(rank < k)) for k in ks}
-    return RetrievalResult(direction=direction, recalls=recalls, query_count=n)
+    return RetrievalResult(recalls=recalls)
 
 
 @dataclass
@@ -60,7 +57,6 @@ class F1Result:
     precision: float
     recall: float
     f1: float
-    threshold: float
     degenerate: bool = False  # no predicted positives
 
 
@@ -76,11 +72,11 @@ def f1_at_threshold(
     fp = int(np.sum(mismatch_scores > threshold))
     fn = true_scores.size - tp
     if tp + fp == 0:
-        return F1Result(0.0, 0.0, 0.0, threshold, degenerate=True)
+        return F1Result(0.0, 0.0, 0.0, degenerate=True)
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return F1Result(precision, recall, f1, threshold)
+    return F1Result(precision, recall, f1)
 
 
 def select_threshold(true_scores: np.ndarray, mismatch_scores: np.ndarray) -> float:
@@ -110,31 +106,26 @@ def noise_composition(
     return {lab.tag: (counts[lab] / n if n else 0.0) for lab in Label}
 
 
-@dataclass
-class DistributionDump:
-    epoch: int
-    rows: list[tuple[int, float, float, str]]  # (id, epoch score, total, label)
+DistributionRow = tuple[int, float, float, str]  # (id, epoch score, total, label)
 
 
 def export_distribution(
     ledger: ScoreLedger,
     labels: Mapping[int, Label],
-    epoch: int,
     retained_ids: Sequence[int],
-) -> DistributionDump:
+) -> list[DistributionRow]:
     """Score-vs-total rows for the retained pairs, ready for plotting."""
-    rows = [
+    return [
         (rid, ledger.last[rid], ledger.totals[rid], labels[rid].tag)
         for rid in sorted(int(i) for i in retained_ids)
     ]
-    return DistributionDump(epoch=epoch, rows=rows)
 
 
-def write_distribution(path: str | Path, dump: DistributionDump) -> None:
+def write_distribution(path: str | Path, rows: Sequence[DistributionRow]) -> None:
     write_csv(
         path,
         ["id", "s_epoch", "c_total", "label"],
-        ([rid, repr(s), repr(c), lab] for rid, s, c, lab in dump.rows),
+        ([rid, repr(s), repr(c), lab] for rid, s, c, lab in rows),
     )
 
 

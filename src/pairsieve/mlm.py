@@ -34,7 +34,6 @@ class MaskedBatch:
     mask_rows: np.ndarray  # (m,)
     mask_cols: np.ndarray  # (m,)
     targets: np.ndarray  # (m,) original tokens at masked positions
-    vocab: int
 
 
 @dataclass
@@ -93,7 +92,6 @@ def mask_batch(
         mask_rows=rows,
         mask_cols=cols,
         targets=sequences[rows, cols].copy(),
-        vocab=vocab,
     )
 
 

@@ -1,7 +1,6 @@
-"""Vector/matrix primitives, loss building blocks, and a gradient checker.
+"""Finite-difference gradient checker for the hand-derived losses.
 
-Vectors are 1-D float64 numpy arrays, matrices 2-D. All arithmetic is
-64-bit so finite-difference gradient checks stay tight.
+Parameters are float64 numpy arrays, so the checks stay tight.
 """
 
 from __future__ import annotations
@@ -11,49 +10,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteLoss, ZeroNorm, DimMismatch
+from .errors import DimMismatch, NonFiniteLoss
 
 # Relative-error denominators are clamped here to avoid division blowup
 # when both gradients are near zero.
 REL_ERR_FLOOR = 1e-8
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm, preserving direction."""
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ZeroNorm("cannot normalize a zero vector")
-    return v / norm
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """dot(a, b) / (|a| |b|), in [-1, 1]."""
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNorm("cosine similarity of a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def softmax_cross_entropy(logits: np.ndarray, target_index: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of softmax(logits) against a one-hot target.
-
-    Returns (loss, gradient w.r.t. logits). Stabilized by max-subtraction;
-    -inf logits are allowed and receive zero probability.
-    """
-    n = logits.shape[0]
-    if not 0 <= target_index < n:
-        raise IndexError(f"target {target_index} out of range for {n} logits")
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    total = exp.sum()
-    log_p_target = shifted[target_index] - np.log(total)
-    loss = -log_p_target
-    grad = exp / total
-    grad[target_index] -= 1.0
-    return float(loss), grad
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -57,15 +58,37 @@ def test_queue_large_capacity_order_preserved():
     np.testing.assert_array_equal(emb, keys)
 
 
-@given(st.integers(1, 6), st.lists(st.integers(0, 30), min_size=1, max_size=40))
+@given(
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(0, 30), max_size=9), min_size=1, max_size=12),
+)
 @settings(max_examples=60)
-def test_queue_keeps_last_capacity_entries(capacity, ids):
+def test_queue_keeps_last_capacity_entries(capacity, pushes):
+    # Pushes of any size, larger than the capacity too, match a bounded deque.
     q = MemoryQueue(capacity, 2)
+    ref = deque(maxlen=capacity)
     rng = np.random.default_rng(0)
-    vecs = unit_rows(rng, len(ids), 2)
-    q.push(vecs, ids)
-    _, got = q.snapshot()
-    np.testing.assert_array_equal(got, np.array(ids[-capacity:], dtype=np.int64))
+    for ids in pushes:
+        vecs = unit_rows(rng, len(ids), 2)
+        q.push(vecs, ids)
+        ref.extend(zip(ids, vecs))
+        emb, got = q.snapshot()
+        assert len(q) == len(ref)
+        np.testing.assert_array_equal(got, np.array([i for i, _ in ref], dtype=np.int64))
+        np.testing.assert_array_equal(emb, np.array([v for _, v in ref]).reshape(-1, 2))
+
+
+def test_queue_snapshot_is_frozen():
+    q = MemoryQueue(3, 2)
+    q.push(np.eye(2), [0, 1])
+    emb, ids = q.snapshot()
+    q.push(np.ones((2, 2)), [2, 3])
+    np.testing.assert_array_equal(emb, np.eye(2))
+    np.testing.assert_array_equal(ids, [0, 1])
+    with pytest.raises(ValueError):
+        emb[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ids[0] = 7
 
 
 def test_loss_uniform_two_way():

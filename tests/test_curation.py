@@ -47,7 +47,6 @@ def test_update_total_scores_direct():
     update_total_scores(ledger, {1: 0.5}, alpha=0.9)
     assert ledger.totals[1] == pytest.approx(1.4)
     assert ledger.last[1] == 0.5
-    assert ledger.epoch == 1
 
 
 def test_update_total_scores_memoryless_at_alpha_zero():
@@ -71,7 +70,6 @@ def test_update_total_scores_rejects_non_finite(bad):
         update_total_scores(ledger, {1: 0.1, 2: bad}, alpha=0.9)
     assert ledger.totals == {1: 0.5, 2: 0.25}
     assert ledger.last == {}
-    assert ledger.epoch == 0
 
 
 @given(

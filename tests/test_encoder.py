@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pairsieve.encoder import (
     EncoderParams,
     cosine_warmup_lr,
-    encode,
     encode_backward,
     encode_batch,
     init_params,
@@ -61,13 +60,13 @@ def test_encode_unit_norm():
 def test_encode_zero_params_raises():
     p = EncoderParams(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ZeroNorm):
-        encode(p, np.ones(4))
+        encode_batch(p, np.ones(4))
 
 
 def test_encode_dim_mismatch():
     p = init_params(1, 4, 3, 2)
     with pytest.raises(DimMismatch):
-        encode(p, np.ones(5))
+        encode_batch(p, np.ones(5))
 
 
 def test_backward_zero_upstream():

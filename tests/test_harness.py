@@ -14,8 +14,8 @@ from pairsieve.config import (
     to_json,
 )
 from pairsieve.data import GenConfig, generate_dataset, split_validation
-from pairsieve.encoder import encode_batch, load_params
-from pairsieve.errors import ConfigError
+from pairsieve.encoder import encode_batch, init_params, load_params, save_params
+from pairsieve.errors import ConfigError, FormatError
 from pairsieve.harness import (
     benchmark_step_time,
     cmd_eval,
@@ -138,6 +138,38 @@ def test_load_dataset_dir_empty(tmp_path):
     assert len(ds) == 0
     assert ds.x_a.shape == (0, cfg.data.d_a)
     assert ds.x_b.shape == (0, cfg.data.d_b)
+
+
+@pytest.mark.parametrize(
+    "keep, tail, message",
+    [
+        (500, [], "manifest has 500 rows, x_a.ecst 600"),
+        (599, ['{"id": 5, "orac'], "manifest.jsonl:600: malformed"),
+        (599, ['{"id": 599, "oracle_label": "good", "tokens": [1]}\n'], "manifest ids or tokens"),
+    ],
+    ids=["truncated", "torn", "ragged"],
+)
+def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep, tail, message):
+    # A damaged manifest is a format error (exit 4): never scored against stores it does not describe.
+    cfg = tiny_config(2)
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg_path, cfg)
+    cmd_gen_data(cfg, tmp_path / "d")
+    manifest = tmp_path / "d/manifest.jsonl"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(lines[:keep] + tail))
+    with pytest.raises(FormatError, match=message):
+        load_dataset_dir(tmp_path / "d", cfg.data)
+
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    for name, d_in in (("key", cfg.data.d_a), ("query", cfg.data.d_b)):
+        save_params(ck / f"{name}.ecpm", init_params(1, d_in, cfg.encoder.hidden, cfg.encoder.embed_dim))
+    argv = ["eval", "--config", str(cfg_path), "--checkpoint", str(ck), "--data-dir", str(tmp_path / "d")]
+    assert main(argv + ["--out-dir", str(tmp_path / "ev")]) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FormatError"
+    assert message in err["message"]
 
 
 def test_pretrain_deterministic_metrics(tmp_path):

@@ -160,12 +160,12 @@ def test_export_distribution_epoch_one_totals_equal_scores(tmp_path):
     scores = {0: 0.4, 1: -0.2, 2: 0.9}
     update_total_scores(ledger, scores, alpha=0.9)  # first epoch: total == score
     labels = {0: Label.GOOD, 1: Label.NOISY, 2: Label.CLEAN}
-    dump = export_distribution(ledger, labels, epoch=1, retained_ids=[0, 1, 2])
-    assert len(dump.rows) == 3
-    for rid, s, c, _ in dump.rows:
+    rows = export_distribution(ledger, labels, retained_ids=[0, 1, 2])
+    assert len(rows) == 3
+    for rid, s, c, _ in rows:
         assert s == c == scores[rid]
     path = tmp_path / "dist.csv"
-    write_distribution(path, dump)
+    write_distribution(path, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,s_epoch,c_total,label"
     assert len(lines) == 4

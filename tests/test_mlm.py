@@ -105,7 +105,6 @@ def test_mlm_loss_empty_mask():
         mask_rows=np.empty(0, dtype=np.int64),
         mask_cols=np.empty(0, dtype=np.int64),
         targets=np.empty(0, dtype=np.int64),
-        vocab=VOCAB,
     )
     with pytest.raises(EmptyMask):
         mlm_loss(enc, head, empty)

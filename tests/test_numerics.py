@@ -1,129 +1,8 @@
-import math
-
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from pairsieve.errors import DimMismatch, NonFiniteLoss, ZeroNorm
-from pairsieve.numerics import (
-    GradCheckReport,
-    cosine_similarity,
-    finite_diff_check,
-    l2_normalize,
-    softmax_cross_entropy,
-)
-
-finite_vecs = arrays(
-    np.float64,
-    st.integers(min_value=1, max_value=12),
-    elements=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-).filter(lambda v: np.linalg.norm(v) > 1e-6)
-
-
-def test_l2_normalize_three_four_five():
-    np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
-
-
-def test_l2_normalize_unit_vector_unchanged():
-    v = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(l2_normalize(v), v)
-
-
-def test_l2_normalize_zero_raises():
-    with pytest.raises(ZeroNorm):
-        l2_normalize(np.zeros(2))
-
-
-@given(finite_vecs)
-def test_l2_normalize_idempotent(v):
-    once = l2_normalize(v)
-    twice = l2_normalize(once)
-    assert np.max(np.abs(once - twice)) <= 1e-12
-    assert abs(np.linalg.norm(once) - 1.0) <= 1e-12
-
-
-def test_cosine_trivial_directions():
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    assert cosine_similarity(e0, e0) == pytest.approx(1.0)
-    assert cosine_similarity(e0, e1) == pytest.approx(0.0)
-
-
-def test_cosine_against_arbitrary_precision():
-    # Oracle: evaluate dot/(|a||b|) at 50 decimal digits.
-    a = np.array([1.0, 2.0, 3.0])
-    b = np.array([4.0, 5.0, 6.0])
-    mpmath.mp.dps = 50
-    expected = mpmath.mpf(32) / (mpmath.sqrt(14) * mpmath.sqrt(77))
-    assert cosine_similarity(a, b) == pytest.approx(float(expected), abs=1e-15)
-
-
-def test_cosine_errors():
-    with pytest.raises(DimMismatch):
-        cosine_similarity(np.ones(2), np.ones(3))
-    with pytest.raises(ZeroNorm):
-        cosine_similarity(np.zeros(2), np.ones(2))
-
-
-@given(finite_vecs, finite_vecs)
-def test_cosine_equals_normalized_dot(a, b):
-    n = min(a.shape[0], b.shape[0])
-    a, b = a[:n], b[:n]
-    if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
-        return
-    direct = cosine_similarity(a, b)
-    via_norm = float(np.dot(l2_normalize(a), l2_normalize(b)))
-    assert abs(direct - via_norm) <= 1e-12
-    assert abs(direct - cosine_similarity(b, a)) <= 1e-12
-
-
-def test_softmax_ce_uniform_two_way():
-    loss, grad = softmax_cross_entropy(np.zeros(2), 0)
-    assert loss == pytest.approx(math.log(2), abs=1e-12)
-    np.testing.assert_allclose(grad, [-0.5, 0.5])
-
-
-def test_softmax_ce_saturated():
-    loss, _ = softmax_cross_entropy(np.array([10.0, -10.0]), 0)
-    assert loss < 1e-8
-
-
-def test_softmax_ce_index_error():
-    with pytest.raises(IndexError):
-        softmax_cross_entropy(np.zeros(3), 3)
-
-
-def _central_diff(f, x, h=1e-6):
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        up = x.copy()
-        up[i] += h
-        down = x.copy()
-        down[i] -= h
-        grad[i] = (f(up) - f(down)) / (2 * h)
-    return grad
-
-
-def test_softmax_ce_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    logits = rng.standard_normal(8)
-    loss, grad = softmax_cross_entropy(logits, 3)
-    numeric = _central_diff(lambda l: softmax_cross_entropy(l, 3)[0], logits)
-    rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-8)
-    assert rel.max() <= 1e-6
-
-
-@given(
-    arrays(np.float64, st.integers(2, 10), elements=st.floats(-30, 30)),
-    st.integers(0, 9),
-)
-def test_softmax_ce_grad_sums_to_zero(logits, idx):
-    target = idx % logits.shape[0]
-    _, grad = softmax_cross_entropy(logits, target)
-    assert abs(grad.sum()) <= 1e-10
+from pairsieve.errors import NonFiniteLoss
+from pairsieve.numerics import GradCheckReport, finite_diff_check
 
 
 def test_finite_diff_check_quadratic():
