@@ -139,6 +139,8 @@ def _construct(cls, payload, where: str):
 
 
 def from_dict(payload: dict) -> RunConfig:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
     kwargs = {
         key: _construct(_SECTIONS[key], value, key) if key in _SECTIONS else value
         for key, value in payload.items()
@@ -153,6 +155,8 @@ def to_json(cfg: RunConfig) -> str:
 def load_config(path: str | Path) -> RunConfig:
     try:
         payload = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config ({e.strerror})") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from e
     return from_dict(payload)

@@ -18,20 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, Label, write_csv
-from .encoder import EncoderPairState, EncoderParams, clone_params, encode_batch
+from .encoder import EncoderPairState, encode_batch
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
-
-
-@dataclass
-class ShadowModel:
-    """Frozen encoder pair used only for scoring."""
-
-    key_encoder: EncoderParams
-    query_encoder: EncoderParams
-
-    @classmethod
-    def snapshot_of(cls, state: EncoderPairState) -> "ShadowModel":
-        return cls(clone_params(state.key_encoder), clone_params(state.query_encoder))
 
 
 @dataclass
@@ -65,13 +53,13 @@ class StopRule:
 class CurationState:
     """Filtering-loop state carried across epochs."""
 
-    shadow: ShadowModel
+    shadow: EncoderPairState  # frozen copy (encoder.clone_pair), used only for scoring
     retained_ids: list[int]
     filtering_active: bool = True
     validation_history: list[float] = field(default_factory=list)
 
 
-def score_pairs(shadow: ShadowModel, ds: Dataset, ids: Sequence[int]) -> dict[int, float]:
+def score_pairs(shadow: EncoderPairState, ds: Dataset, ids: Sequence[int]) -> dict[int, float]:
     """Cosine correlation of each pair under the frozen shadow encoders."""
     if len(ids) == 0:
         return {}
@@ -112,12 +100,6 @@ def rank_and_filter(
     keep = ceil(keep_fraction * len(retained_ids))
     ranked = sorted(retained_ids, key=lambda rid: (-ledger.totals[int(rid)], int(rid)))
     return [int(r) for r in ranked[:keep]]
-
-
-def update_shadow(state: CurationState, trained: EncoderPairState) -> CurationState:
-    """Replace the shadow with a deep snapshot of the trained encoders."""
-    state.shadow = ShadowModel.snapshot_of(trained)
-    return state
 
 
 def check_stop(history: Sequence[float], rule: StopRule) -> bool:

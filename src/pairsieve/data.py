@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InsufficientData
+from .errors import ConfigError, DimMismatch, FormatError, InsufficientData
 from .rng import substream
 
 
@@ -37,15 +37,6 @@ class Label(IntEnum):
     @classmethod
     def from_tag(cls, tag: str) -> "Label":
         return cls[tag.upper()]
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    id: int
-    x_a: np.ndarray
-    x_b: np.ndarray
-    tokens: np.ndarray
-    oracle_label: Label
 
 
 @dataclass
@@ -119,18 +110,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def record(self, row: int) -> PairRecord:
-        return PairRecord(
-            id=int(self.ids[row]),
-            x_a=self.x_a[row],
-            x_b=self.x_b[row],
-            tokens=self.tokens[row],
-            oracle_label=Label(int(self.labels[row])),
-        )
-
-    def __iter__(self) -> Iterator[PairRecord]:
-        return (self.record(i) for i in range(len(self)))
-
     def rows_for_ids(self, ids: Sequence[int]) -> np.ndarray:
         if not self._row_of:
             self._row_of.update({int(v): i for i, v in enumerate(self.ids)})
@@ -161,15 +140,17 @@ def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
     return counts
 
 
+def orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """QR of a Gaussian draw, column signs fixed so the result is unique per draw."""
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return q * np.sign(np.diag(r))
+
+
 def mixing_matrices(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fixed orthonormal-column maps from latent space to each modality."""
     rng = substream(cfg.world, "mixing")
-    mats = []
-    for d in (cfg.d_a, cfg.d_b):
-        g = rng.standard_normal((d, cfg.latent_dim))
-        q, r = np.linalg.qr(g)
-        mats.append(q * np.sign(np.diag(r)))
-    return mats[0], mats[1]
+    a_mix = orthonormal_columns(rng, cfg.d_a, cfg.latent_dim)
+    return a_mix, orthonormal_columns(rng, cfg.d_b, cfg.latent_dim)
 
 
 def _label_plan(cfg: GenConfig) -> np.ndarray:
@@ -250,14 +231,12 @@ def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Datas
 
 
 def threshold_subsets(
-    ds: Dataset,
-    scorer: Callable[[PairRecord], float],
-    thresholds: Sequence[float],
-    m: int,
-    seed: int,
+    ds: Dataset, scores: np.ndarray, thresholds: Sequence[float], m: int, seed: int
 ) -> list[Dataset]:
-    """For each threshold, sample m pairs whose score exceeds it."""
-    scores = np.array([scorer(rec) for rec in ds])
+    """For each threshold, sample m pairs whose score (one per row of ``ds``) exceeds it."""
+    scores = np.asarray(scores)
+    if len(scores) != len(ds):
+        raise DimMismatch(f"{len(scores)} scores for {len(ds)} pairs")
     subsets = []
     for ti, t in enumerate(thresholds):
         eligible = np.flatnonzero(scores > t)

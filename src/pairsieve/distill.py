@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import (
-    EncoderParams,
-    GradSet,
-    cosine_warmup_lr,
-    encode_backward,
-    encode_batch,
-    sgd_step,
-)
+from .encoder import EncoderParams, cosine_warmup_lr, encode_backward, encode_batch, sgd_step
 from .errors import DimMismatch, EmptyBatch, NonFiniteLoss
 from .rng import substream
 
@@ -50,7 +43,7 @@ def distill_loss(
     student: EncoderParams,
     x_teacher: np.ndarray,
     x_student: np.ndarray,
-) -> tuple[float, GradSet]:
+) -> tuple[float, EncoderParams]:
     """Mean squared embedding distance over the batch; grads for the student only."""
     x_teacher = np.atleast_2d(x_teacher)
     x_student = np.atleast_2d(x_student)

@@ -25,7 +25,10 @@ _HEADER = struct.Struct("<4sIIII")
 
 @dataclass
 class EncoderParams:
-    """Weights of one encoder tower: x -> v / |v| with v = W2^T tanh(W1^T x + b1) + b2."""
+    """Weights of one encoder tower: x -> v / |v| with v = W2^T tanh(W1^T x + b1) + b2.
+
+    Gradients use the same type, one array per weight.
+    """
 
     w1: np.ndarray  # (d_in, hidden)
     b1: np.ndarray  # (hidden,)
@@ -49,27 +52,6 @@ class EncoderParams:
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-
-@dataclass
-class GradSet:
-    """Gradients shape-matched to EncoderParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def plus(self, other: "GradSet", weight: float = 1.0) -> "GradSet":
-        return GradSet(
-            self.w1 + weight * other.w1,
-            self.b1 + weight * other.b1,
-            self.w2 + weight * other.w2,
-            self.b2 + weight * other.b2,
-        )
 
 
 @dataclass
@@ -140,8 +122,13 @@ def clone_params(p: EncoderParams) -> EncoderParams:
     return EncoderParams(p.w1.copy(), p.b1.copy(), p.w2.copy(), p.b2.copy())
 
 
-def zero_grads(p: EncoderParams) -> GradSet:
-    return GradSet(
+def clone_pair(state: EncoderPairState) -> EncoderPairState:
+    """Deep copy of both towers (no MLM head): the frozen pair that scores pairs."""
+    return EncoderPairState(clone_params(state.key_encoder), clone_params(state.query_encoder))
+
+
+def zero_grads(p: EncoderParams) -> EncoderParams:
+    return EncoderParams(
         np.zeros_like(p.w1), np.zeros_like(p.b1), np.zeros_like(p.w2), np.zeros_like(p.b2)
     )
 
@@ -162,7 +149,7 @@ def encode_batch(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCach
     return emb, BatchCache(id(p), x, h, emb, norm)
 
 
-def encode_backward(p: EncoderParams, cache: BatchCache, upstream: np.ndarray) -> GradSet:
+def encode_backward(p: EncoderParams, cache: BatchCache, upstream: np.ndarray) -> EncoderParams:
     """Accumulate parameter gradients for upstream d(loss)/d(embedding)."""
     if cache.params_id != id(p):
         raise CacheMismatch("cache was produced by a different parameter set")
@@ -178,11 +165,11 @@ def encode_backward(p: EncoderParams, cache: BatchCache, upstream: np.ndarray) -
     d_pre = d_h * (1.0 - cache.h**2)
     d_w1 = cache.x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
-    return GradSet(d_w1, d_b1, d_w2, d_b2)
+    return EncoderParams(d_w1, d_b1, d_w2, d_b2)
 
 
 def sgd_step(
-    p: EncoderParams, g: GradSet, lr: float, weight_decay: float = 0.0
+    p: EncoderParams, g: EncoderParams, lr: float, weight_decay: float = 0.0
 ) -> EncoderParams:
     """theta <- theta - lr * (g + weight_decay * theta); biases exempt from decay."""
     if lr <= 0:

@@ -21,20 +21,28 @@ from .contrastive import ContrastiveBatch, MemoryQueue, PairBatch, contrastive_l
 from .curation import (
     CurationState,
     ScoreLedger,
-    ShadowModel,
     check_stop,
     filtering_ratio_report,
     rank_and_filter,
     score_pairs,
-    update_shadow,
     update_total_scores,
     write_ledger_dump,
 )
-from .data import Dataset, GenConfig, Label, generate_dataset, split_validation, write_csv, write_manifest
+from .data import (
+    Dataset,
+    GenConfig,
+    Label,
+    generate_dataset,
+    orthonormal_columns,
+    split_validation,
+    write_csv,
+    write_manifest,
+)
 from .distill import DistillJob, distill_mse, run_distillation
 from .encoder import (
     EncoderPairState,
     EncoderParams,
+    clone_pair,
     clone_params,
     cosine_warmup_lr,
     encode_backward,
@@ -56,7 +64,7 @@ from .metrics import (
 )
 from .mlm import TaskWeights, combined_step, mask_batch
 from .rng import substream
-from .store import open_store, write_store
+from .store import StoreHandle, write_store
 
 # Stage tags for deriving per-component seeds from the master seed.
 _STAGE = {
@@ -76,9 +84,7 @@ def stage_seed(master: int, tag: str) -> int:
 
 def view_map(world_seed: int, dim: int) -> np.ndarray:
     """Fixed orthogonal map giving the teacher its own input view."""
-    g = substream(world_seed, "view").standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return orthonormal_columns(substream(world_seed, "view"), dim, dim)
 
 
 @dataclass
@@ -191,12 +197,12 @@ def validation_metrics(state: EncoderPairState, val: Dataset) -> dict[str, float
         "val_f1": f1.f1,
         "val_precision": f1.precision,
         "val_recall": f1.recall,
-        "val_r1_b2a": b2a.recalls[1],
-        "val_r5_b2a": b2a.recalls[5],
-        "val_r10_b2a": b2a.recalls[10],
-        "val_r1_a2b": a2b.recalls[1],
-        "val_r5_a2b": a2b.recalls[5],
-        "val_r10_a2b": a2b.recalls[10],
+        "val_r1_b2a": b2a[1],
+        "val_r5_b2a": b2a[5],
+        "val_r10_b2a": b2a[10],
+        "val_r1_a2b": a2b[1],
+        "val_r5_a2b": a2b[5],
+        "val_r10_a2b": a2b[10],
     }
 
 
@@ -230,6 +236,12 @@ def _epoch_batches(ids: list[int], batch_size: int, seed: int, epoch: int) -> li
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
+def _require_validation_pairs(cfg: RunConfig) -> None:
+    """Training tunes its f1 threshold on the validation pairs; only eval may run without them."""
+    if cfg.n_val < 1:
+        raise ConfigError(f"n_val is {cfg.n_val}; pretraining needs at least one validation pair")
+
+
 def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
     """Run the full pipeline and return its report.
 
@@ -241,6 +253,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
     With ``filtering_on`` false the loop is the plain baseline over the
     full noisy set.
     """
+    _require_validation_pairs(cfg)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -283,7 +296,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
 
     ledger = ScoreLedger.fresh(train.ids)
     cur = CurationState(
-        shadow=ShadowModel.snapshot_of(state),
+        shadow=clone_pair(state),
         retained_ids=[int(i) for i in train.ids],
         filtering_active=cfg.filtering_on,
     )
@@ -380,7 +393,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
         report.log(epoch, "steps_cum", report.total_steps)
 
         if cfg.shadow_refresh_on:
-            cur = update_shadow(cur, state)
+            cur.shadow = clone_pair(state)
             counters["shadow_refreshes"] += 1
 
         vm = validation_metrics(state, val)
@@ -481,9 +494,9 @@ def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
 
     d = Path(data_dir)
     ids, labels, tokens = read_manifest(d / "manifest.jsonl")
-    with open_store(d / "x_a.ecst") as sa:
+    with StoreHandle(d / "x_a.ecst") as sa:
         x_a = sa.read_all()
-    with open_store(d / "x_b.ecst") as sb:
+    with StoreHandle(d / "x_b.ecst") as sb:
         x_b = sb.read_all()
     if not len(ids) == len(x_a) == len(x_b):
         raise FormatError(f"{d}: manifest has {len(ids)} rows, x_a.ecst {len(x_a)}, x_b.ecst {len(x_b)}")
@@ -521,6 +534,7 @@ def cmd_sweep(
         seeds = [int(s) for s in seeds]
     except ValueError as e:
         raise ConfigError(f"{axis} sweep: malformed seed ({e})") from e
+    _require_validation_pairs(cfg)
     points = [
         apply_override(cfg.with_seed(seed), dotted, str(raw))
         for raw in (values if values else DEFAULT_GRIDS[axis])

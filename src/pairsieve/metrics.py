@@ -18,18 +18,13 @@ from .data import Label, write_csv
 from .errors import MissingTruth
 
 
-@dataclass
-class RetrievalResult:
-    recalls: dict[int, float]  # k -> recall@k
-
-
 def recall_at_k(
     queries: np.ndarray,
     keys: np.ndarray,
     truth: Sequence[int],
     ks: Sequence[int] = (1, 5, 10),
-) -> RetrievalResult:
-    """Fraction of queries whose true key ranks in the top k by cosine.
+) -> dict[int, float]:
+    """Recall@k for each k: the fraction of queries whose true key ranks in the top k by cosine.
 
     ``truth[i]`` is the key row for query row i. Rows must be unit-norm
     (dot == cosine). Score ties break toward the smaller key index.
@@ -48,8 +43,7 @@ def recall_at_k(
         (sims == true_scores[:, None]) & (np.arange(keys.shape[0])[None, :] < truth[:, None])
     ).sum(axis=1)
     rank = better + equal_before  # 0-based
-    recalls = {int(k): float(np.mean(rank < k)) for k in ks}
-    return RetrievalResult(recalls=recalls)
+    return {int(k): float(np.mean(rank < k)) for k in ks}
 
 
 @dataclass

@@ -15,14 +15,7 @@ import numpy as np
 
 # contrastive_loss stays bound here: perfbench/tests checks that tracing rebinds it in every module.
 from .contrastive import KeyLookup, MemoryQueue, PairBatch, contrastive_forward, contrastive_loss  # noqa: F401
-from .encoder import (
-    EncoderPairState,
-    GradSet,
-    MlmHead,
-    encode_backward,
-    encode_batch,
-    sgd_step,
-)
+from .encoder import EncoderPairState, EncoderParams, MlmHead, encode_backward, encode_batch, sgd_step
 from .errors import ConfigError, EmptyBatch, EmptyMask
 
 
@@ -97,7 +90,7 @@ def mask_batch(
 
 @dataclass
 class MlmGrads:
-    encoder: GradSet
+    encoder: EncoderParams
     head_w: np.ndarray
     head_b: np.ndarray
 
@@ -165,7 +158,7 @@ def combined_step(
     if lr > 0:
         grads = encode_backward(state.query_encoder, cache, d_queries)
         if mlm_grads is not None:
-            grads = grads.plus(mlm_grads.encoder, weight=w)
+            grads = EncoderParams(*(g + w * m for g, m in zip(grads.arrays(), mlm_grads.encoder.arrays())))
             state.mlm = MlmHead(
                 lift=state.mlm.lift,
                 w=state.mlm.w - lr * (w * mlm_grads.head_w + weight_decay * state.mlm.w),

@@ -112,7 +112,3 @@ class StoreHandle:
         if self._f.readinto(out) != out.nbytes:
             raise FormatError(f"{self.path}: short read")
         return out
-
-
-def open_store(path: str | Path) -> StoreHandle:
-    return StoreHandle(path)

@@ -20,7 +20,7 @@ from pairsieve.contrastive import (
     contrastive_loss,
     training_step,
 )
-from pairsieve.curation import ScoreLedger, ShadowModel, rank_and_filter, score_pairs, update_total_scores
+from pairsieve.curation import ScoreLedger, rank_and_filter, score_pairs, update_total_scores
 from pairsieve.data import GenConfig, Label, generate_dataset, split_validation
 from pairsieve.distill import distill_loss
 from pairsieve.encoder import (
@@ -42,7 +42,7 @@ from pairsieve.metrics import f1_at_threshold, recall_at_k
 from pairsieve.mlm import TaskWeights, combined_step, mask_batch, mlm_loss
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
-from pairsieve.store import HEADER_SIZE, open_store, write_store
+from pairsieve.store import HEADER_SIZE, StoreHandle, write_store
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -321,7 +321,7 @@ def test_criterion_10_distillation():
         student, held, _ = distill_student(cfg, teacher)
         held_values.append(held)
         noisy_ds = generate_dataset(cfg.data)
-        shadow = ShadowModel(key_encoder=teacher.key_encoder, query_encoder=student)
+        shadow = EncoderPairState(key_encoder=teacher.key_encoder, query_encoder=student)
         scores = score_pairs(shadow, noisy_ds, [int(i) for i in noisy_ds.ids])
         svals = np.array([scores[int(i)] for i in noisy_ds.ids])
         good = svals[noisy_ds.labels == Label.GOOD].mean()
@@ -408,7 +408,7 @@ def test_criterion_13_metric_oracles():
     keys = rng.standard_normal((50, 6))
     keys /= np.linalg.norm(keys, axis=1, keepdims=True)
     truth = rng.permutation(50)
-    got = recall_at_k(queries, keys, truth, ks=(1, 5, 10)).recalls
+    got = recall_at_k(queries, keys, truth, ks=(1, 5, 10))
     hits = {k: 0 for k in (1, 5, 10)}
     for i, t in enumerate(truth):
         scores = [float(np.dot(queries[i], keys[j])) for j in range(50)]
@@ -445,7 +445,7 @@ def test_criterion_14_store(tmp_path):
     write_store(path, rows)
     size_ok = path.stat().st_size == HEADER_SIZE + 1000 * 16 * 8
 
-    with open_store(path) as handle:
+    with StoreHandle(path) as handle:
         back = np.vstack([handle.read_at(i) for i in range(1000)])
         round_trip_ok = back.tobytes() == rows.tobytes()
 

@@ -4,25 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsieve.curation import (
-    CurationState,
     ScoreLedger,
-    ShadowModel,
     StopRule,
     check_stop,
     filtering_ratio_report,
     rank_and_filter,
     score_pairs,
-    update_shadow,
     update_total_scores,
     write_ledger_dump,
 )
 from pairsieve.data import GenConfig, Label, generate_dataset
-from pairsieve.encoder import EncoderPairState, init_params
+from pairsieve.encoder import EncoderPairState, clone_pair, init_params
 from pairsieve.errors import EmptySet, LedgerMiss, NonFiniteLoss
 
 
 def _shadow(seed=0, d_a=8, d_b=6, d_e=4):
-    return ShadowModel(
+    return EncoderPairState(
         key_encoder=init_params(seed * 13 + 1, d_a, 5, d_e),
         query_encoder=init_params(seed * 13 + 2, d_b, 5, d_e),
     )
@@ -134,18 +131,14 @@ def test_monotone_shrink(ids):
 
 def test_update_shadow_snapshot_isolation():
     ds = _toy_dataset()
-    state = EncoderPairState(
-        key_encoder=init_params(1, 8, 5, 4), query_encoder=init_params(2, 6, 5, 4)
-    )
-    cur = CurationState(shadow=_shadow(9), retained_ids=[0, 1])
-    cur = update_shadow(cur, state)
+    state = _shadow(1)
+    snapshot = clone_pair(state)
     ids = [int(i) for i in ds.ids[:5]]
-    before = score_pairs(cur.shadow, ds, ids)
-    trained = score_pairs(ShadowModel(state.key_encoder, state.query_encoder), ds, ids)
-    assert before == trained
-    state.query_encoder.w1 += 0.5  # mutate the live model afterwards
-    after = score_pairs(cur.shadow, ds, ids)
-    assert before == after
+    before = score_pairs(snapshot, ds, ids)
+    assert before == score_pairs(state, ds, ids)  # the snapshot scores like the live pair
+    state.query_encoder.w1 += 0.5  # mutate the live pair afterwards, in place
+    state.key_encoder.b2 += 0.5
+    assert score_pairs(snapshot, ds, ids) == before
 
 
 def test_check_stop_cases():

@@ -14,7 +14,7 @@ from pairsieve.data import (
     threshold_subsets,
     write_manifest,
 )
-from pairsieve.errors import ConfigError, InsufficientData
+from pairsieve.errors import ConfigError, DimMismatch, InsufficientData
 
 
 def small_cfg(**kw):
@@ -123,31 +123,33 @@ def test_split_validation_all_good_boundary():
 
 def test_threshold_subsets_vacuous_threshold():
     ds = generate_dataset(small_cfg(n_pairs=200, seed=4))
-    scores = _latent_proxy_scores(ds)
-    by_id = {int(i): s for i, s in zip(ds.ids, scores)}
-    subsets = threshold_subsets(ds, lambda r: by_id[r.id], [-1.0], m=50, seed=2)
+    subsets = threshold_subsets(ds, _latent_proxy_scores(ds), [-1.0], m=50, seed=2)
     assert len(subsets) == 1 and len(subsets[0]) == 50
 
 
 def test_threshold_subsets_insufficient():
     ds = generate_dataset(small_cfg(n_pairs=100, seed=4))
     with pytest.raises(InsufficientData) as err:
-        threshold_subsets(ds, lambda r: 0.0, [0.5], m=10, seed=2)
+        threshold_subsets(ds, np.zeros(len(ds)), [0.5], m=10, seed=2)
     assert "0.5" in str(err.value)
+
+
+def test_threshold_subsets_rejects_misaligned_scores():
+    ds = generate_dataset(small_cfg(n_pairs=100, seed=4))
+    for n in (99, 101):
+        with pytest.raises(DimMismatch):
+            threshold_subsets(ds, np.ones(n), [0.5], m=10, seed=2)
 
 
 def test_threshold_ladder_good_fraction_non_decreasing():
     ds = generate_dataset(GenConfig(n_pairs=4000, seed=6))
     scores = _latent_proxy_scores(ds)
-    by_id = {int(i): s for i, s in zip(ds.ids, scores)}
     # Evenly spaced ladder mapped into the upper score range, mirroring a
     # four-rung threshold study.
     lo, hi = np.quantile(scores, [0.50, 0.95])
     ladder = [lo + t * (hi - lo) for t in (0.0, 1 / 3, 2 / 3, 1.0)]
-    subsets = threshold_subsets(ds, lambda r: by_id[r.id], ladder, m=150, seed=8)
-    good_fracs = [
-        np.mean([rec.oracle_label is Label.GOOD for rec in sub]) for sub in subsets
-    ]
+    subsets = threshold_subsets(ds, scores, ladder, m=150, seed=8)
+    good_fracs = [np.mean(sub.labels == Label.GOOD) for sub in subsets]
     assert all(b >= a for a, b in zip(good_fracs, good_fracs[1:]))
     assert good_fracs[-1] > good_fracs[0]
 

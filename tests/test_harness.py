@@ -26,7 +26,7 @@ from pairsieve.harness import (
     train_teacher,
 )
 from pairsieve.metrics import recall_at_k
-from pairsieve.store import open_store
+from pairsieve.store import StoreHandle
 
 
 def tiny_config(seed=0, **data_kw) -> RunConfig:
@@ -112,7 +112,7 @@ def test_gen_data_outputs_consistent(tmp_path):
     cfg = tiny_config(1)
     paths = cmd_gen_data(cfg, tmp_path / "data")
     manifest_lines = open(paths["manifest"]).read().strip().splitlines()
-    with open_store(paths["x_a"]) as sa, open_store(paths["x_b"]) as sb:
+    with StoreHandle(paths["x_a"]) as sa, StoreHandle(paths["x_b"]) as sb:
         assert len(sa) == len(manifest_lines) == cfg.data.n_pairs
         assert sa.dim == cfg.data.d_a
         assert sb.dim == cfg.data.d_b
@@ -202,7 +202,7 @@ def test_frozen_key_tower_and_store_consistency(tmp_path):
     full = generate_dataset(cfg.data)
     train, _ = split_validation(full, cfg.n_val, cfg.seed)
     fresh, _ = encode_batch(key_enc, train.x_a)
-    with open_store(tmp_path / "run/keys.ecst") as store:
+    with StoreHandle(tmp_path / "run/keys.ecst") as store:
         stored = store.read_all()
     assert stored.tobytes() == fresh.tobytes()
 
@@ -288,7 +288,7 @@ def test_teacher_quality_on_clean_pairs():
     keys, _ = encode_batch(teacher.key_encoder, ds.x_a)
     queries, _ = encode_batch(teacher.text_encoder, ds.x_b @ teacher.view.T)
     res = recall_at_k(queries, keys, np.arange(500), ks=(1,))
-    assert res.recalls[1] > 0.8
+    assert res[1] > 0.8
 
 
 def test_eval_deterministic(tmp_path):
@@ -346,6 +346,9 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
     unknown_section.write_text('{"trian": {}}')
     unknown_field = tmp_path / "unknown_field.json"
     unknown_field.write_text('{"train": {"epoks": 3}}')
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[1, 2]")
+    missing = tmp_path / "missing.json"
     out = str(tmp_path / "out3")
     for argv in (
         ["pretrain", "--out-dir", out, "--set", "train.epochs=abc"],
@@ -358,11 +361,40 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
         ["sweep", "--axis", "text_batch", "--values", "-1", "--out-dir", out],
         ["pretrain", "--config", str(unknown_section), "--out-dir", out],
         ["pretrain", "--config", str(unknown_field), "--out-dir", out],
+        ["gen-data", "--config", str(not_object), "--out-dir", out],
+        ["gen-data", "--config", str(missing), "--out-dir", out],
     ):
         assert main(argv) == 2, argv
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError", argv
         assert not (tmp_path / "out3").exists(), argv
+    assert str(missing) in err["message"]
+
+
+def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
+    # Training picks its f1 threshold on validation pairs: n_val=0 is refused before any work.
+    # Eval still accepts n_val=0 and scores the whole set.
+    cfg = RunConfig(data=GenConfig(n_pairs=200))
+    for name, d_in, seed in (("key", cfg.data.d_a, 1), ("query", cfg.data.d_b, 2)):
+        save_params(tmp_path / f"{name}.ecpm", init_params(seed, d_in, cfg.encoder.hidden, cfg.encoder.embed_dim))
+    argv = ["eval", "--checkpoint", str(tmp_path), "--out-dir", str(tmp_path / "eval")]
+    assert main(argv + ["--set", "data.n_pairs=200", "--set", "n_val=0"]) == 0
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("pairsieve.harness.generate_dataset", no_training)
+    monkeypatch.setattr("pairsieve.harness.train_teacher", no_training)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["pretrain", "--out-dir", out, "--set", "n_val=0"],
+        ["sweep", "--axis", "queue", "--values", "8", "--out-dir", out, "--set", "n_val=0"],
+    ):
+        assert main(argv) == 2, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and "n_val" in err["message"], argv
+        assert not (tmp_path / "out").exists(), argv
 
 
 def test_cli_pretrain_divergence_exits_nonfinite(tmp_path, capsys):

@@ -27,7 +27,7 @@ def test_recall_identity():
     rng = np.random.default_rng(0)
     q = unit_rows(rng, 20, 8)
     res = recall_at_k(q, q, np.arange(20), ks=(1, 5, 10))
-    assert res.recalls[1] == 1.0
+    assert res[1] == 1.0
 
 
 def test_recall_vacuous_k():
@@ -35,7 +35,7 @@ def test_recall_vacuous_k():
     q = unit_rows(rng, 1, 4)
     keys = unit_rows(rng, 3, 4)
     res = recall_at_k(q, keys, [2], ks=(5,))
-    assert res.recalls[5] == 1.0
+    assert res[5] == 1.0
 
 
 def test_recall_missing_truth():
@@ -66,7 +66,7 @@ def test_recall_matches_brute_force_oracle():
     truth = rng.permutation(50)
     res = recall_at_k(queries, keys, truth, ks=(1, 5, 10))
     oracle = _brute_force_recalls(queries, keys, truth, (1, 5, 10))
-    assert res.recalls == oracle
+    assert res == oracle
 
 
 def test_recall_monotone_in_k():
@@ -75,14 +75,14 @@ def test_recall_monotone_in_k():
     keys = unit_rows(rng, 40, 5)
     truth = rng.integers(0, 40, size=30)
     res = recall_at_k(queries, keys, truth, ks=(1, 5, 10))
-    assert res.recalls[1] <= res.recalls[5] <= res.recalls[10] <= 1.0
+    assert res[1] <= res[5] <= res[10] <= 1.0
 
 
 def test_recall_tie_break_ascending_key():
     queries = np.array([[1.0, 0.0]])
     keys = np.array([[1.0, 0.0], [1.0, 0.0]])  # exact tie
-    assert recall_at_k(queries, keys, [0], ks=(1,)).recalls[1] == 1.0
-    assert recall_at_k(queries, keys, [1], ks=(1,)).recalls[1] == 0.0
+    assert recall_at_k(queries, keys, [0], ks=(1,))[1] == 1.0
+    assert recall_at_k(queries, keys, [1], ks=(1,))[1] == 0.0
 
 
 def test_f1_simple_values():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pairsieve.errors import DimMismatch, FormatError
-from pairsieve.store import HEADER_SIZE, open_store, write_store
+from pairsieve.store import HEADER_SIZE, StoreHandle, write_store
 
 
 def test_empty_store(tmp_path):
@@ -13,7 +13,7 @@ def test_empty_store(tmp_path):
     header = write_store(path, np.empty((0, 0)))
     assert header.count == 0
     assert path.stat().st_size == HEADER_SIZE
-    with open_store(path) as h:
+    with StoreHandle(path) as h:
         assert len(h) == 0
         with pytest.raises(IndexError):
             h.read_at(0)
@@ -32,7 +32,7 @@ def test_round_trip_bit_exact(tmp_path):
     rows[1, 1] = 0.0
     path = tmp_path / "r.ecst"
     write_store(path, rows)
-    with open_store(path) as h:
+    with StoreHandle(path) as h:
         got = np.vstack([h.read_at(i) for i in range(len(h))])
     assert got.tobytes() == rows.tobytes()  # includes signed zeros
 
@@ -43,7 +43,7 @@ def test_random_order_equals_sequential(tmp_path):
     path = tmp_path / "o.ecst"
     write_store(path, rows)
     order = rng.permutation(50)
-    with open_store(path) as h:
+    with StoreHandle(path) as h:
         for i in order:
             np.testing.assert_array_equal(h.read_at(int(i)), rows[i])
 
@@ -51,7 +51,7 @@ def test_random_order_equals_sequential(tmp_path):
 def test_read_out_of_range(tmp_path):
     path = tmp_path / "x.ecst"
     write_store(path, np.ones((3, 2)))
-    with open_store(path) as h:
+    with StoreHandle(path) as h:
         with pytest.raises(IndexError):
             h.read_at(3)
         with pytest.raises(IndexError):
@@ -66,7 +66,7 @@ def test_header_corruption_detected(tmp_path):
     bad = tmp_path / "bad.ecst"
     bad.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
-        open_store(bad)
+        StoreHandle(bad)
 
 
 def test_payload_size_mismatch_detected(tmp_path):
@@ -75,13 +75,13 @@ def test_payload_size_mismatch_detected(tmp_path):
     truncated = tmp_path / "trunc.ecst"
     truncated.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
-        open_store(truncated)
+        StoreHandle(truncated)
 
 
 def test_read_all_short_read_detected(tmp_path):
     path = tmp_path / "t.ecst"
     write_store(path, np.ones((2000, 3)))  # larger than one read buffer
-    with open_store(path) as h:
+    with StoreHandle(path) as h:
         with open(path, "r+b") as f:
             f.truncate(HEADER_SIZE + 8)  # shrunk after the size check at open
         with pytest.raises(FormatError):
@@ -106,6 +106,6 @@ def test_round_trip_property(tmp_path_factory, rows):
     header = write_store(path, rows)
     assert header.count == rows.shape[0]
     assert header.dim == rows.shape[1]
-    with open_store(path) as h:
+    with StoreHandle(path) as h:
         got = h.read_all()
     assert got.tobytes() == rows.tobytes()
