@@ -11,6 +11,7 @@ from pathlib import Path
 from .curation import StopRule
 from .data import GenConfig
 from .errors import ConfigError
+from .store import atomic_open
 
 
 @dataclass
@@ -126,7 +127,8 @@ _SECTIONS = {
 }
 
 
-def to_dict(cfg: RunConfig) -> dict:
+def to_dict(cfg: object) -> dict:
+    """Nested dict of a config dataclass: a RunConfig, one section, or a harness.StageInputs."""
     return dataclasses.asdict(cfg)
 
 
@@ -148,7 +150,8 @@ def from_dict(payload: dict) -> RunConfig:
     return _construct(RunConfig, kwargs, "config")
 
 
-def to_json(cfg: RunConfig) -> str:
+def to_json(cfg: object) -> str:
+    """Canonical JSON of a config dataclass (see ``to_dict``)."""
     return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
 
 
@@ -163,7 +166,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(path: str | Path, cfg: RunConfig) -> None:
-    Path(path).write_text(to_json(cfg) + "\n")
+    with atomic_open(path, "w") as f:
+        f.write(to_json(cfg) + "\n")
 
 
 def apply_override(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DimMismatch, FormatError, InsufficientData
 from .rng import substream
+from .store import atomic_open
 
 
 class Label(IntEnum):
@@ -251,7 +252,7 @@ def threshold_subsets(
 
 def write_manifest(path: str | Path, ds: Dataset) -> None:
     """One JSON object per line: {id, oracle_label, tokens}."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         for i in range(len(ds)):
             row = {
                 "id": int(ds.ids[i]),
@@ -285,7 +286,7 @@ def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header line and then one CSV line per row."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)

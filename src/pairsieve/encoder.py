@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CacheMismatch, DimMismatch, FormatError, NonFiniteLoss, ZeroNorm
 from .rng import substream
+from .store import atomic_open
 
 CHECKPOINT_MAGIC = b"ECPM"
 CHECKPOINT_VERSION = 1
@@ -201,8 +202,7 @@ def save_params(path: str | Path, p: EncoderParams) -> None:
         np.ascontiguousarray(a, dtype="<f8").tobytes() for a in p.arrays()
     )
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, p.d_in, p.hidden, p.embed_dim)
-    path = Path(path)
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(header)
         f.write(payload)
         f.flush()

@@ -16,7 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_override, save_config
+from .config import (
+    DistillConfig,
+    EncoderConfig,
+    RunConfig,
+    TeacherConfig,
+    apply_override,
+    save_config,
+    to_json,
+)
 from .contrastive import ContrastiveBatch, MemoryQueue, PairBatch, contrastive_loss, training_step
 from .curation import (
     CurationState,
@@ -96,43 +104,75 @@ class TeacherBundle:
     view: np.ndarray
 
 
-def _clean_pairs(cfg: RunConfig, n_pairs: int, tag: str) -> Dataset:
+@dataclass(frozen=True)
+class StageInputs:
+    """Everything the teacher and distillation stages read, and nothing else.
+
+    Both stages are pure functions of this value, so ``to_json`` of it is
+    the key under which a ``StageCache`` keeps their outputs.
+    """
+
+    seed: int
+    data: GenConfig
+    encoder: EncoderConfig
+    teacher: TeacherConfig
+    distill: DistillConfig
+    tau: float
+    weight_decay: float
+    warmup_frac: float
+    base_lr: float
+
+    @classmethod
+    def of(cls, cfg: RunConfig) -> "StageInputs":
+        t = cfg.train
+        return cls(
+            cfg.seed, cfg.data, cfg.encoder, cfg.teacher, cfg.distill,
+            t.tau, t.weight_decay, t.warmup_frac, t.base_lr,
+        )
+
+
+# The frozen teacher, the distilled student and its held-out MSE, keyed by
+# ``to_json(StageInputs)``. The caller owns it; arrays in it are read-only.
+StageCache = dict[str, tuple[TeacherBundle, EncoderParams, float]]
+
+
+def _clean_pairs(inputs: StageInputs, n_pairs: int, tag: str) -> Dataset:
     """All-good pairs in the run's world, keyed by the stage seed ``tag``."""
     data_cfg = replace(
-        cfg.data,
+        inputs.data,
         n_pairs=n_pairs,
         f_good=1.0,
         f_clean=0.0,
         f_noisy=0.0,
-        seed=stage_seed(cfg.seed, tag),
-        world_seed=cfg.data.world,
+        seed=stage_seed(inputs.seed, tag),
+        world_seed=inputs.data.world,
     )
     return generate_dataset(data_cfg)
 
 
-def train_teacher(cfg: RunConfig) -> TeacherBundle:
+def train_teacher(inputs: StageInputs) -> TeacherBundle:
     """Contrastively pretrain both towers on a clean synthetic set.
 
     Stands in for an off-the-shelf pretrained pair: the key tower is
     frozen afterwards, the text tower becomes the distillation teacher.
     """
-    seed = cfg.seed
-    ds = _clean_pairs(cfg, cfg.teacher.n_pairs, "teacher_data")
-    view = view_map(cfg.data.world, cfg.data.d_b)
+    seed, data, enc, tc = inputs.seed, inputs.data, inputs.encoder, inputs.teacher
+    ds = _clean_pairs(inputs, tc.n_pairs, "teacher_data")
+    view = view_map(data.world, data.d_b)
     x_view = ds.x_b @ view.T
 
-    enc_a = init_params(stage_seed(seed, "key_init"), cfg.data.d_a, cfg.encoder.hidden, cfg.encoder.embed_dim)
-    enc_b = init_params(stage_seed(seed, "text_init"), cfg.data.d_b, cfg.encoder.hidden, cfg.encoder.embed_dim)
-    queue_a = MemoryQueue(cfg.teacher.queue_capacity, cfg.encoder.embed_dim)
-    queue_b = MemoryQueue(cfg.teacher.queue_capacity, cfg.encoder.embed_dim)
-    tau, wd = cfg.train.tau, cfg.train.weight_decay
-    steps = cfg.teacher.steps
-    warmup = int(round(cfg.train.warmup_frac * steps))
+    enc_a = init_params(stage_seed(seed, "key_init"), data.d_a, enc.hidden, enc.embed_dim)
+    enc_b = init_params(stage_seed(seed, "text_init"), data.d_b, enc.hidden, enc.embed_dim)
+    queue_a = MemoryQueue(tc.queue_capacity, enc.embed_dim)
+    queue_b = MemoryQueue(tc.queue_capacity, enc.embed_dim)
+    tau, wd = inputs.tau, inputs.weight_decay
+    steps = tc.steps
+    warmup = int(round(inputs.warmup_frac * steps))
     n = len(ds)
     for step in range(steps):
-        pick = substream(seed, "teacher", step).integers(0, n, size=cfg.teacher.batch_size)
+        pick = substream(seed, "teacher", step).integers(0, n, size=tc.batch_size)
         ids = ds.ids[pick]
-        lr = cosine_warmup_lr(step, warmup, steps, cfg.train.base_lr)
+        lr = cosine_warmup_lr(step, warmup, steps, inputs.base_lr)
         emb_a, cache_a = encode_batch(enc_a, ds.x_a[pick])
         emb_b, cache_b = encode_batch(enc_b, x_view[pick])
         # Two one-sided losses train both towers symmetrically.
@@ -146,31 +186,53 @@ def train_teacher(cfg: RunConfig) -> TeacherBundle:
     return TeacherBundle(key_encoder=enc_a, text_encoder=enc_b, view=view)
 
 
-def distill_student(cfg: RunConfig, teacher: TeacherBundle) -> tuple[EncoderParams, float, list[float]]:
+def distill_student(inputs: StageInputs, teacher: TeacherBundle) -> tuple[EncoderParams, float, list[float]]:
     """Distill the teacher text tower into a student on raw inputs.
 
     The teacher reads its own view of each vector, the student the raw
     vector, so matched outputs require learning the embedding, not the
     identity. Returns (student, held-out MSE, loss curve).
     """
-    ds = _clean_pairs(cfg, cfg.distill.corpus_size + cfg.distill.held_out, "distill_data")
+    dc = inputs.distill
+    ds = _clean_pairs(inputs, dc.corpus_size + dc.held_out, "distill_data")
     x_student = ds.x_b
     x_teacher = x_student @ teacher.view.T
-    split = cfg.distill.corpus_size
+    split = dc.corpus_size
     student = init_params(
-        stage_seed(cfg.seed, "student_init"), cfg.data.d_b, cfg.encoder.hidden, cfg.encoder.embed_dim
+        stage_seed(inputs.seed, "student_init"), inputs.data.d_b, inputs.encoder.hidden, inputs.encoder.embed_dim
     )
     job = DistillJob(
         teacher=teacher.text_encoder,
         student=student,
         x_teacher=x_teacher[:split],
         x_student=x_student[:split],
-        base_lr=cfg.distill.base_lr,
-        batch_size=cfg.distill.batch_size,
+        base_lr=dc.base_lr,
+        batch_size=dc.batch_size,
     )
-    student, curve = run_distillation(job, cfg.distill.steps, seed=cfg.seed)
+    student, curve = run_distillation(job, dc.steps, seed=inputs.seed)
     held = distill_mse(teacher.text_encoder, student, x_teacher[split:], x_student[split:])
     return student, held, curve
+
+
+def teacher_and_student(
+    inputs: StageInputs, stages: StageCache | None = None
+) -> tuple[TeacherBundle, EncoderParams, float]:
+    """The teacher, the distilled student and its held-out MSE for ``inputs``.
+
+    With a cache, a hit returns the stored stages and a miss builds them,
+    makes their arrays read-only and stores them; without one they are
+    built every call.
+    """
+    key = to_json(inputs)
+    if stages is not None and key in stages:
+        return stages[key]
+    teacher = train_teacher(inputs)
+    student, held, _ = distill_student(inputs, teacher)
+    if stages is not None:
+        for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
+            a.flags.writeable = False
+        stages[key] = (teacher, student, held)
+    return teacher, student, held
 
 
 def validation_metrics(state: EncoderPairState, val: Dataset) -> dict[str, float]:
@@ -242,7 +304,9 @@ def _require_validation_pairs(cfg: RunConfig) -> None:
         raise ConfigError(f"n_val is {cfg.n_val}; pretraining needs at least one validation pair")
 
 
-def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
+def pretrain(
+    cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None
+) -> RunReport:
     """Run the full pipeline and return its report.
 
     Per epoch: score the retained pairs with the frozen shadow, fold the
@@ -251,7 +315,8 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
     refresh the shadow, evaluate, and test the stop rule. Once filtering
     stops, training continues contrastive-only on the frozen subset.
     With ``filtering_on`` false the loop is the plain baseline over the
-    full noisy set.
+    full noisy set. ``stages`` lets runs with equal ``StageInputs`` share
+    one teacher and student (see ``teacher_and_student``).
     """
     _require_validation_pairs(cfg)
     out = Path(out_dir) if out_dir is not None else None
@@ -273,8 +338,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> RunReport:
     train, val = split_validation(full, cfg.n_val, seed)
     labels = {int(i): Label(int(l)) for i, l in zip(train.ids, train.labels)}
 
-    teacher = train_teacher(cfg)
-    student, held_mse, _ = distill_student(cfg, teacher)
+    teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
     report.log(0, "distill_held_mse", held_mse)
 
     state = EncoderPairState(
@@ -445,8 +509,9 @@ def cmd_distill(cfg: RunConfig, out_dir: str | Path) -> float:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.json", cfg)
-    teacher = train_teacher(cfg)
-    student, held, curve = distill_student(cfg, teacher)
+    inputs = StageInputs.of(cfg)
+    teacher = train_teacher(inputs)
+    student, held, curve = distill_student(inputs, teacher)
     save_params(out / "teacher_key.ecpm", teacher.key_encoder)
     save_params(out / "teacher_text.ecpm", teacher.text_encoder)
     save_params(out / "student.ecpm", student)
@@ -525,7 +590,9 @@ def cmd_sweep(
 ) -> list[dict]:
     """Run the pipeline per (value, seed) and emit a comparison CSV; values and seeds may be strings.
 
-    Every grid point is built and validated before anything runs.
+    Every grid point is built and validated before anything runs. The
+    sweep axes lie outside ``StageInputs``, so the points of one seed share
+    one teacher and student through a cache that lives for this call.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (choose from {sorted(SWEEP_AXES)})")
@@ -544,10 +611,11 @@ def cmd_sweep(
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
+    stages: StageCache = {}
     for variant in points:
         value = reduce(getattr, dotted.split("."), variant)
         sub = out / f"{axis}_{value}_seed{variant.seed}"
-        report = pretrain(variant, out_dir=sub)
+        report = pretrain(variant, out_dir=sub, stages=stages)
         last_epoch = max(e for e, _, _ in report.rows)
         row = {
             "axis": axis,
@@ -575,7 +643,9 @@ def benchmark_step_time(
 
     Runs ``reps`` timed blocks of ``steps`` identical steps and returns
     the per-step mean of the fastest block (minimum damps scheduler
-    noise).
+    noise). Blocks are timed in this thread's CPU time, so other
+    processes' load on a shared CPU does not count; process time would
+    count BLAS worker threads spinning between calls.
     """
     rng = substream(cfg.seed, "bench")
     d_e = cfg.encoder.embed_dim
@@ -595,10 +665,10 @@ def benchmark_step_time(
         state = EncoderPairState(key_encoder=key_enc, query_encoder=clone_params(query_enc))
         queue = MemoryQueue(queue_capacity, d_e)
         queue.push(fill, np.arange(10**6, 10**6 + queue_capacity))
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         for _ in range(steps):
             state, queue, _ = training_step(
                 state, queue, batch, cfg.train.tau, cfg.train.base_lr, cfg.train.weight_decay
             )
-        best = min(best, (time.perf_counter() - t0) / steps)
+        best = min(best, (time.thread_time() - t0) / steps)
     return best

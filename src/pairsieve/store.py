@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -20,6 +22,25 @@ STORE_MAGIC = b"ECST"
 STORE_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 HEADER_SIZE = _HEADER.size  # 20 bytes
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a sibling temporary file for writing; a clean exit moves it onto ``path``.
+
+    Readers of ``path`` see the old file or the whole new one, never a
+    part. On an error the temporary file is removed and ``path`` is left
+    as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -44,7 +65,7 @@ def write_store(path: str | Path, embeddings: np.ndarray | list[np.ndarray]) -> 
             raise DimMismatch(f"expected 2-D row data, got shape {rows.shape}")
         count, dim = rows.shape
     header = StoreHeader(STORE_VERSION, dim, count)
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(_HEADER.pack(STORE_MAGIC, header.version, dim, count))
         if count:
             f.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())

@@ -33,6 +33,7 @@ from pairsieve.encoder import (
     init_params,
 )
 from pairsieve.harness import (
+    StageInputs,
     benchmark_step_time,
     distill_student,
     pretrain,
@@ -193,8 +194,15 @@ def test_criterion_05_filtering_ratio(noise_removal_runs):
     assert report(5, "filtering-ratio", ok, f"v>u at all filtering epochs>1 in {wins}/5 seeds")
 
 
+@pytest.fixture(scope="module")
+def stages():
+    """One teacher and student per seed for criteria 6, 7, 8 and 12: their
+    configs differ only outside StageInputs."""
+    return {}
+
+
 # ---------------------------------------------------------------- criterion 6
-def test_criterion_06_filtering_benefit():
+def test_criterion_06_filtering_benefit(stages):
     epochs = 20
     diffs = []
     for seed in SEEDS:
@@ -208,8 +216,8 @@ def test_criterion_06_filtering_benefit():
         off.filtering_on = False
         off.train.epochs = 200
         off.train.step_budget = budget
-        rep_on = pretrain(on)
-        rep_off = pretrain(off)
+        rep_on = pretrain(on, stages=stages)
+        rep_off = pretrain(off, stages=stages)
         assert rep_on.total_steps == rep_off.total_steps == budget
         last_on = max(e for e, _, _ in rep_on.rows)
         last_off = max(e for e, _, _ in rep_off.rows)
@@ -226,7 +234,7 @@ def test_criterion_06_filtering_benefit():
 
 
 # ---------------------------------------------------------------- criterion 7
-def test_criterion_07_keep_fraction_interior_optimum():
+def test_criterion_07_keep_fraction_interior_optimum(stages):
     wins = 0
     pairs = []
     for seed in SEEDS:
@@ -236,7 +244,7 @@ def test_criterion_07_keep_fraction_interior_optimum():
             cfg.train.keep_fraction = keep
             cfg.train.filter_epochs_max = 6
             cfg.train.epochs = 8
-            rep = pretrain(cfg)
+            rep = pretrain(cfg, stages=stages)
             last = max(e for e, _, _ in rep.rows)
             fracs[keep] = rep.metric(last, "frac_noisy")
         wins += fracs[0.99] > fracs[0.9]
@@ -246,7 +254,7 @@ def test_criterion_07_keep_fraction_interior_optimum():
 
 
 # ---------------------------------------------------------------- criterion 8
-def test_criterion_08_queue_behaviour():
+def test_criterion_08_queue_behaviour(stages):
     wins = 0
     for seed in SEEDS:
         recalls = {}
@@ -255,7 +263,7 @@ def test_criterion_08_queue_behaviour():
             cfg.train.queue_capacity = capacity
             cfg.train.filter_epochs_max = 6
             cfg.train.epochs = 16
-            rep = pretrain(cfg)
+            rep = pretrain(cfg, stages=stages)
             last = max(e for e, _, _ in rep.rows)
             recalls[capacity] = rep.metric(last, "val_r1_b2a")
         wins += recalls[512] >= recalls[8]
@@ -283,8 +291,8 @@ def test_criterion_09_frozen_key_consistency():
     cfg.distill.held_out = 128
     full = generate_dataset(cfg.data)
     train, _ = split_validation(full, cfg.n_val, cfg.seed)
-    teacher = train_teacher(cfg)
-    student, _, _ = distill_student(cfg, teacher)
+    teacher = train_teacher(StageInputs.of(cfg))
+    student, _, _ = distill_student(StageInputs.of(cfg), teacher)
     state = EncoderPairState(key_encoder=teacher.key_encoder, query_encoder=student)
     keys, _ = encode_batch(state.key_encoder, train.x_a)
     row_of = {int(i): r for r, i in enumerate(train.ids)}
@@ -317,8 +325,8 @@ def test_criterion_10_distillation():
     gaps = []
     for seed in SEEDS[:3]:
         cfg = RunConfig(data=GenConfig(n_pairs=2000, seed=seed), seed=seed)
-        teacher = train_teacher(cfg)
-        student, held, _ = distill_student(cfg, teacher)
+        teacher = train_teacher(StageInputs.of(cfg))
+        student, held, _ = distill_student(StageInputs.of(cfg), teacher)
         held_values.append(held)
         noisy_ds = generate_dataset(cfg.data)
         shadow = EncoderPairState(key_encoder=teacher.key_encoder, query_encoder=student)
@@ -378,7 +386,7 @@ def test_criterion_11_mlm_contract():
 
 
 # --------------------------------------------------------------- criterion 12
-def test_criterion_12_ensemble_shadow_ablation():
+def test_criterion_12_ensemble_shadow_ablation(stages):
     wins = 0
     diffs = []
     for seed in SEEDS:
@@ -388,7 +396,7 @@ def test_criterion_12_ensemble_shadow_ablation():
             cfg.shadow_refresh_on = refresh
             cfg.train.filter_epochs_max = 6
             cfg.train.epochs = 16
-            rep = pretrain(cfg)
+            rep = pretrain(cfg, stages=stages)
             last = max(e for e, _, _ in rep.rows)
             recalls[refresh] = rep.metric(last, "val_r1_b2a")
         wins += recalls[True] >= recalls[False]

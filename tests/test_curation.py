@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,15 +120,20 @@ def test_geometric_shrink_nine_rounds():
     assert 114 <= sizes[-1] <= 120
 
 
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=50, unique=True))
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=50, unique=True), st.randoms())
 @settings(max_examples=50)
-def test_monotone_shrink(ids):
+def test_monotone_shrink(ids, rnd):
     ledger = ScoreLedger(totals={i: float(i % 7) for i in ids})
     kept = rank_and_filter(ledger, ids, keep_fraction=0.8)
     assert len(kept) <= len(ids)
     assert set(kept) <= set(ids)
     again = rank_and_filter(ledger, ids, keep_fraction=0.8)
     assert kept == again  # deterministic, ties included
+    # A total order: input order does not matter, and ties go to the smaller id.
+    shuffled = list(ids)
+    rnd.shuffle(shuffled)
+    assert rank_and_filter(ledger, shuffled, keep_fraction=0.8) == kept
+    assert kept == sorted(ids, key=lambda i: (-ledger.totals[i], i))[: math.ceil(0.8 * len(ids))]
 
 
 def test_update_shadow_snapshot_isolation():

@@ -12,6 +12,7 @@ from pairsieve.data import (
     read_manifest,
     split_validation,
     threshold_subsets,
+    write_csv,
     write_manifest,
 )
 from pairsieve.errors import ConfigError, DimMismatch, InsufficientData
@@ -166,3 +167,18 @@ def test_manifest_round_trip(tmp_path):
     second = tmp_path / "again.jsonl"
     write_manifest(second, generate_dataset(small_cfg(n_pairs=50, seed=12)))
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_write_csv_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b"], [[1, 2], [3, 4]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [5, 6]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]

@@ -116,12 +116,12 @@ def test_held_out_mse_reaches_target():
     # view of the inputs the student sees raw.
     from pairsieve.config import RunConfig
     from pairsieve.data import GenConfig
-    from pairsieve.harness import distill_student, train_teacher
+    from pairsieve.harness import StageInputs, distill_student, train_teacher
 
     wins = 0
     for seed in range(5):
         cfg = RunConfig(data=GenConfig(n_pairs=500, seed=seed), seed=seed)
-        teacher = train_teacher(cfg)
-        _, held, _ = distill_student(cfg, teacher)
+        teacher = train_teacher(StageInputs.of(cfg))
+        _, held, _ = distill_student(StageInputs.of(cfg), teacher)
         wins += held < cfg.distill.target_mse
     assert wins >= 3

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -16,13 +18,17 @@ from pairsieve.config import (
 from pairsieve.data import GenConfig, generate_dataset, split_validation
 from pairsieve.encoder import encode_batch, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
+from pairsieve import harness
 from pairsieve.harness import (
+    StageInputs,
+    TeacherBundle,
     benchmark_step_time,
     cmd_eval,
     cmd_gen_data,
     cmd_sweep,
     load_dataset_dir,
     pretrain,
+    teacher_and_student,
     train_teacher,
 )
 from pairsieve.metrics import recall_at_k
@@ -46,6 +52,33 @@ def tiny_config(seed=0, **data_kw) -> RunConfig:
     cfg.train.queue_capacity = 256
     cfg.stop.enabled = False
     return cfg
+
+
+def determinism_config() -> RunConfig:
+    """The config of acceptance criterion 15."""
+    cfg = RunConfig(data=GenConfig(n_pairs=600, seed=8), seed=8)
+    cfg.n_val = 100
+    cfg.teacher.n_pairs = 400
+    cfg.teacher.steps = 150
+    cfg.distill.corpus_size = 512
+    cfg.distill.held_out = 128
+    cfg.distill.steps = 300
+    cfg.train.epochs = 3
+    cfg.train.batch_pairs = 64
+    return cfg
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``harness.<name>`` so each call is recorded, then run as before."""
+    calls = []
+    real = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 def test_default_settings():
@@ -275,7 +308,7 @@ def test_teacher_quality_on_clean_pairs():
     cfg.teacher.steps = 600
     cfg.teacher.batch_size = 128
     cfg.teacher.n_pairs = 2000
-    teacher = train_teacher(cfg)
+    teacher = train_teacher(StageInputs.of(cfg))
     probe = GenConfig(
         n_pairs=500,
         f_good=1.0,
@@ -432,3 +465,95 @@ def test_cli_pretrain_and_eval(tmp_path, capsys):
     )
     metrics = json.loads(capsys.readouterr().out.strip())
     assert "val_r1_b2a" in metrics
+
+
+def _run_files(root) -> dict:
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "timing.csv"
+    }
+
+
+def test_stage_cache_hit_writes_identical_run_dir(tmp_path, monkeypatch):
+    cfg = determinism_config()
+    pretrain(cfg, out_dir=tmp_path / "plain")
+    stages = {}
+    pretrain(cfg, out_dir=tmp_path / "miss", stages=stages)
+    teacher_runs = count_calls(monkeypatch, "train_teacher")
+    pretrain(cfg, out_dir=tmp_path / "hit", stages=stages)
+    assert teacher_runs == [] and len(stages) == 1
+    plain = _run_files(tmp_path / "plain")
+    assert "metrics.csv" in plain and "checkpoints/query.ecpm" in plain
+    assert _run_files(tmp_path / "miss") == plain
+    assert _run_files(tmp_path / "hit") == plain
+
+
+def test_stage_cache_arrays_are_read_only():
+    cfg = tiny_config(18)
+    cfg.teacher.steps = 20
+    cfg.distill.steps = 20
+    stages = {}
+    teacher, student, _ = teacher_and_student(StageInputs.of(cfg), stages)
+    assert teacher_and_student(StageInputs.of(cfg), stages)[1] is student
+    for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+
+
+def _stage_leaves(obj, prefix=()):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _stage_leaves(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def test_every_stage_input_is_in_the_cache_key(monkeypatch):
+    cfg = tiny_config(19)
+    teacher_runs = []
+
+    def fake_teacher(inputs):
+        teacher_runs.append(inputs)
+        return TeacherBundle(init_params(0, 2, 2, 2), init_params(1, 2, 2, 2), np.eye(2))
+
+    monkeypatch.setattr(harness, "train_teacher", fake_teacher)
+    monkeypatch.setattr(harness, "distill_student", lambda inputs, teacher: (init_params(2, 2, 2, 2), 0.0, []))
+    stages = {}
+    teacher_and_student(StageInputs.of(cfg), stages)
+
+    # Each leaf of StageInputs, reached through the RunConfig field it comes from.
+    leaves = list(_stage_leaves(StageInputs.of(cfg)))
+    for path in leaves:
+        variant = copy.deepcopy(cfg)
+        if path == ("seed",):
+            owner = variant
+        elif len(path) == 1:
+            owner = variant.train  # tau, weight_decay, warmup_frac, base_lr
+        else:
+            owner = getattr(variant, path[0])
+        value = getattr(owner, path[-1])
+        setattr(owner, path[-1], 1 if value is None else value + 1)
+        teacher_and_student(StageInputs.of(variant), stages)
+    assert len(teacher_runs) == len(stages) == 1 + len(leaves)
+
+    # Fields outside StageInputs, the sweep axes among them, hit.
+    for dotted, raw in (
+        ("train.keep_fraction", "0.5"),
+        ("train.queue_capacity", "8"),
+        ("train.batch_text", "0"),
+        ("train.epochs", "9"),
+        ("filtering_on", "false"),
+    ):
+        teacher_and_student(StageInputs.of(apply_override(cfg, dotted, raw)), stages)
+    assert len(teacher_runs) == 1 + len(leaves)
+
+
+def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
+    cfg = tiny_config(20)
+    cfg.train.epochs = 1
+    teacher_runs = count_calls(monkeypatch, "train_teacher")
+    rows = cmd_sweep(cfg, "queue", [8, 64], seeds=[0, 1], out_dir=tmp_path / "sweep")
+    assert len(rows) == 4
+    assert len(teacher_runs) == 2
