@@ -68,7 +68,6 @@ class ContrastiveBatch:
     queries: np.ndarray  # (n, d_e), unit rows, from the trainable encoder
     positives: np.ndarray  # (n, d_e), unit rows, from the frozen encoder
     ids: np.ndarray  # (n,) source pair ids
-    cache: BatchCache | None = None  # forward cache of the query encoder
 
 
 @dataclass
@@ -148,7 +147,7 @@ def contrastive_forward(
     else:
         keys, _ = encode_batch(state.key_encoder, batch.x_a)
     queries, cache = encode_batch(state.query_encoder, batch.x_b)
-    cbatch = ContrastiveBatch(queries=queries, positives=keys, ids=batch.ids, cache=cache)
+    cbatch = ContrastiveBatch(queries=queries, positives=keys, ids=batch.ids)
     loss, d_queries = contrastive_loss(cbatch, queue, tau)
     return keys, cache, loss, d_queries
 

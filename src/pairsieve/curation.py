@@ -49,16 +49,6 @@ class StopRule:
             raise ConfigError("patience must be >= 1")
 
 
-@dataclass
-class CurationState:
-    """Filtering-loop state carried across epochs."""
-
-    shadow: EncoderPairState  # frozen copy (encoder.clone_pair), used only for scoring
-    retained_ids: list[int]
-    filtering_active: bool = True
-    validation_history: list[float] = field(default_factory=list)
-
-
 def score_pairs(shadow: EncoderPairState, ds: Dataset, ids: Sequence[int]) -> dict[int, float]:
     """Cosine correlation of each pair under the frozen shadow encoders."""
     if len(ids) == 0:

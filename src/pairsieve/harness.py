@@ -27,7 +27,6 @@ from .config import (
 )
 from .contrastive import ContrastiveBatch, MemoryQueue, PairBatch, contrastive_loss, training_step
 from .curation import (
-    CurationState,
     ScoreLedger,
     check_stop,
     filtering_ratio_report,
@@ -70,7 +69,7 @@ from .metrics import (
     write_distribution,
     write_metrics_csv,
 )
-from .mlm import TaskWeights, combined_step, mask_batch
+from .mlm import combined_step, mask_batch
 from .rng import substream
 from .store import StoreHandle, write_store
 
@@ -176,8 +175,8 @@ def train_teacher(inputs: StageInputs) -> TeacherBundle:
         emb_a, cache_a = encode_batch(enc_a, ds.x_a[pick])
         emb_b, cache_b = encode_batch(enc_b, x_view[pick])
         # Two one-sided losses train both towers symmetrically.
-        _, d_b = contrastive_loss(ContrastiveBatch(emb_b, emb_a, ids, cache_b), queue_a, tau)
-        _, d_a = contrastive_loss(ContrastiveBatch(emb_a, emb_b, ids, cache_a), queue_b, tau)
+        _, d_b = contrastive_loss(ContrastiveBatch(emb_b, emb_a, ids), queue_a, tau)
+        _, d_a = contrastive_loss(ContrastiveBatch(emb_a, emb_b, ids), queue_b, tau)
         if lr > 0:
             enc_b = sgd_step(enc_b, encode_backward(enc_b, cache_b, d_b), lr, wd)
             enc_a = sgd_step(enc_a, encode_backward(enc_a, cache_a, d_a), lr, wd)
@@ -304,126 +303,123 @@ def _require_validation_pairs(cfg: RunConfig) -> None:
         raise ConfigError(f"n_val is {cfg.n_val}; pretraining needs at least one validation pair")
 
 
-def pretrain(
-    cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None
-) -> RunReport:
-    """Run the full pipeline and return its report.
+class PretrainRun:
+    """One pretraining run; between epochs its whole state is the fields of this object.
 
-    Per epoch: score the retained pairs with the frozen shadow, fold the
-    scores into smoothed totals, keep the top fraction, train one pass
-    (contrastive plus weighted masked-token loss while filtering),
-    refresh the shadow, evaluate, and test the stop rule. Once filtering
-    stops, training continues contrastive-only on the frozen subset.
-    With ``filtering_on`` false the loop is the plain baseline over the
-    full noisy set. ``stages`` lets runs with equal ``StageInputs`` share
-    one teacher and student (see ``teacher_and_student``).
+    The constructor is the set-up: data and split, teacher and student, MLM
+    head, frozen keys, ledger, shadow, queue and lr plan. Then one
+    ``run_epoch`` per epoch, and ``finish`` writes checkpoints and CSVs.
     """
-    _require_validation_pairs(cfg)
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        save_config(out / "config.json", cfg)
 
-    report = RunReport(run_id=cfg.run_id(), out_dir=str(out) if out else None)
-    counters = {
-        "pairs_scored": 0,
-        "filter_events": 0,
-        "contrastive_steps": 0,
-        "mlm_steps": 0,
-        "shadow_refreshes": 0,
-    }
-    seed = cfg.seed
+    def __init__(self, cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None):
+        _require_validation_pairs(cfg)
+        self.cfg = cfg
+        self.out = Path(out_dir) if out_dir is not None else None
+        if self.out is not None:
+            self.out.mkdir(parents=True, exist_ok=True)
+            save_config(self.out / "config.json", cfg)
 
-    full = generate_dataset(cfg.data)
-    train, val = split_validation(full, cfg.n_val, seed)
-    labels = {int(i): Label(int(l)) for i, l in zip(train.ids, train.labels)}
+        self.report = RunReport(run_id=cfg.run_id(), out_dir=str(self.out) if self.out else None)
+        self.report.counters = {
+            "pairs_scored": 0,
+            "filter_events": 0,
+            "contrastive_steps": 0,
+            "mlm_steps": 0,
+            "shadow_refreshes": 0,
+        }
 
-    teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
-    report.log(0, "distill_held_mse", held_mse)
+        full = generate_dataset(cfg.data)
+        self.train, self.val = split_validation(full, cfg.n_val, cfg.seed)
+        self.labels = {int(i): Label(int(l)) for i, l in zip(self.train.ids, self.train.labels)}
 
-    state = EncoderPairState(
-        key_encoder=teacher.key_encoder,
-        query_encoder=student,
-        mlm=init_mlm_head(
-            stage_seed(seed, "head_init"), cfg.data.vocab, cfg.data.d_b, cfg.encoder.embed_dim
-        ),
-    )
+        teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
+        self.report.log(0, "distill_held_mse", held_mse)
 
-    # Key embeddings are computed once with the frozen tower and reused all
-    # run; the store file is their durable form and round-trips bit-exactly.
-    key_matrix, _ = encode_batch(state.key_encoder, train.x_a)
-    if out is not None:
-        write_store(out / "keys.ecst", key_matrix)
+        self.state = EncoderPairState(
+            key_encoder=teacher.key_encoder,
+            query_encoder=student,
+            mlm=init_mlm_head(
+                stage_seed(cfg.seed, "head_init"), cfg.data.vocab, cfg.data.d_b, cfg.encoder.embed_dim
+            ),
+        )
 
-    def key_lookup(ids: np.ndarray) -> np.ndarray:
-        return key_matrix[train.rows_for_ids(ids)]
+        # Key embeddings are computed once with the frozen tower and reused all
+        # run; the store file is their durable form and round-trips bit-exactly.
+        self.key_matrix, _ = encode_batch(self.state.key_encoder, self.train.x_a)
+        if self.out is not None:
+            write_store(self.out / "keys.ecst", self.key_matrix)
 
-    ledger = ScoreLedger.fresh(train.ids)
-    cur = CurationState(
-        shadow=clone_pair(state),
-        retained_ids=[int(i) for i in train.ids],
-        filtering_active=cfg.filtering_on,
-    )
-    queue = MemoryQueue(cfg.train.queue_capacity, cfg.encoder.embed_dim)
-    weights = TaskWeights(cfg.train.batch_pairs, cfg.train.batch_text)
+        self.ledger = ScoreLedger.fresh(self.train.ids)
+        self.shadow = clone_pair(self.state)  # frozen copy, used only for scoring
+        self.retained_ids = [int(i) for i in self.train.ids]
+        self.filtering_active = cfg.filtering_on
+        self.queue = MemoryQueue(cfg.train.queue_capacity, cfg.encoder.embed_dim)
 
-    budget = cfg.train.step_budget
-    plan_steps = (
-        budget
-        if budget is not None
-        else cfg.train.epochs * ceil(len(train) / cfg.train.batch_pairs)
-    )
-    warmup = int(round(cfg.train.warmup_frac * plan_steps))
-    regular_term = 1.0
+        budget = cfg.train.step_budget
+        self.plan_steps = (
+            budget
+            if budget is not None
+            else cfg.train.epochs * ceil(len(self.train) / cfg.train.batch_pairs)
+        )
+        self.warmup = int(round(cfg.train.warmup_frac * self.plan_steps))
+        self.regular_term = 1.0
 
-    for epoch in range(1, cfg.train.epochs + 1):
-        if budget is not None and report.total_steps >= budget:
-            break
-        if (
-            cfg.train.filter_epochs_max is not None
-            and counters["filter_events"] >= cfg.train.filter_epochs_max
-        ):
-            cur.filtering_active = False
-        if cur.filtering_active:
-            scores = score_pairs(cur.shadow, train, cur.retained_ids)
-            update_total_scores(ledger, scores, cfg.train.alpha)
+    def key_lookup(self, ids: np.ndarray) -> np.ndarray:
+        return self.key_matrix[self.train.rows_for_ids(ids)]
+
+    def out_of_steps(self) -> bool:
+        budget = self.cfg.train.step_budget
+        return budget is not None and self.report.total_steps >= budget
+
+    def run_epoch(self, epoch: int) -> None:
+        """Prune (while filtering), train one pass, refresh the shadow, validate, test the stop rule.
+
+        Ends by rewriting ``metrics.csv``, so a run that fails later keeps
+        every finished epoch's rows.
+        """
+        cfg, out, train, report, counters = self.cfg, self.out, self.train, self.report, self.report.counters
+        cap = cfg.train.filter_epochs_max
+        if cap is not None and counters["filter_events"] >= cap:
+            self.filtering_active = False
+        if self.filtering_active:
+            scores = score_pairs(self.shadow, train, self.retained_ids)
+            update_total_scores(self.ledger, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
-            before = cur.retained_ids
-            cur.retained_ids = rank_and_filter(ledger, before, cfg.train.keep_fraction)
+            before = self.retained_ids
+            self.retained_ids = rank_and_filter(self.ledger, before, cfg.train.keep_fraction)
             counters["filter_events"] += 1
-            ratio = filtering_ratio_report(before, cur.retained_ids, labels)
+            ratio = filtering_ratio_report(before, self.retained_ids, self.labels)
             defined = np.isfinite(ratio.good_retention) and np.isfinite(ratio.noisy_retention)
             if defined and ratio.good_retention > 0:
-                regular_term *= ratio.noisy_retention / ratio.good_retention
+                self.regular_term *= ratio.noisy_retention / ratio.good_retention
             report.log(epoch, "retention_good", ratio.good_retention)
             report.log(epoch, "retention_noisy", ratio.noisy_retention)
-            report.log(epoch, "regular_term", regular_term)
+            report.log(epoch, "regular_term", self.regular_term)
             if out is not None:
                 write_ledger_dump(
-                    out / f"ledger_epoch{epoch}.csv", ledger, train.ids, cur.retained_ids, labels
+                    out / f"ledger_epoch{epoch}.csv", self.ledger, train.ids, self.retained_ids, self.labels
                 )
                 write_distribution(
                     out / f"distribution_epoch{epoch}.csv",
-                    export_distribution(ledger, labels, cur.retained_ids),
+                    export_distribution(self.ledger, self.labels, self.retained_ids),
                 )
 
-        comp = noise_composition(cur.retained_ids, labels)
-        report.log(epoch, "retained_count", len(cur.retained_ids))
+        comp = noise_composition(self.retained_ids, self.labels)
+        report.log(epoch, "retained_count", len(self.retained_ids))
         for tag in ("good", "clean", "noisy"):
             report.log(epoch, f"frac_{tag}", comp[tag])
 
         loss_c_sum, loss_m_sum, mlm_steps = 0.0, 0.0, 0
         t_start = time.perf_counter()
         epoch_steps = 0
-        for batch_ids in _epoch_batches(cur.retained_ids, cfg.train.batch_pairs, seed, epoch):
-            if budget is not None and report.total_steps >= budget:
+        for batch_ids in _epoch_batches(self.retained_ids, cfg.train.batch_pairs, cfg.seed, epoch):
+            if self.out_of_steps():
                 break
             rows = train.rows_for_ids(batch_ids)
             pair_batch = PairBatch(ids=batch_ids, x_a=train.x_a[rows], x_b=train.x_b[rows])
-            lr = cosine_warmup_lr(state.step, warmup, plan_steps, cfg.train.base_lr)
-            use_mlm = cfg.mlm_on and cur.filtering_active and cfg.train.batch_text > 0
-            if use_mlm:
-                text_rng = substream(seed, "mask", state.step)
+            lr = cosine_warmup_lr(self.state.step, self.warmup, self.plan_steps, cfg.train.base_lr)
+            if cfg.mlm_on and self.filtering_active and cfg.train.batch_text > 0:
+                text_rng = substream(cfg.seed, "mask", self.state.step)
                 pick = text_rng.integers(0, len(train), size=cfg.train.batch_text)
                 masked = mask_batch(
                     train.tokens[pick],
@@ -432,17 +428,17 @@ def pretrain(
                     text_rng,
                     cfg.data.vocab,
                 )
-                state, queue, (loss_c, loss_m) = combined_step(
-                    state, queue, pair_batch, masked, weights,
-                    cfg.train.tau, lr, cfg.train.weight_decay, key_lookup,
+                self.state, self.queue, (loss_c, loss_m) = combined_step(
+                    self.state, self.queue, pair_batch, masked, cfg.train.batch_text / cfg.train.batch_pairs,
+                    cfg.train.tau, lr, cfg.train.weight_decay, self.key_lookup,
                 )
                 loss_m_sum += loss_m
                 mlm_steps += 1
                 counters["mlm_steps"] += 1
             else:
-                state, queue, loss_c = training_step(
-                    state, queue, pair_batch, cfg.train.tau, lr,
-                    cfg.train.weight_decay, key_lookup,
+                self.state, self.queue, loss_c = training_step(
+                    self.state, self.queue, pair_batch, cfg.train.tau, lr,
+                    cfg.train.weight_decay, self.key_lookup,
                 )
             loss_c_sum += loss_c
             counters["contrastive_steps"] += 1
@@ -457,35 +453,55 @@ def pretrain(
         report.log(epoch, "steps_cum", report.total_steps)
 
         if cfg.shadow_refresh_on:
-            cur.shadow = clone_pair(state)
+            self.shadow = clone_pair(self.state)
             counters["shadow_refreshes"] += 1
 
-        vm = validation_metrics(state, val)
+        vm = validation_metrics(self.state, self.val)
         for name, value in vm.items():
             report.log(epoch, name, value)
-        cur.validation_history.append(vm["val_f1"])
 
-        if cur.filtering_active and cfg.stop.enabled and check_stop(cur.validation_history, cfg.stop):
-            cur.filtering_active = False
-        report.log(epoch, "filtering_active", float(cur.filtering_active))
+        history = [f1 for _, f1 in report.series("val_f1")]
+        if self.filtering_active and cfg.stop.enabled and check_stop(history, cfg.stop):
+            self.filtering_active = False
+        report.log(epoch, "filtering_active", float(self.filtering_active))
+        if out is not None:
+            write_metrics_csv(out / "metrics.csv", report.run_id, report.rows)
 
-    report.counters = counters
-    report.final_retained_ids = list(cur.retained_ids)
+    def finish(self) -> RunReport:
+        """Write the checkpoints, ``metrics.csv`` and ``timing.csv``; return the report."""
+        self.report.final_retained_ids = list(self.retained_ids)
+        if self.out is not None:
+            ck = self.out / "checkpoints"
+            ck.mkdir(exist_ok=True)
+            save_params(ck / "key.ecpm", self.state.key_encoder)
+            save_params(ck / "query.ecpm", self.state.query_encoder)
+            write_store(ck / "mlm_head.ecst", np.vstack([self.state.mlm.w, self.state.mlm.b[None, :]]))
+            write_store(ck / "token_lift.ecst", self.state.mlm.lift)
+            write_metrics_csv(self.out / "metrics.csv", self.report.run_id, self.report.rows)
+            write_metrics_csv(self.out / "timing.csv", self.report.run_id, self.report.timing_rows)
+        return self.report
 
-    if out is not None:
-        ck = out / "checkpoints"
-        ck.mkdir(exist_ok=True)
-        save_params(ck / "key.ecpm", state.key_encoder)
-        save_params(ck / "query.ecpm", state.query_encoder)
-        write_store(ck / "mlm_head.ecst", np.vstack([state.mlm.w, state.mlm.b[None, :]]))
-        write_store(ck / "token_lift.ecst", state.mlm.lift)
-        write_metrics_csv(out / "metrics.csv", report.run_id, report.rows)
-        write_csv(
-            out / "timing.csv",
-            ["run_id", "epoch", "metric", "value"],
-            ([report.run_id, epoch, metric, repr(value)] for epoch, metric, value in report.timing_rows),
-        )
-    return report
+
+def pretrain(
+    cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None
+) -> RunReport:
+    """Run the full pipeline and return its report.
+
+    Per epoch: score the retained pairs with the frozen shadow, fold the
+    scores into smoothed totals, keep the top fraction, train one pass
+    (contrastive plus weighted masked-token loss while filtering),
+    refresh the shadow, evaluate, and test the stop rule. Once filtering
+    stops, training continues contrastive-only on the frozen subset.
+    With ``filtering_on`` false the loop is the plain baseline over the
+    full noisy set. ``stages`` lets runs with equal ``StageInputs`` share
+    one teacher and student (see ``teacher_and_student``).
+    """
+    run = PretrainRun(cfg, out_dir, stages)
+    for epoch in range(1, cfg.train.epochs + 1):
+        if run.out_of_steps():
+            break
+        run.run_epoch(epoch)
+    return run.finish()
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> dict[str, str]:
@@ -534,14 +550,16 @@ def cmd_eval(
     from .encoder import load_params
 
     ck = Path(checkpoint_dir)
-    key_enc = load_params(ck / "key.ecpm")
-    query_enc = load_params(ck / "query.ecpm")
+    try:
+        key_enc = load_params(ck / "key.ecpm")
+        query_enc = load_params(ck / "query.ecpm")
+        if data_dir is not None:
+            ds = load_dataset_dir(data_dir, cfg.data)
+        else:
+            ds = generate_dataset(cfg.data)
+    except FileNotFoundError as e:
+        raise FormatError(f"{e.filename}: no such file") from e
     state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
-
-    if data_dir is not None:
-        ds = load_dataset_dir(data_dir, cfg.data)
-    else:
-        ds = generate_dataset(cfg.data)
     _, val = split_validation(ds, cfg.n_val, cfg.seed) if cfg.n_val else (ds, ds)
     metrics = validation_metrics(state, val)
     comp = noise_composition([int(i) for i in val.ids], {int(i): Label(int(l)) for i, l in zip(val.ids, val.labels)})
@@ -612,6 +630,7 @@ def cmd_sweep(
 
     results = []
     stages: StageCache = {}
+    step_times: dict[int, float] = {}
     for variant in points:
         value = reduce(getattr, dotted.split("."), variant)
         sub = out / f"{axis}_{value}_seed{variant.seed}"
@@ -628,7 +647,9 @@ def cmd_sweep(
             "total_steps": report.total_steps,
         }
         if axis == "queue":
-            row["step_time_s"] = benchmark_step_time(cfg, value)
+            if value not in step_times:
+                step_times[value] = benchmark_step_time(cfg, value)
+            row["step_time_s"] = step_times[value]
         results.append(row)
 
     names = list(results[0])

@@ -29,22 +29,6 @@ class MaskedBatch:
     targets: np.ndarray  # (m,) original tokens at masked positions
 
 
-@dataclass
-class TaskWeights:
-    """Loss weighting proportional to the two dataloader batch sizes."""
-
-    batch_pairs: int  # contrastive batch size
-    batch_text: int  # masked-token batch size
-
-    def __post_init__(self):
-        if self.batch_pairs <= 0 or self.batch_text < 0:
-            raise ConfigError("batch sizes must be positive (text may be zero)")
-
-    @property
-    def weight(self) -> float:
-        return self.batch_text / self.batch_pairs
-
-
 def mask_batch(
     sequences: np.ndarray,
     p_mask: float,
@@ -138,7 +122,7 @@ def combined_step(
     queue: MemoryQueue,
     pair_batch: PairBatch,
     text_batch: MaskedBatch | None,
-    weights: TaskWeights,
+    text_weight: float,
     tau: float,
     lr: float,
     weight_decay: float = 0.0,
@@ -146,11 +130,12 @@ def combined_step(
 ) -> tuple[EncoderPairState, MemoryQueue, tuple[float, float]]:
     """One update combining the contrastive and masked-token objectives.
 
-    The masked-token gradient enters scaled by batch_text/batch_pairs; at
-    weight zero the update is exactly the contrastive-only step.
+    The masked-token gradient enters scaled by ``text_weight`` (the run
+    passes batch_text/batch_pairs); at weight zero the update is exactly
+    the contrastive-only step.
     """
     keys, cache, loss_c, d_queries = contrastive_forward(state, queue, pair_batch, tau, key_lookup)
-    w = weights.weight
+    w = text_weight
     loss_mlm = 0.0
     mlm_grads = None
     if w > 0 and text_batch is not None:

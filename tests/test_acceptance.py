@@ -40,7 +40,7 @@ from pairsieve.harness import (
     train_teacher,
 )
 from pairsieve.metrics import f1_at_threshold, recall_at_k
-from pairsieve.mlm import TaskWeights, combined_step, mask_batch, mlm_loss
+from pairsieve.mlm import combined_step, mask_batch, mlm_loss
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
 from pairsieve.store import HEADER_SIZE, StoreHandle, write_store
@@ -81,7 +81,7 @@ def test_criterion_01_gradient_fidelity():
     def contrastive_fn(arrays):
         enc = _rebuild(p, arrays)
         emb, cache = encode_batch(enc, x)
-        batch = ContrastiveBatch(queries=emb, positives=pos, ids=np.arange(4), cache=cache)
+        batch = ContrastiveBatch(queries=emb, positives=pos, ids=np.arange(4))
         loss, dq = contrastive_loss(batch, queue, tau=0.07)
         return loss, encode_backward(enc, cache, dq).arrays()
 
@@ -370,7 +370,7 @@ def test_criterion_11_mlm_contract():
         )
 
     sa, qa, _ = combined_step(
-        fresh_state(), MemoryQueue(8, 4), pair_batch, text, TaskWeights(3, 0), tau=0.07, lr=1e-2
+        fresh_state(), MemoryQueue(8, 4), pair_batch, text, 0.0, tau=0.07, lr=1e-2
     )
     sb, qb, _ = training_step(fresh_state(), MemoryQueue(8, 4), pair_batch, tau=0.07, lr=1e-2)
     identical = all(

@@ -201,7 +201,7 @@ def test_gradient_matches_finite_differences():
             np.asarray(arrays[3]),
         )
         emb, cache = encode_batch(enc, x)
-        batch = ContrastiveBatch(queries=emb, positives=pos, ids=ids, cache=cache)
+        batch = ContrastiveBatch(queries=emb, positives=pos, ids=ids)
         loss, dq = contrastive_loss(batch, q, tau=0.07)
         return loss, encode_backward(enc, cache, dq).arrays()
 

@@ -226,6 +226,30 @@ def test_pretrain_writes_provenance_and_checkpoints(tmp_path):
     assert report.total_steps > 0
 
 
+def test_metrics_csv_keeps_finished_epochs_of_a_failed_run(tmp_path, monkeypatch):
+    # metrics.csv is rewritten after every epoch: a run that fails in epoch 2 keeps epochs 0 and 1.
+    cfg = tiny_config(21)
+    stages = {}
+    pretrain(cfg, out_dir=tmp_path / "whole", stages=stages)
+    whole = (tmp_path / "whole/metrics.csv").read_text().splitlines(keepends=True)
+
+    real = harness.validation_metrics
+    epochs_validated = []
+
+    def fail_in_epoch_2(state, val):
+        epochs_validated.append(len(epochs_validated) + 1)
+        if epochs_validated[-1] == 2:
+            raise RuntimeError("injected failure")
+        return real(state, val)
+
+    monkeypatch.setattr(harness, "validation_metrics", fail_in_epoch_2)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        pretrain(cfg, out_dir=tmp_path / "cut", stages=stages)
+    kept = (tmp_path / "cut/metrics.csv").read_text().splitlines(keepends=True)
+    finished = [line for line in whole[1:] if int(line.split(",")[1]) <= 1]
+    assert kept == whole[: 1 + len(finished)]  # the header and every row of epochs 0 and 1
+
+
 def test_frozen_key_tower_and_store_consistency(tmp_path):
     # Re-encoding any stored key with the saved frozen tower reproduces
     # the stored bytes exactly.
@@ -403,6 +427,21 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
         assert not (tmp_path / "out3").exists(), argv
     assert str(missing) in err["message"]
 
+    # A missing checkpoint or data directory is a format error naming the file, not a traceback.
+    cfg = tiny_config(15)
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    for name, d_in in (("key", cfg.data.d_a), ("query", cfg.data.d_b)):
+        save_params(ck / f"{name}.ecpm", init_params(1, d_in, cfg.encoder.hidden, cfg.encoder.embed_dim))
+    for argv, absent in (
+        (["--checkpoint", str(tmp_path / "no_ck")], tmp_path / "no_ck/key.ecpm"),
+        (["--checkpoint", str(ck), "--data-dir", str(tmp_path / "no_data")], tmp_path / "no_data/manifest.jsonl"),
+    ):
+        assert main(["eval", "--config", str(cfg_path), "--out-dir", out, *argv]) == 4, argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FormatError", argv
+        assert str(absent) in err["message"], argv
+
 
 def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
     # Training picks its f1 threshold on validation pairs: n_val=0 is refused before any work.
@@ -554,6 +593,11 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
     cfg = tiny_config(20)
     cfg.train.epochs = 1
     teacher_runs = count_calls(monkeypatch, "train_teacher")
+    step_timings = count_calls(monkeypatch, "benchmark_step_time")
     rows = cmd_sweep(cfg, "queue", [8, 64], seeds=[0, 1], out_dir=tmp_path / "sweep")
     assert len(rows) == 4
     assert len(teacher_runs) == 2
+    # One step-time measurement per queue size, shared by both seeds' rows.
+    assert [args[1] for args in step_timings] == [8, 64]
+    assert rows[0]["step_time_s"] == rows[1]["step_time_s"]
+    assert rows[2]["step_time_s"] == rows[3]["step_time_s"]

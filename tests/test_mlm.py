@@ -16,16 +16,11 @@ from pairsieve.encoder import (
     sgd_step,
 )
 from pairsieve.errors import ConfigError, EmptyBatch, EmptyMask
-from pairsieve.mlm import TaskWeights, combined_step, mask_batch, mlm_accuracy, mlm_loss
+from pairsieve.mlm import combined_step, mask_batch, mlm_accuracy, mlm_loss
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
 
 VOCAB = 7
-
-
-def test_task_weights_default_ratio():
-    w = TaskWeights(batch_pairs=180, batch_text=40)
-    assert w.weight == pytest.approx(2.0 / 9.0)
 
 
 def test_mask_probability_bounds_rejected():
@@ -200,7 +195,7 @@ def test_combined_step_weight_zero_bit_identical():
     queue_a = MemoryQueue(8, 4)
     queue_b = MemoryQueue(8, 4)
     state_a, queue_a, (loss_c, loss_m) = combined_step(
-        state_a, queue_a, pair_batch, masked, TaskWeights(3, 0), tau=0.07, lr=1e-2
+        state_a, queue_a, pair_batch, masked, 0.0, tau=0.07, lr=1e-2
     )
     state_b, queue_b, loss_plain = training_step(
         state_b, queue_b, pair_batch, tau=0.07, lr=1e-2
@@ -225,7 +220,7 @@ def test_combined_step_updates_head_and_encoder():
     key_before = [a.copy() for a in state.key_encoder.arrays()]
     queue = MemoryQueue(8, 4)
     state, queue, (loss_c, loss_m) = combined_step(
-        state, queue, pair_batch, masked, TaskWeights(4, 2), tau=0.07, lr=1e-2
+        state, queue, pair_batch, masked, 0.5, tau=0.07, lr=1e-2
     )
     assert loss_m > 0
     assert not np.array_equal(state.mlm.w, head_before)
