@@ -61,7 +61,7 @@ class TrainConfig:
     keep_fraction: float = 0.9
     queue_capacity: int = 2048
     batch_pairs: int = 180
-    batch_text: int = 40
+    batch_text: int = 40  # masked-token rows per step while filtering; 0 turns the task off
     base_lr: float = 5e-3
     weight_decay: float = 1e-4
     warmup_frac: float = 0.05
@@ -82,6 +82,14 @@ class TrainConfig:
             raise ConfigError("queue, batch and epoch settings must be positive")
         if self.batch_text < 0:
             raise ConfigError("batch_text must be >= 0")
+        if not 0 < self.p_mask < 1:
+            raise ConfigError(f"p_mask must be in (0, 1), got {self.p_mask}")
+        if not 0 <= self.p_replace < 1:
+            raise ConfigError(f"p_replace must be in [0, 1), got {self.p_replace}")
+        if self.step_budget is not None and self.step_budget < 1:
+            raise ConfigError(f"step_budget must be >= 1 or null, got {self.step_budget}")
+        if self.filter_epochs_max is not None and self.filter_epochs_max < 0:
+            raise ConfigError(f"filter_epochs_max must be >= 0 or null, got {self.filter_epochs_max}")
 
 
 @dataclass
@@ -95,8 +103,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     stop: StopRule = field(default_factory=StopRule)
     filtering_on: bool = True  # score/rank/prune loop
-    mlm_on: bool = True  # masked-token co-training while filtering
-    shadow_refresh_on: bool = True  # refresh the scoring shadow each epoch
+    shadow_refresh_on: bool = True  # score with the pair at each epoch boundary, else the set-up pair
     n_val: int = 500
     seed: int = 0
 
@@ -217,7 +224,7 @@ def noise_removal_config(seed: int, n_pairs: int = 10000) -> RunConfig:
 def comparison_config(seed: int, n_pairs: int = 2500, n_val: int = 500) -> RunConfig:
     """Desk-scale base for comparing arms: masked-token task and stop rule off."""
     cfg = RunConfig(data=GenConfig(n_pairs=n_pairs, seed=seed), seed=seed)
-    cfg.mlm_on = False
+    cfg.train.batch_text = 0
     cfg.stop.enabled = False
     cfg.n_val = n_val
     cfg.train.base_lr = 2e-2

@@ -1,11 +1,11 @@
 """Per-epoch pair scoring, smoothed totals, and rank-and-filter pruning.
 
-A frozen shadow copy of the encoders scores every retained pair once per
-epoch; totals are exponentially smoothed (total <- alpha * total +
-score); pairs are re-ranked by total and only the top keep_fraction
-survive into the next epoch. The shadow is refreshed from the trained
-model at epoch boundaries, so successive epochs ensemble the judgments
-of successive model snapshots. Pruned pairs are never re-admitted.
+Once per epoch the shadow, the model as it stands at the epoch boundary,
+scores every retained pair; totals are exponentially smoothed (total <-
+alpha * total + score); pairs are re-ranked by total and only the top
+keep_fraction survive into the next epoch. Successive epochs thus
+ensemble the judgments of successive model snapshots. Pruned pairs are
+never re-admitted.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class StopRule:
 
 
 def score_pairs(shadow: EncoderPairState, ds: Dataset, ids: Sequence[int]) -> dict[int, float]:
-    """Cosine correlation of each pair under the frozen shadow encoders."""
+    """Cosine correlation of each pair under the shadow encoders."""
     if len(ids) == 0:
         return {}
     rows = ds.rows_for_ids(ids)

@@ -123,11 +123,6 @@ def clone_params(p: EncoderParams) -> EncoderParams:
     return EncoderParams(p.w1.copy(), p.b1.copy(), p.w2.copy(), p.b2.copy())
 
 
-def clone_pair(state: EncoderPairState) -> EncoderPairState:
-    """Deep copy of both towers (no MLM head): the frozen pair that scores pairs."""
-    return EncoderPairState(clone_params(state.key_encoder), clone_params(state.query_encoder))
-
-
 def zero_grads(p: EncoderParams) -> EncoderParams:
     return EncoderParams(
         np.zeros_like(p.w1), np.zeros_like(p.b1), np.zeros_like(p.w2), np.zeros_like(p.b2)

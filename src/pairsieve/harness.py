@@ -49,8 +49,6 @@ from .distill import DistillJob, distill_mse, run_distillation
 from .encoder import (
     EncoderPairState,
     EncoderParams,
-    clone_pair,
-    clone_params,
     cosine_warmup_lr,
     encode_backward,
     encode_batch,
@@ -218,18 +216,18 @@ def teacher_and_student(
 ) -> tuple[TeacherBundle, EncoderParams, float]:
     """The teacher, the distilled student and its held-out MSE for ``inputs``.
 
-    With a cache, a hit returns the stored stages and a miss builds them,
-    makes their arrays read-only and stores them; without one they are
-    built every call.
+    Their arrays are read-only, so a run can share them without copying.
+    With a cache, a hit returns the stored stages and a miss builds and
+    stores them; without one they are built every call.
     """
     key = to_json(inputs)
     if stages is not None and key in stages:
         return stages[key]
     teacher = train_teacher(inputs)
     student, held, _ = distill_student(inputs, teacher)
+    for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
+        a.flags.writeable = False
     if stages is not None:
-        for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
-            a.flags.writeable = False
         stages[key] = (teacher, student, held)
     return teacher, student, held
 
@@ -307,7 +305,7 @@ class PretrainRun:
     """One pretraining run; between epochs its whole state is the fields of this object.
 
     The constructor is the set-up: data and split, teacher and student, MLM
-    head, frozen keys, ledger, shadow, queue and lr plan. Then one
+    head, frozen keys, ledger, set-up pair, queue and lr plan. Then one
     ``run_epoch`` per epoch, and ``finish`` writes checkpoints and CSVs.
     """
 
@@ -323,9 +321,7 @@ class PretrainRun:
         self.report.counters = {
             "pairs_scored": 0,
             "filter_events": 0,
-            "contrastive_steps": 0,
             "mlm_steps": 0,
-            "shadow_refreshes": 0,
         }
 
         full = generate_dataset(cfg.data)
@@ -350,7 +346,7 @@ class PretrainRun:
             write_store(self.out / "keys.ecst", self.key_matrix)
 
         self.ledger = ScoreLedger.fresh(self.train.ids)
-        self.shadow = clone_pair(self.state)  # frozen copy, used only for scoring
+        self.setup_pair = EncoderPairState(teacher.key_encoder, student)  # scores every epoch without refresh
         self.retained_ids = [int(i) for i in self.train.ids]
         self.filtering_active = cfg.filtering_on
         self.queue = MemoryQueue(cfg.train.queue_capacity, cfg.encoder.embed_dim)
@@ -369,10 +365,10 @@ class PretrainRun:
 
     def out_of_steps(self) -> bool:
         budget = self.cfg.train.step_budget
-        return budget is not None and self.report.total_steps >= budget
+        return budget is not None and self.state.step >= budget
 
     def run_epoch(self, epoch: int) -> None:
-        """Prune (while filtering), train one pass, refresh the shadow, validate, test the stop rule.
+        """Prune (while filtering), train one pass, validate, test the stop rule.
 
         Ends by rewriting ``metrics.csv``, so a run that fails later keeps
         every finished epoch's rows.
@@ -382,7 +378,8 @@ class PretrainRun:
         if cap is not None and counters["filter_events"] >= cap:
             self.filtering_active = False
         if self.filtering_active:
-            scores = score_pairs(self.shadow, train, self.retained_ids)
+            # Scoring precedes training, so the live pair is the shadow refreshed at the epoch boundary.
+            scores = score_pairs(self.state if cfg.shadow_refresh_on else self.setup_pair, train, self.retained_ids)
             update_total_scores(self.ledger, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
             before = self.retained_ids
@@ -411,14 +408,14 @@ class PretrainRun:
 
         loss_c_sum, loss_m_sum, mlm_steps = 0.0, 0.0, 0
         t_start = time.perf_counter()
-        epoch_steps = 0
+        start_step = self.state.step
         for batch_ids in _epoch_batches(self.retained_ids, cfg.train.batch_pairs, cfg.seed, epoch):
             if self.out_of_steps():
                 break
             rows = train.rows_for_ids(batch_ids)
             pair_batch = PairBatch(ids=batch_ids, x_a=train.x_a[rows], x_b=train.x_b[rows])
             lr = cosine_warmup_lr(self.state.step, self.warmup, self.plan_steps, cfg.train.base_lr)
-            if cfg.mlm_on and self.filtering_active and cfg.train.batch_text > 0:
+            if self.filtering_active and cfg.train.batch_text > 0:
                 text_rng = substream(cfg.seed, "mask", self.state.step)
                 pick = text_rng.integers(0, len(train), size=cfg.train.batch_text)
                 masked = mask_batch(
@@ -441,20 +438,15 @@ class PretrainRun:
                     cfg.train.weight_decay, self.key_lookup,
                 )
             loss_c_sum += loss_c
-            counters["contrastive_steps"] += 1
-            report.total_steps += 1
-            epoch_steps += 1
         elapsed = time.perf_counter() - t_start
+        epoch_steps = self.state.step - start_step
+        report.total_steps = self.state.step
 
         if epoch_steps:
             report.log(epoch, "train_loss", loss_c_sum / epoch_steps)
             report.log(epoch, "mlm_loss", loss_m_sum / mlm_steps if mlm_steps else 0.0)
             report.timing_rows.append((epoch, "step_time_mean_s", elapsed / epoch_steps))
         report.log(epoch, "steps_cum", report.total_steps)
-
-        if cfg.shadow_refresh_on:
-            self.shadow = clone_pair(self.state)
-            counters["shadow_refreshes"] += 1
 
         vm = validation_metrics(self.state, self.val)
         for name, value in vm.items():
@@ -487,14 +479,16 @@ def pretrain(
 ) -> RunReport:
     """Run the full pipeline and return its report.
 
-    Per epoch: score the retained pairs with the frozen shadow, fold the
-    scores into smoothed totals, keep the top fraction, train one pass
-    (contrastive plus weighted masked-token loss while filtering),
-    refresh the shadow, evaluate, and test the stop rule. Once filtering
-    stops, training continues contrastive-only on the frozen subset.
-    With ``filtering_on`` false the loop is the plain baseline over the
-    full noisy set. ``stages`` lets runs with equal ``StageInputs`` share
-    one teacher and student (see ``teacher_and_student``).
+    Per epoch: score the retained pairs with the shadow (the pair as it
+    stands at the epoch boundary, or the set-up pair without
+    ``shadow_refresh_on``), fold the scores into smoothed totals, keep
+    the top fraction, train one pass (contrastive plus weighted
+    masked-token loss while filtering), evaluate, and test the stop
+    rule. Once filtering stops, training continues contrastive-only on
+    the frozen subset. With ``filtering_on`` false the loop is the plain
+    baseline over the full noisy set. ``stages`` lets runs with equal
+    ``StageInputs`` share one teacher and student (see
+    ``teacher_and_student``).
     """
     run = PretrainRun(cfg, out_dir, stages)
     for epoch in range(1, cfg.train.epochs + 1):
@@ -683,7 +677,7 @@ def benchmark_step_time(
 
     best = float("inf")
     for _ in range(reps):
-        state = EncoderPairState(key_encoder=key_enc, query_encoder=clone_params(query_enc))
+        state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
         queue = MemoryQueue(queue_capacity, d_e)
         queue.push(fill, np.arange(10**6, 10**6 + queue_capacity))
         t0 = time.thread_time()

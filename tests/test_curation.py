@@ -16,7 +16,7 @@ from pairsieve.curation import (
     write_ledger_dump,
 )
 from pairsieve.data import GenConfig, Label, generate_dataset
-from pairsieve.encoder import EncoderPairState, clone_pair, init_params
+from pairsieve.encoder import EncoderPairState, init_params
 from pairsieve.errors import EmptySet, LedgerMiss, NonFiniteLoss
 
 
@@ -134,18 +134,6 @@ def test_monotone_shrink(ids, rnd):
     rnd.shuffle(shuffled)
     assert rank_and_filter(ledger, shuffled, keep_fraction=0.8) == kept
     assert kept == sorted(ids, key=lambda i: (-ledger.totals[i], i))[: math.ceil(0.8 * len(ids))]
-
-
-def test_update_shadow_snapshot_isolation():
-    ds = _toy_dataset()
-    state = _shadow(1)
-    snapshot = clone_pair(state)
-    ids = [int(i) for i in ds.ids[:5]]
-    before = score_pairs(snapshot, ds, ids)
-    assert before == score_pairs(state, ds, ids)  # the snapshot scores like the live pair
-    state.query_encoder.w1 += 0.5  # mutate the live pair afterwards, in place
-    state.key_encoder.b2 += 0.5
-    assert score_pairs(snapshot, ds, ids) == before
 
 
 def test_check_stop_cases():

@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 
@@ -15,8 +16,9 @@ from pairsieve.config import (
     to_dict,
     to_json,
 )
+from pairsieve.curation import score_pairs
 from pairsieve.data import GenConfig, generate_dataset, split_validation
-from pairsieve.encoder import encode_batch, init_params, load_params, save_params
+from pairsieve.encoder import EncoderPairState, encode_batch, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import harness
 from pairsieve.harness import (
@@ -116,8 +118,8 @@ def test_config_override():
     cfg = apply_override(cfg, "train.queue_capacity", "512")
     assert cfg.train.queue_capacity == 512
     assert to_json(base) == before  # the argument is never changed
-    cfg = apply_override(cfg, "mlm_on", "false")
-    assert cfg.mlm_on is False
+    cfg = apply_override(cfg, "shadow_refresh_on", "false")
+    assert cfg.shadow_refresh_on is False
     with pytest.raises(ConfigError):
         apply_override(cfg, "train.nope", "1")
     with pytest.raises(ConfigError):
@@ -269,7 +271,6 @@ def test_mode_lattice_counters():
     full = pretrain(base)
     assert full.counters["pairs_scored"] > 0
     assert full.counters["mlm_steps"] > 0
-    assert full.counters["shadow_refreshes"] == base.train.epochs
 
     no_filter = tiny_config(7)
     no_filter.filtering_on = False
@@ -278,15 +279,34 @@ def test_mode_lattice_counters():
     assert r.counters["filter_events"] == 0
 
     no_mlm = tiny_config(7)
-    no_mlm.mlm_on = False
+    no_mlm.train.batch_text = 0
     r = pretrain(no_mlm)
     assert r.counters["mlm_steps"] == 0
-    assert r.counters["contrastive_steps"] == full.counters["contrastive_steps"]
+    assert r.total_steps == full.total_steps
 
-    single_shadow = tiny_config(7)
-    single_shadow.shadow_refresh_on = False
-    r = pretrain(single_shadow)
-    assert r.counters["shadow_refreshes"] == 0
+
+def _ledger_epoch_scores(run_dir, epoch) -> dict[int, float]:
+    """Epoch scores of the pairs kept in that epoch; every one of them was scored in it."""
+    with open(run_dir / f"ledger_epoch{epoch}.csv", newline="") as f:
+        return {int(r["id"]): float(r["epoch_score"]) for r in csv.DictReader(f) if r["retained"] == "1"}
+
+
+def test_shadow_is_the_set_up_pair_or_the_pair_at_the_epoch_boundary(tmp_path):
+    # Without refresh every filtering epoch scores with the set-up pair. With it, epoch 1
+    # scores before any training (so with the set-up pair too) and later epochs with the trained pair.
+    cfg = tiny_config(22)
+    stages = {}
+    teacher, student, _ = teacher_and_student(StageInputs.of(cfg), stages)
+    train, _ = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
+    set_up = score_pairs(EncoderPairState(teacher.key_encoder, student), train, [int(i) for i in train.ids])
+    for refresh, expected in ((False, [True, True, True]), (True, [True, False, False])):
+        cfg.shadow_refresh_on = refresh
+        pretrain(cfg, out_dir=tmp_path / str(refresh), stages=stages)
+        same = []
+        for epoch in (1, 2, 3):
+            scores = _ledger_epoch_scores(tmp_path / str(refresh), epoch)
+            same.append(scores == {i: set_up[i] for i in scores})
+        assert same == expected, refresh
 
 
 def test_filtering_shrinks_geometrically():
@@ -416,6 +436,13 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
         ["sweep", "--axis", "queue", "--values", "0", "--out-dir", out],
         ["sweep", "--axis", "lambda", "--values", "1.5", "--out-dir", out],
         ["sweep", "--axis", "text_batch", "--values", "-1", "--out-dir", out],
+        # Out-of-range train settings fail before the teacher is trained.
+        ["sweep", "--axis", "queue", "--values", "8", "--seeds", "0", "--out-dir", out, "--set", "train.step_budget=0"],
+        ["pretrain", "--out-dir", out, "--set", "train.step_budget=0"],
+        ["pretrain", "--out-dir", out, "--set", "train.filter_epochs_max=-1"],
+        ["pretrain", "--out-dir", out, "--set", "train.p_mask=0"],
+        ["pretrain", "--out-dir", out, "--set", "train.p_mask=1.5", "--set", "filtering_on=false"],
+        ["pretrain", "--out-dir", out, "--set", "train.p_replace=1"],
         ["pretrain", "--config", str(unknown_section), "--out-dir", out],
         ["pretrain", "--config", str(unknown_field), "--out-dir", out],
         ["gen-data", "--config", str(not_object), "--out-dir", out],
@@ -533,11 +560,13 @@ def test_stage_cache_arrays_are_read_only():
     cfg.teacher.steps = 20
     cfg.distill.steps = 20
     stages = {}
-    teacher, student, _ = teacher_and_student(StageInputs.of(cfg), stages)
-    assert teacher_and_student(StageInputs.of(cfg), stages)[1] is student
-    for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
-        with pytest.raises(ValueError):
-            a.flat[0] = 0.0
+    cached = teacher_and_student(StageInputs.of(cfg), stages)
+    assert teacher_and_student(StageInputs.of(cfg), stages)[1] is cached[1]
+    # Built afresh they are read-only too: a run shares them with its scoring pair uncopied.
+    for teacher, student, _ in (cached, teacher_and_student(StageInputs.of(cfg))):
+        for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
 
 
 def _stage_leaves(obj, prefix=()):
