@@ -82,6 +82,10 @@ class TrainConfig:
             raise ConfigError("queue, batch and epoch settings must be positive")
         if self.batch_text < 0:
             raise ConfigError("batch_text must be >= 0")
+        if not self.base_lr > 0:
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 <= self.warmup_frac <= 1:
+            raise ConfigError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if not 0 < self.p_mask < 1:
             raise ConfigError(f"p_mask must be in (0, 1), got {self.p_mask}")
         if not 0 <= self.p_replace < 1:

@@ -21,6 +21,10 @@ from .encoder import (
 )
 from .errors import DimMismatch, EmptyBatch, NoNegatives
 
+# A shifted logit is at least -2 * shift. exp stays a normal float64 down to
+# about exp(-708), so past this span the bound shift could zero a whole row.
+_EXP_SPAN = 700.0
+
 
 class MemoryQueue:
     """Fixed-capacity FIFO of (key embedding, source id) entries, oldest first.
@@ -86,8 +90,17 @@ def contrastive_loss(
 
     Negatives are the queue snapshot, excluding entries whose source id
     matches the query's own pair. On an empty queue the other in-batch
-    positives serve as negatives (warm start). Returns the loss and
+    positives serve as negatives (warm start); the same id match then
+    excludes each query's own positive. Returns the loss and
     d(loss)/d(queries); keys and queue entries are constants.
+
+    Each row's softmax is shifted by an upper bound on its logits,
+    ``|q_i| * max key norm / tau`` (Cauchy-Schwarz; ``1/tau`` for unit
+    rows), so no pass over the (n, m) logit matrix looks for the row
+    max. When twice that bound could underflow ``exp``, the row max is
+    used instead. Excluded entries are found per column with
+    ``np.isin`` and only their (row, column) cells are set to ``-inf``,
+    so they add nothing to the softmax.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -98,30 +111,36 @@ def contrastive_loss(
         raise DimMismatch("queries and positives must align")
 
     negs, neg_ids = queue.snapshot()
-    in_batch = negs.shape[0] == 0
-    if in_batch:
+    if negs.shape[0] == 0:
         if n == 1:
             raise NoNegatives("empty queue and batch of one leave nothing to contrast")
         negs, neg_ids = batch.positives, batch.ids
 
-    pos_logit = np.sum(batch.queries * batch.positives, axis=1) / tau  # (n,)
-    neg_logits = (batch.queries @ negs.T) / tau  # (n, m)
-    exclude = neg_ids[None, :] == batch.ids[:, None]
-    if in_batch:
-        exclude = exclude | np.eye(n, dtype=bool)
-    neg_logits = np.where(exclude, -np.inf, neg_logits)
+    queries = batch.queries * (1.0 / tau)
+    pos_logit = np.einsum("ij,ij->i", queries, batch.positives)  # (n,)
+    logits = queries @ negs.T  # (n, m)
+    cols = np.flatnonzero(np.isin(neg_ids, batch.ids))
+    rows, hits = np.nonzero(batch.ids[:, None] == neg_ids[cols][None, :])
+    logits[rows, cols[hits]] = -np.inf
 
-    # Stabilized softmax over [positive, negatives...] per row.
-    row_max = np.maximum(pos_logit, neg_logits.max(axis=1))
-    pos_exp = np.exp(pos_logit - row_max)
-    neg_exp = np.exp(neg_logits - row_max[:, None])
+    # Per-row shift: |q_i / tau| * max key norm bounds every logit of row i.
+    key_sq = max(_sq_norms(negs).max(), _sq_norms(batch.positives).max())
+    shift = np.sqrt(_sq_norms(queries) * key_sq)
+    if 2.0 * shift.max() > _EXP_SPAN:
+        shift = np.maximum(pos_logit, logits.max(axis=1))
+    logits -= shift[:, None]
+    neg_exp = np.exp(logits, out=logits)
+    pos_exp = np.exp(pos_logit - shift)
     total = pos_exp + neg_exp.sum(axis=1)
-    loss = float(np.mean(-(pos_logit - row_max) + np.log(total)))
+    loss = float(np.mean(shift - pos_logit + np.log(total)))
 
-    p_pos = pos_exp / total
-    p_neg = neg_exp / total[:, None]
-    d_queries = ((p_pos - 1.0)[:, None] * batch.positives + p_neg @ negs) / (tau * n)
+    d_pos = (pos_exp / total - 1.0)[:, None] * batch.positives
+    d_queries = (d_pos + (neg_exp @ negs) / total[:, None]) / (tau * n)
     return loss, d_queries
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 KeyLookup = Callable[[np.ndarray], np.ndarray]

@@ -182,6 +182,78 @@ def test_self_exclusion():
     np.testing.assert_allclose(g_with, g_without, atol=1e-15)
 
 
+def _reference_loss(batch, queue, tau):
+    """The loss by its plain formula: row-max shift and a dense same-id mask."""
+    negs, neg_ids = queue.snapshot()
+    in_batch = negs.shape[0] == 0
+    if in_batch:
+        negs, neg_ids = batch.positives, batch.ids
+    n = batch.queries.shape[0]
+    pos_logit = np.sum(batch.queries * batch.positives, axis=1) / tau
+    neg_logits = (batch.queries @ negs.T) / tau
+    exclude = neg_ids[None, :] == batch.ids[:, None]
+    if in_batch:
+        exclude = exclude | np.eye(n, dtype=bool)
+    neg_logits = np.where(exclude, -np.inf, neg_logits)
+    row_max = np.maximum(pos_logit, neg_logits.max(axis=1))
+    pos_exp = np.exp(pos_logit - row_max)
+    neg_exp = np.exp(neg_logits - row_max[:, None])
+    total = pos_exp + neg_exp.sum(axis=1)
+    loss = float(np.mean(-(pos_logit - row_max) + np.log(total)))
+    p_pos = pos_exp / total
+    p_neg = neg_exp / total[:, None]
+    return loss, ((p_pos - 1.0)[:, None] * batch.positives + p_neg @ negs) / (tau * n)
+
+
+def _assert_matches_reference(batch, queue, tau):
+    loss, grads = contrastive_loss(batch, queue, tau)
+    ref_loss, ref_grads = _reference_loss(batch, queue, tau)
+    assert np.isfinite(loss) and np.all(np.isfinite(grads))
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-12)
+
+
+@given(
+    st.lists(st.integers(0, 15), min_size=1, max_size=12),
+    st.lists(st.integers(0, 15), max_size=40),
+    st.floats(0.01, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_loss_matches_reference_formula(batch_ids, queue_ids, tau, seed):
+    # Ids from a small range give batch duplicates and batch/queue collisions;
+    # an empty queue gives the in-batch warm start. Some rows are not unit.
+    if not queue_ids and len(batch_ids) == 1:
+        queue_ids = [16]  # a batch of one on an empty queue raises NoNegatives
+    n, m, d = len(batch_ids), len(queue_ids), 4
+    rng = np.random.default_rng(seed)
+
+    def rows(k):
+        x = unit_rows(rng, k, d)
+        scaled = rng.random(k) < 0.3
+        x[scaled] *= rng.uniform(0.5, 3.0, (int(scaled.sum()), 1))
+        return x
+
+    queue = MemoryQueue(max(m, 1), d).push(rows(m), queue_ids)
+    batch = ContrastiveBatch(queries=rows(n), positives=rows(n), ids=np.array(batch_ids))
+    _assert_matches_reference(batch, queue, tau)
+
+
+def test_loss_finite_where_bound_shift_underflows():
+    # At tau=1e-3 the bound shift is 1000, so every logit near 0 or -1000 would
+    # shift below exp's range and the row would sum to 0.
+    tau = 1e-3
+    e = np.eye(4)
+    queries = e[:2]
+    positives = unit_rows(substream(8, "init", 8), 2, 4) * 0.01 + np.array([e[2], e[3]])
+    positives /= np.linalg.norm(positives, axis=1, keepdims=True)
+    negs = np.stack([-e[0], -e[1], 0.6 * e[2] + 0.8 * e[3], -0.999 * e[0] + 0.0447 * e[2]])
+    negs /= np.linalg.norm(negs, axis=1, keepdims=True)
+    queue = MemoryQueue(8, 4).push(negs, np.arange(10, 14))
+    batch = ContrastiveBatch(queries=queries, positives=positives, ids=np.arange(2))
+    _assert_matches_reference(batch, queue, tau)
+
+
 def test_gradient_matches_finite_differences():
     p = init_params(21, 6, 5, 4)
     rng = substream(21, "init", 5)

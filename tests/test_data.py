@@ -69,6 +69,21 @@ def test_generation_deterministic():
     assert a.labels.tobytes() == b.labels.tobytes()
 
 
+def test_rows_for_ids_matches_positions_and_rejects_unknown_ids():
+    # A shuffled subset has gaps in its ids and a largest id that is not last.
+    ds = generate_dataset(small_cfg(n_pairs=60))
+    sub = ds.take_rows(np.random.default_rng(3).permutation(60)[:25])
+    position = {int(v): i for i, v in enumerate(sub.ids)}
+    ask = [int(sub.ids[7]), int(sub.ids[0]), int(sub.ids[7]), int(sub.ids.max())]
+    np.testing.assert_array_equal(sub.rows_for_ids(ask), [position[v] for v in ask])
+    np.testing.assert_array_equal(sub.rows_for_ids(np.array(ask)), [position[v] for v in ask])
+    assert sub.rows_for_ids([]).shape == (0,)
+    absent = sorted(set(range(60)) - set(position))[0]
+    for bad in (absent, 60, 10**12, -1):
+        with pytest.raises(KeyError):
+            sub.rows_for_ids([int(sub.ids[0]), bad])
+
+
 def test_tokens_within_vocab():
     ds = generate_dataset(small_cfg(n_pairs=500, vocab=16))
     assert ds.tokens.min() >= 0

@@ -443,6 +443,16 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
         ["pretrain", "--out-dir", out, "--set", "train.p_mask=0"],
         ["pretrain", "--out-dir", out, "--set", "train.p_mask=1.5", "--set", "filtering_on=false"],
         ["pretrain", "--out-dir", out, "--set", "train.p_replace=1"],
+        # A step size that is not positive, or a warmup share outside [0, 1], would
+        # train nothing or ramp the wrong way and still exit 0.
+        ["pretrain", "--out-dir", out, "--set", "train.base_lr=0"],
+        ["pretrain", "--out-dir", out, "--set", "train.base_lr=-0.01"],
+        ["pretrain", "--out-dir", out, "--set", "train.warmup_frac=-2"],
+        ["pretrain", "--out-dir", out, "--set", "train.warmup_frac=1.5"],
+        ["sweep", "--axis", "queue", "--values", "8", "--out-dir", out, "--set", "train.base_lr=0"],
+        ["sweep", "--axis", "queue", "--values", "8", "--out-dir", out, "--set", "train.base_lr=-0.01"],
+        ["sweep", "--axis", "queue", "--values", "8", "--out-dir", out, "--set", "train.warmup_frac=-2"],
+        ["sweep", "--axis", "queue", "--values", "8", "--out-dir", out, "--set", "train.warmup_frac=1.5"],
         ["pretrain", "--config", str(unknown_section), "--out-dir", out],
         ["pretrain", "--config", str(unknown_field), "--out-dir", out],
         ["gen-data", "--config", str(not_object), "--out-dir", out],
