@@ -21,10 +21,6 @@ from .encoder import (
 )
 from .errors import DimMismatch, EmptyBatch, NoNegatives
 
-# A shifted logit is at least -2 * shift. exp stays a normal float64 down to
-# about exp(-708), so past this span the bound shift could zero a whole row.
-_EXP_SPAN = 700.0
-
 
 class MemoryQueue:
     """Fixed-capacity FIFO of (key embedding, source id) entries, oldest first.
@@ -94,13 +90,10 @@ def contrastive_loss(
     excludes each query's own positive. Returns the loss and
     d(loss)/d(queries); keys and queue entries are constants.
 
-    Each row's softmax is shifted by an upper bound on its logits,
-    ``|q_i| * max key norm / tau`` (Cauchy-Schwarz; ``1/tau`` for unit
-    rows), so no pass over the (n, m) logit matrix looks for the row
-    max. When twice that bound could underflow ``exp``, the row max is
-    used instead. Excluded entries are found per column with
-    ``np.isin`` and only their (row, column) cells are set to ``-inf``,
-    so they add nothing to the softmax.
+    Excluded entries are found per column with ``np.isin`` and only
+    their (row, column) cells are set to ``-inf``, so they add nothing
+    to the softmax. The logits are shifted and exponentiated in place,
+    and no probability matrix is built.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -123,24 +116,17 @@ def contrastive_loss(
     rows, hits = np.nonzero(batch.ids[:, None] == neg_ids[cols][None, :])
     logits[rows, cols[hits]] = -np.inf
 
-    # Per-row shift: |q_i / tau| * max key norm bounds every logit of row i.
-    key_sq = max(_sq_norms(negs).max(), _sq_norms(batch.positives).max())
-    shift = np.sqrt(_sq_norms(queries) * key_sq)
-    if 2.0 * shift.max() > _EXP_SPAN:
-        shift = np.maximum(pos_logit, logits.max(axis=1))
-    logits -= shift[:, None]
+    # Stabilized softmax over [positive, negatives...] per row.
+    row_max = np.maximum(pos_logit, logits.max(axis=1))
+    logits -= row_max[:, None]
     neg_exp = np.exp(logits, out=logits)
-    pos_exp = np.exp(pos_logit - shift)
+    pos_exp = np.exp(pos_logit - row_max)
     total = pos_exp + neg_exp.sum(axis=1)
-    loss = float(np.mean(shift - pos_logit + np.log(total)))
+    loss = float(np.mean(row_max - pos_logit + np.log(total)))
 
     d_pos = (pos_exp / total - 1.0)[:, None] * batch.positives
     d_queries = (d_pos + (neg_exp @ negs) / total[:, None]) / (tau * n)
     return loss, d_queries
-
-
-def _sq_norms(rows: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", rows, rows)
 
 
 KeyLookup = Callable[[np.ndarray], np.ndarray]

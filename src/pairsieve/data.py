@@ -106,23 +106,15 @@ class Dataset:
     x_b: np.ndarray  # (n, d_b)
     tokens: np.ndarray  # (n, seq_len) int64
     config: GenConfig
-    _row_of: np.ndarray | None = field(default=None, repr=False)  # id -> row, -1 if absent
+    _row_of: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def rows_for_ids(self, ids: Sequence[int]) -> np.ndarray:
-        """Row of each id, in order; KeyError names the first id not in the set."""
-        if self._row_of is None:
-            self._row_of = np.full(int(self.ids.max(initial=-1)) + 1, -1, dtype=np.int64)
-            self._row_of[self.ids] = np.arange(len(self.ids))
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.full(ids.shape, -1, dtype=np.int64)
-        known = (ids >= 0) & (ids < len(self._row_of))
-        rows[known] = self._row_of[ids[known]]
-        if (rows < 0).any():
-            raise KeyError(int(ids[rows < 0][0]))
-        return rows
+        if not self._row_of:
+            self._row_of.update({int(v): i for i, v in enumerate(self.ids)})
+        return np.array([self._row_of[int(v)] for v in ids], dtype=np.int64)
 
     def take_rows(self, rows: np.ndarray) -> "Dataset":
         return Dataset(

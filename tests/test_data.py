@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairsieve.data import (
+    Dataset,
     GenConfig,
     Label,
     generate_dataset,
@@ -82,6 +83,14 @@ def test_rows_for_ids_matches_positions_and_rejects_unknown_ids():
     for bad in (absent, 60, 10**12, -1):
         with pytest.raises(KeyError):
             sub.rows_for_ids([int(sub.ids[0]), bad])
+
+    # Ids read from a manifest may be negative or far apart.
+    odd_ids = np.arange(25, dtype=np.int64) * 10**12 - 7
+    odd = Dataset(odd_ids, sub.labels, sub.x_a, sub.x_b, sub.tokens, sub.config)
+    np.testing.assert_array_equal(odd.rows_for_ids([odd_ids[3], -7, odd_ids[24]]), [3, 0, 24])
+    for bad in (-8, 0, 10**12):
+        with pytest.raises(KeyError):
+            odd.rows_for_ids([bad])
 
 
 def test_tokens_within_vocab():
