@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimMismatch, FormatError, InsufficientData
-from .rng import substream
+from .rng import Substreams, substream
 from .store import atomic_open
 
 
@@ -85,6 +85,8 @@ class GenConfig:
             raise ConfigError("n_pairs must be non-negative")
         if min(self.latent_dim, self.d_a, self.d_b, self.seq_len) <= 0:
             raise ConfigError("dims must be positive")
+        if self.latent_dim > min(self.d_a, self.d_b):
+            raise ConfigError("latent_dim must not exceed min(d_a, d_b)")
         if self.vocab < 2:
             raise ConfigError("vocab must be at least 2")
         if not 1 <= self.token_coords <= min(self.seq_len, self.d_b):
@@ -162,49 +164,65 @@ def _label_plan(cfg: GenConfig) -> np.ndarray:
     return substream(cfg.seed, "labels").permutation(plan)
 
 
-def _quantize_tokens(coords: np.ndarray, row_scale: np.ndarray, vocab: int) -> np.ndarray:
-    # Gaussian-CDF bucketing: each coordinate is N(0, row_scale^2) under the
-    # latent prior, so buckets are uniform over the vocabulary.
-    u = np.array([0.5 * (1.0 + math.erf(c / (s * math.sqrt(2.0)))) for c, s in zip(coords, row_scale)])
-    return np.minimum((u * vocab).astype(np.int64), vocab - 1)
+# Records per block: bounds the draw buffer and the block-math temporaries.
+_BLOCK = 256
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
     """Deterministically generate ``cfg.n_pairs`` labeled pairs.
 
-    Each record is produced from its own (seed, id) substream, so output
-    is independent of generation order.
+    Each record is produced from its own (seed, "record", id) substream,
+    so output is independent of generation order. The records of a block
+    draw in turn from one re-keyed generator; the math then runs over the
+    whole block.
     """
     a_mix, b_mix = mixing_matrices(cfg)
     labels = _label_plan(cfg)
-    k = cfg.latent_dim
-    noise = {
-        Label.GOOD: cfg.sigma_good * math.sqrt(k),
-        Label.CLEAN: cfg.sigma_clean * math.sqrt(k),
-        Label.NOISY: cfg.sigma_clean * math.sqrt(k),
-    }
-    b_row_scale = np.linalg.norm(b_mix[: cfg.token_coords], axis=1)
-    reps = -(-cfg.seq_len // cfg.token_coords)  # ceil
+    k, d_a, tc = cfg.latent_dim, cfg.d_a, cfg.token_coords
+    noise = np.array([cfg.sigma_good, cfg.sigma_clean, cfg.sigma_clean]) * math.sqrt(k)
+    b_head = b_mix[:tc]
+    # Gaussian-CDF bucketing: each token coordinate is N(0, s^2) under the
+    # latent prior, s its row norm in b_mix, so buckets are uniform over
+    # the vocabulary. erf is libm's, called per value.
+    erf = np.frompyfunc(math.erf, 1, 1)
+    erf_den = np.linalg.norm(b_head, axis=1) * math.sqrt(2.0)
+    reps = -(-cfg.seq_len // tc)  # ceil
 
-    x_a = np.empty((cfg.n_pairs, cfg.d_a))
+    x_a = np.empty((cfg.n_pairs, d_a))
     x_b = np.empty((cfg.n_pairs, cfg.d_b))
     tokens = np.empty((cfg.n_pairs, cfg.seq_len), dtype=np.int64)
-    for rid in range(cfg.n_pairs):
-        rng = substream(cfg.seed, "record", rid)
-        lab = Label(int(labels[rid]))
-        z_a = rng.standard_normal(k)
-        z_b = rng.standard_normal(k) if lab is Label.NOISY else z_a
-        scale = noise[lab]
-        x_a[rid] = a_mix @ z_a + scale * rng.standard_normal(cfg.d_a)
-        x_b[rid] = b_mix @ z_b + scale * rng.standard_normal(cfg.d_b)
-        if lab is Label.NOISY:
-            tokens[rid] = rng.integers(0, cfg.vocab, size=cfg.seq_len)
-        else:
-            # Cycle a few quantized coordinates across the sequence; the
-            # redundancy is what makes masked positions recoverable.
-            clean_b = b_mix[: cfg.token_coords] @ z_b
-            base = _quantize_tokens(clean_b, b_row_scale, cfg.vocab)
-            tokens[rid] = np.tile(base, reps)[: cfg.seq_len]
+    # One row of draws per record: [z_a | z_b | noise_a | noise_b]. A
+    # record draws z_a, then z_b if noisy, then the noise for a and for b,
+    # so a noisy record fills its row in one call. A good or clean record
+    # has one latent: it fills the row from z_b on, then copies z_b to z_a.
+    draws = np.empty((_BLOCK, 2 * k + d_a + cfg.d_b))
+    streams = Substreams(cfg.seed, "record")
+    for start in range(0, cfg.n_pairs, _BLOCK):
+        stop = min(start + _BLOCK, cfg.n_pairs)
+        block = draws[: stop - start]
+        noisy = labels[start:stop] == Label.NOISY
+        for row, rid, is_noisy in zip(block, range(start, stop), noisy.tolist()):
+            rng = streams.at(rid)
+            if is_noisy:
+                rng.standard_normal(out=row)
+                tokens[rid] = rng.integers(0, cfg.vocab, size=cfg.seq_len)
+            else:
+                rng.standard_normal(out=row[k:])
+        shared = ~noisy
+        block[shared, :k] = block[shared, k : 2 * k]
+        block[:, 2 * k :] *= noise[labels[start:stop]][:, None]
+        # A stacked matmul runs one gemv per record, as the per-record
+        # product did; a 2-D product changes the last bits.
+        z = block[:, : 2 * k].reshape(-1, 2, k, 1)
+        np.matmul(a_mix, z[:, 0], out=x_a[start:stop, :, None])
+        np.matmul(b_mix, z[:, 1], out=x_b[start:stop, :, None])
+        x_a[start:stop] += block[:, 2 * k : 2 * k + d_a]
+        x_b[start:stop] += block[:, 2 * k + d_a :]
+        # Cycle a few quantized coordinates across the sequence; the
+        # redundancy is what makes masked positions recoverable.
+        u = 0.5 * (1.0 + erf((b_head @ z[shared, 1])[..., 0] / erf_den).astype(float))
+        base = np.minimum((u * cfg.vocab).astype(np.int64), cfg.vocab - 1)
+        tokens[start:stop][shared] = np.tile(base, reps)[:, : cfg.seq_len]
     return Dataset(
         ids=np.arange(cfg.n_pairs, dtype=np.int64),
         labels=labels,
@@ -251,15 +269,16 @@ def threshold_subsets(
 
 
 def write_manifest(path: str | Path, ds: Dataset) -> None:
-    """One JSON object per line: {id, oracle_label, tokens}."""
+    """One JSON object per line: {id, oracle_label, tokens}.
+
+    Each line has the bytes of ``json.dumps(row, sort_keys=True)``, built
+    directly from the columns.
+    """
+    tags = {lab.value: lab.tag for lab in Label}
     with atomic_open(path, "w", encoding="utf-8") as f:
-        for i in range(len(ds)):
-            row = {
-                "id": int(ds.ids[i]),
-                "oracle_label": Label(int(ds.labels[i])).tag,
-                "tokens": [int(t) for t in ds.tokens[i]],
-            }
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+        for rid, lab, row in zip(ds.ids.tolist(), ds.labels.tolist(), ds.tokens.tolist()):
+            toks = ", ".join(map(str, row))
+            f.write(f'{{"id": {rid}, "oracle_label": "{tags[lab]}", "tokens": [{toks}]}}\n')
 
 
 def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

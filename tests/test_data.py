@@ -1,12 +1,16 @@
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsieve.data import (
     Dataset,
     GenConfig,
     Label,
+    _label_plan,
     generate_dataset,
     largest_remainder_counts,
     mixing_matrices,
@@ -17,6 +21,7 @@ from pairsieve.data import (
     write_manifest,
 )
 from pairsieve.errors import ConfigError, DimMismatch, InsufficientData
+from pairsieve.rng import substream
 
 
 def small_cfg(**kw):
@@ -32,6 +37,9 @@ def test_invalid_fractions_rejected():
         GenConfig(n_pairs=10, f_good=-0.1, f_clean=0.6, f_noisy=0.5)
     with pytest.raises(ConfigError):
         GenConfig(n_pairs=10, sigma_good=0.4, sigma_clean=0.3)
+    for latent_dim in (49, 65):  # wider than d_b=48, or than both sides
+        with pytest.raises(ConfigError):
+            GenConfig(n_pairs=10, latent_dim=latent_dim)
 
 
 @given(
@@ -68,6 +76,97 @@ def test_generation_deterministic():
     assert a.x_b.tobytes() == b.x_b.tobytes()
     assert a.tokens.tobytes() == b.tokens.tobytes()
     assert a.labels.tobytes() == b.labels.tobytes()
+
+
+def _quantize_tokens(coords, row_scale, vocab):
+    u = np.array([0.5 * (1.0 + math.erf(c / (s * math.sqrt(2.0)))) for c, s in zip(coords, row_scale)])
+    return np.minimum((u * vocab).astype(np.int64), vocab - 1)
+
+
+def _reference_generate(cfg):
+    """The generator as a loop over records, one fresh substream each."""
+    a_mix, b_mix = mixing_matrices(cfg)
+    labels = _label_plan(cfg)
+    k = cfg.latent_dim
+    noise = {
+        Label.GOOD: cfg.sigma_good * math.sqrt(k),
+        Label.CLEAN: cfg.sigma_clean * math.sqrt(k),
+        Label.NOISY: cfg.sigma_clean * math.sqrt(k),
+    }
+    b_row_scale = np.linalg.norm(b_mix[: cfg.token_coords], axis=1)
+    reps = -(-cfg.seq_len // cfg.token_coords)  # ceil
+
+    x_a = np.empty((cfg.n_pairs, cfg.d_a))
+    x_b = np.empty((cfg.n_pairs, cfg.d_b))
+    tokens = np.empty((cfg.n_pairs, cfg.seq_len), dtype=np.int64)
+    for rid in range(cfg.n_pairs):
+        rng = substream(cfg.seed, "record", rid)
+        lab = Label(int(labels[rid]))
+        z_a = rng.standard_normal(k)
+        z_b = rng.standard_normal(k) if lab is Label.NOISY else z_a
+        scale = noise[lab]
+        x_a[rid] = a_mix @ z_a + scale * rng.standard_normal(cfg.d_a)
+        x_b[rid] = b_mix @ z_b + scale * rng.standard_normal(cfg.d_b)
+        if lab is Label.NOISY:
+            tokens[rid] = rng.integers(0, cfg.vocab, size=cfg.seq_len)
+        else:
+            clean_b = b_mix[: cfg.token_coords] @ z_b
+            base = _quantize_tokens(clean_b, b_row_scale, cfg.vocab)
+            tokens[rid] = np.tile(base, reps)[: cfg.seq_len]
+    return labels, x_a, x_b, tokens
+
+
+def _assert_matches_reference(cfg):
+    ds = generate_dataset(cfg)
+    np.testing.assert_array_equal(ds.ids, np.arange(cfg.n_pairs))
+    for got, want in zip((ds.labels, ds.x_a, ds.x_b, ds.tokens), _reference_generate(cfg)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32), st.integers(-(2**70), -1), st.integers(2**64, 2**70))
+
+
+@st.composite
+def _gen_configs(draw):
+    weights = draw(st.sampled_from([(4, 3, 3), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, 4), (2, 2, 0)]))
+    k = draw(st.integers(1, 16))
+    d_b = draw(st.integers(k, 48))
+    seq_len = draw(st.integers(1, 13))
+    sigmas = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    return GenConfig(
+        n_pairs=draw(st.integers(0, 60)),
+        latent_dim=k,
+        d_a=draw(st.integers(k, 64)),
+        d_b=d_b,
+        f_good=weights[0] / sum(weights),
+        f_clean=weights[1] / sum(weights),
+        f_noisy=weights[2] / sum(weights),
+        sigma_good=sigmas[0],
+        sigma_clean=sigmas[1],
+        vocab=draw(st.sampled_from([2, 64, 100])),
+        seq_len=seq_len,
+        token_coords=draw(st.integers(1, min(seq_len, d_b))),
+        seed=draw(_SEEDS),
+        world_seed=draw(st.none() | _SEEDS),
+    )
+
+
+@given(_gen_configs())
+@settings(max_examples=120)
+def test_generation_matches_per_record_reference(cfg):
+    _assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GenConfig(n_pairs=589, seed=5),  # two full blocks and a partial one
+        GenConfig(n_pairs=300, seed=3, world_seed=-1, vocab=100, seq_len=10, token_coords=3),
+    ],
+)
+def test_generation_matches_per_record_reference_across_blocks(cfg):
+    _assert_matches_reference(cfg)
 
 
 def test_rows_for_ids_matches_positions_and_rejects_unknown_ids():
@@ -191,6 +290,28 @@ def test_manifest_round_trip(tmp_path):
     second = tmp_path / "again.jsonl"
     write_manifest(second, generate_dataset(small_cfg(n_pairs=50, seed=12)))
     assert path.read_bytes() == second.read_bytes()
+
+
+def _manifest_by_json_dumps(ds):
+    rows = (
+        {"id": int(i), "oracle_label": Label(int(lab)).tag, "tokens": [int(t) for t in toks]}
+        for i, lab, toks in zip(ds.ids, ds.labels, ds.tokens)
+    )
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+
+
+def test_manifest_bytes_equal_json_dumps(tmp_path):
+    sub = generate_dataset(small_cfg(n_pairs=6, seed=2, vocab=100, seq_len=5))
+    ids = np.array([-7, -(10**12) - 3, 0, 10**12 - 1, 10**12, 2**62], dtype=np.int64)
+    labels = np.array([Label.NOISY, Label.GOOD, Label.CLEAN, Label.GOOD, Label.NOISY, Label.CLEAN], dtype=np.int8)
+    for ds in (
+        Dataset(ids, labels, sub.x_a, sub.x_b, sub.tokens, sub.config),
+        sub.take_rows(np.array([], dtype=np.int64)),
+    ):
+        path = tmp_path / f"manifest{len(ds)}.jsonl"
+        write_manifest(path, ds)
+        assert path.read_bytes() == _manifest_by_json_dumps(ds)
+    assert (tmp_path / "manifest0.jsonl").read_bytes() == b""
 
 
 def test_write_csv_failure_keeps_old_file(tmp_path):

@@ -456,6 +456,9 @@ def test_cli_gen_data_and_errors(tmp_path, capsys):
         ["pretrain", "--config", str(unknown_section), "--out-dir", out],
         ["pretrain", "--config", str(unknown_field), "--out-dir", out],
         ["gen-data", "--config", str(not_object), "--out-dir", out],
+        # A latent space wider than either modality has no orthonormal mixing map.
+        ["gen-data", "--out-dir", out, "--set", "data.n_pairs=50", "--set", "data.latent_dim=80"],
+        ["gen-data", "--out-dir", out, "--set", "data.n_pairs=50", "--set", "data.latent_dim=56"],
         ["gen-data", "--config", str(missing), "--out-dir", out],
     ):
         assert main(argv) == 2, argv
