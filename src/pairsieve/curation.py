@@ -10,28 +10,28 @@ never re-admitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, isfinite
+from dataclasses import dataclass
+from math import ceil
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Label, write_csv
+from .data import LABEL_TAGS, Dataset, Label, write_csv
 from .encoder import EncoderPairState, encode_batch
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
 
 
 @dataclass
 class ScoreLedger:
-    """Per-pair smoothed total and latest epoch score."""
+    """Smoothed total and latest epoch score of each training row."""
 
-    totals: dict[int, float]
-    last: dict[int, float] = field(default_factory=dict)
+    totals: np.ndarray  # (n,) float64
+    last: np.ndarray  # (n,) float64
 
     @classmethod
-    def fresh(cls, ids: Sequence[int]) -> "ScoreLedger":
-        return cls(totals={int(i): 0.0 for i in ids})
+    def fresh(cls, n: int) -> "ScoreLedger":
+        return cls(totals=np.zeros(n), last=np.zeros(n))
 
 
 @dataclass
@@ -49,47 +49,44 @@ class StopRule:
             raise ConfigError("patience must be >= 1")
 
 
-def score_pairs(shadow: EncoderPairState, ds: Dataset, ids: Sequence[int]) -> dict[int, float]:
-    """Cosine correlation of each pair under the shadow encoders."""
-    if len(ids) == 0:
-        return {}
-    rows = ds.rows_for_ids(ids)
+def score_pairs(shadow: EncoderPairState, ds: Dataset, rows: np.ndarray) -> np.ndarray:
+    """Cosine correlation of each pair under the shadow encoders, aligned with ``rows``."""
     keys, _ = encode_batch(shadow.key_encoder, ds.x_a[rows])
     queries, _ = encode_batch(shadow.query_encoder, ds.x_b[rows])
-    sims = np.sum(keys * queries, axis=1)  # unit rows: dot == cosine
-    return {int(i): float(s) for i, s in zip(ids, sims)}
+    return np.sum(keys * queries, axis=1)  # unit rows: dot == cosine
 
 
 def update_total_scores(
-    ledger: ScoreLedger, scores: Mapping[int, float], alpha: float
+    ledger: ScoreLedger, rows: np.ndarray, scores: np.ndarray, alpha: float
 ) -> ScoreLedger:
-    """Apply total <- alpha * total + score for every scored id."""
+    """Apply total <- alpha * total + score for every scored row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
     # Check everything before the ledger changes: a NaN total would make the rank order input-dependent.
-    for rid, s in scores.items():
-        if rid not in ledger.totals:
-            raise LedgerMiss(f"id {rid} not tracked by ledger")
-        if not isfinite(s):
-            raise NonFiniteLoss(f"score {s} for id {rid} is not finite")
-    for rid, s in scores.items():
-        ledger.totals[rid] = alpha * ledger.totals[rid] + s
-        ledger.last[rid] = s
+    outside = (rows < 0) | (rows >= len(ledger.totals))
+    if outside.any():
+        raise LedgerMiss(f"row {rows[outside][0]} not tracked by a ledger of {len(ledger.totals)} rows")
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise NonFiniteLoss(f"score {scores[bad][0]} for row {rows[bad][0]} is not finite")
+    ledger.totals[rows] = alpha * ledger.totals[rows] + scores
+    ledger.last[rows] = scores
     return ledger
 
 
-def rank_and_filter(
-    ledger: ScoreLedger, retained_ids: Sequence[int], keep_fraction: float
-) -> list[int]:
-    """Keep the ceil(keep_fraction * n) retained ids with highest totals.
+def rank_and_filter(ledger: ScoreLedger, rows: np.ndarray, keep_fraction: float) -> np.ndarray:
+    """Keep the ceil(keep_fraction * n) rows with highest totals, best first.
 
-    Ties break toward the smaller id, so pruning is a total order.
+    Ties break toward the smaller row, which holds the smaller id, so
+    pruning is a total order.
     """
     if not 0 < keep_fraction <= 1:
         raise ValueError("keep_fraction must be in (0, 1]")
-    if len(retained_ids) == 0:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
         raise EmptySet("retained set is empty")
-    keep = ceil(keep_fraction * len(retained_ids))
-    ranked = sorted(retained_ids, key=lambda rid: (-ledger.totals[int(rid)], int(rid)))
-    return [int(r) for r in ranked[:keep]]
+    keep = ceil(keep_fraction * rows.size)
+    return rows[np.lexsort((rows, -ledger.totals[rows]))][:keep]
 
 
 def check_stop(history: Sequence[float], rule: StopRule) -> bool:
@@ -112,48 +109,38 @@ class RetentionReport:
 
 
 def filtering_ratio_report(
-    before: Sequence[int], after: Sequence[int], labels: Mapping[int, Label]
+    before: np.ndarray, after: np.ndarray, labels: np.ndarray
 ) -> RetentionReport:
     """Compare survival of good-or-clean pairs against noisy ones.
 
-    A class with no members before filtering has no meaningful retention;
-    its rate is reported as NaN so consumers can treat it as vacuous.
+    ``before`` and ``after`` are rows, and ``labels[row]`` is that row's
+    label. A class with no members before filtering has no meaningful
+    retention; its rate is reported as NaN so consumers can treat it as
+    vacuous.
     """
-    after_set = set(int(i) for i in after)
-    gc_before = gc_after = noisy_before = noisy_after = 0
-    for rid in before:
-        rid = int(rid)
-        if labels[rid] is Label.NOISY:
-            noisy_before += 1
-            noisy_after += rid in after_set
-        else:
-            gc_before += 1
-            gc_after += rid in after_set
+    kept = np.isin(before, after)
+    noisy = labels[before] == Label.NOISY
+    noisy_before, noisy_after = int(noisy.sum()), int((noisy & kept).sum())
+    gc_before, gc_after = len(noisy) - noisy_before, int(kept.sum()) - noisy_after
     v = gc_after / gc_before if gc_before else float("nan")
     u = noisy_after / noisy_before if noisy_before else float("nan")
     return RetentionReport(good_retention=v, noisy_retention=u)
 
 
 def write_ledger_dump(
-    path: str | Path,
-    ledger: ScoreLedger,
-    all_ids: Sequence[int],
-    retained_ids: Sequence[int],
-    labels: Mapping[int, Label],
+    path: str | Path, ledger: ScoreLedger, ids: np.ndarray, retained: np.ndarray, labels: np.ndarray
 ) -> None:
-    """Per-pair epoch dump: id, epoch score, total, retained flag, label."""
-    retained = set(int(i) for i in retained_ids)
+    """Per-pair epoch dump: id, epoch score, total, retained flag, label; one line per row."""
+    flag = np.zeros(len(ids), dtype=np.int64)
+    flag[retained] = 1
     write_csv(
         path,
         ["id", "epoch_score", "total_score", "retained", "oracle_label"],
-        (
-            [
-                rid,
-                repr(ledger.last.get(rid, 0.0)),
-                repr(ledger.totals[rid]),
-                int(rid in retained),
-                labels[rid].tag,
-            ]
-            for rid in sorted(int(i) for i in all_ids)
+        zip(
+            ids.tolist(),
+            map(repr, ledger.last.tolist()),
+            map(repr, ledger.totals.tolist()),
+            flag.tolist(),
+            map(LABEL_TAGS.__getitem__, labels.tolist()),
         ),
     )

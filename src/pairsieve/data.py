@@ -40,6 +40,9 @@ class Label(IntEnum):
         return cls[tag.upper()]
 
 
+LABEL_TAGS = tuple(lab.tag for lab in Label)  # indexed by label code
+
+
 @dataclass
 class GenConfig:
     """Generator settings.
@@ -274,11 +277,10 @@ def write_manifest(path: str | Path, ds: Dataset) -> None:
     Each line has the bytes of ``json.dumps(row, sort_keys=True)``, built
     directly from the columns.
     """
-    tags = {lab.value: lab.tag for lab in Label}
     with atomic_open(path, "w", encoding="utf-8") as f:
         for rid, lab, row in zip(ds.ids.tolist(), ds.labels.tolist(), ds.tokens.tolist()):
             toks = ", ".join(map(str, row))
-            f.write(f'{{"id": {rid}, "oracle_label": "{tags[lab]}", "tokens": [{toks}]}}\n')
+            f.write(f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": [{toks}]}}\n')
 
 
 def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -40,6 +40,7 @@ from .data import (
     GenConfig,
     Label,
     generate_dataset,
+    largest_remainder_counts,
     orthonormal_columns,
     split_validation,
     write_csv,
@@ -274,7 +275,7 @@ class RunReport:
     timing_rows: list[tuple[int, str, float]] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
     total_steps: int = 0
-    final_retained_ids: list[int] = field(default_factory=list)
+    final_retained_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     out_dir: str | None = None
 
     def log(self, epoch: int, metric: str, value: float) -> None:
@@ -290,15 +291,23 @@ class RunReport:
         return [(e, v) for e, m, v in self.rows if m == name]
 
 
-def _epoch_batches(ids: list[int], batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
-    order = substream(seed, "batch", epoch).permutation(np.array(sorted(ids), dtype=np.int64))
+def _epoch_batches(rows: np.ndarray, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
+    order = substream(seed, "batch", epoch).permutation(rows)
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
 def _require_validation_pairs(cfg: RunConfig) -> None:
-    """Training tunes its f1 threshold on the validation pairs; only eval may run without them."""
+    """Training tunes its f1 threshold on the validation pairs; only eval may run without them.
+
+    The validation pairs are cut from the good pairs, whose count the label
+    plan fixes, so a too-large ``n_val`` is refused before any data exists.
+    """
     if cfg.n_val < 1:
         raise ConfigError(f"n_val is {cfg.n_val}; pretraining needs at least one validation pair")
+    d = cfg.data
+    good = largest_remainder_counts(d.n_pairs, (d.f_good, d.f_clean, d.f_noisy))[0]
+    if cfg.n_val > good:
+        raise ConfigError(f"n_val is {cfg.n_val}, but only {good} of {d.n_pairs} pairs are good")
 
 
 class PretrainRun:
@@ -326,7 +335,6 @@ class PretrainRun:
 
         full = generate_dataset(cfg.data)
         self.train, self.val = split_validation(full, cfg.n_val, cfg.seed)
-        self.labels = {int(i): Label(int(l)) for i, l in zip(self.train.ids, self.train.labels)}
 
         teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
         self.report.log(0, "distill_held_mse", held_mse)
@@ -345,9 +353,10 @@ class PretrainRun:
         if self.out is not None:
             write_store(self.out / "keys.ecst", self.key_matrix)
 
-        self.ledger = ScoreLedger.fresh(self.train.ids)
+        # Curation state is held per training row; train.ids is increasing, so row order is id order.
+        self.ledger = ScoreLedger.fresh(len(self.train))
         self.setup_pair = EncoderPairState(teacher.key_encoder, student)  # scores every epoch without refresh
-        self.retained_ids = [int(i) for i in self.train.ids]
+        self.retained = np.arange(len(self.train))  # sorted rows
         self.filtering_active = cfg.filtering_on
         self.queue = MemoryQueue(cfg.train.queue_capacity, cfg.encoder.embed_dim)
 
@@ -379,13 +388,14 @@ class PretrainRun:
             self.filtering_active = False
         if self.filtering_active:
             # Scoring precedes training, so the live pair is the shadow refreshed at the epoch boundary.
-            scores = score_pairs(self.state if cfg.shadow_refresh_on else self.setup_pair, train, self.retained_ids)
-            update_total_scores(self.ledger, scores, cfg.train.alpha)
+            before = self.retained
+            scores = score_pairs(self.state if cfg.shadow_refresh_on else self.setup_pair, train, before)
+            update_total_scores(self.ledger, before, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
-            before = self.retained_ids
-            self.retained_ids = rank_and_filter(self.ledger, before, cfg.train.keep_fraction)
+            self.retained = np.sort(rank_and_filter(self.ledger, before, cfg.train.keep_fraction))
             counters["filter_events"] += 1
-            ratio = filtering_ratio_report(before, self.retained_ids, self.labels)
+            # Label objects, not codes: perfbench/spans.py reads labels[i].tag from these arguments.
+            ratio = filtering_ratio_report(before, self.retained, np.array(list(Label), dtype=object)[train.labels])
             defined = np.isfinite(ratio.good_retention) and np.isfinite(ratio.noisy_retention)
             if defined and ratio.good_retention > 0:
                 self.regular_term *= ratio.noisy_retention / ratio.good_retention
@@ -393,27 +403,24 @@ class PretrainRun:
             report.log(epoch, "retention_noisy", ratio.noisy_retention)
             report.log(epoch, "regular_term", self.regular_term)
             if out is not None:
-                write_ledger_dump(
-                    out / f"ledger_epoch{epoch}.csv", self.ledger, train.ids, self.retained_ids, self.labels
-                )
+                write_ledger_dump(out / f"ledger_epoch{epoch}.csv", self.ledger, train.ids, self.retained, train.labels)
                 write_distribution(
                     out / f"distribution_epoch{epoch}.csv",
-                    export_distribution(self.ledger, self.labels, self.retained_ids),
+                    export_distribution(self.ledger, train.ids, train.labels, self.retained),
                 )
 
-        comp = noise_composition(self.retained_ids, self.labels)
-        report.log(epoch, "retained_count", len(self.retained_ids))
+        comp = noise_composition(train.labels[self.retained])
+        report.log(epoch, "retained_count", len(self.retained))
         for tag in ("good", "clean", "noisy"):
             report.log(epoch, f"frac_{tag}", comp[tag])
 
         loss_c_sum, loss_m_sum, mlm_steps = 0.0, 0.0, 0
         t_start = time.perf_counter()
         start_step = self.state.step
-        for batch_ids in _epoch_batches(self.retained_ids, cfg.train.batch_pairs, cfg.seed, epoch):
+        for rows in _epoch_batches(self.retained, cfg.train.batch_pairs, cfg.seed, epoch):
             if self.out_of_steps():
                 break
-            rows = train.rows_for_ids(batch_ids)
-            pair_batch = PairBatch(ids=batch_ids, x_a=train.x_a[rows], x_b=train.x_b[rows])
+            pair_batch = PairBatch(ids=train.ids[rows], x_a=train.x_a[rows], x_b=train.x_b[rows])
             lr = cosine_warmup_lr(self.state.step, self.warmup, self.plan_steps, cfg.train.base_lr)
             if self.filtering_active and cfg.train.batch_text > 0:
                 text_rng = substream(cfg.seed, "mask", self.state.step)
@@ -461,7 +468,7 @@ class PretrainRun:
 
     def finish(self) -> RunReport:
         """Write the checkpoints, ``metrics.csv`` and ``timing.csv``; return the report."""
-        self.report.final_retained_ids = list(self.retained_ids)
+        self.report.final_retained_ids = self.train.ids[self.retained]
         if self.out is not None:
             ck = self.out / "checkpoints"
             ck.mkdir(exist_ok=True)
@@ -556,7 +563,7 @@ def cmd_eval(
     state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
     _, val = split_validation(ds, cfg.n_val, cfg.seed) if cfg.n_val else (ds, ds)
     metrics = validation_metrics(state, val)
-    comp = noise_composition([int(i) for i in val.ids], {int(i): Label(int(l)) for i, l in zip(val.ids, val.labels)})
+    comp = noise_composition(val.labels)
     for tag, v in comp.items():
         metrics[f"frac_{tag}"] = v
     out = Path(out_dir)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .curation import ScoreLedger
-from .data import Label, write_csv
+from .data import LABEL_TAGS, Label, write_csv
 from .errors import MissingTruth
 
 
@@ -89,14 +89,10 @@ def select_threshold(true_scores: np.ndarray, mismatch_scores: np.ndarray) -> fl
     return float(best_t)
 
 
-def noise_composition(
-    retained_ids: Sequence[int], labels: Mapping[int, Label]
-) -> dict[str, float]:
-    """Exact label fractions of a retained set."""
-    n = len(retained_ids)
-    counts = {lab: 0 for lab in Label}
-    for rid in retained_ids:
-        counts[labels[int(rid)]] += 1
+def noise_composition(codes: np.ndarray) -> dict[str, float]:
+    """Exact label fractions of a set of pairs, from their label codes."""
+    n = len(codes)
+    counts = np.bincount(codes, minlength=3).tolist()
     return {lab.tag: (counts[lab] / n if n else 0.0) for lab in Label}
 
 
@@ -104,15 +100,17 @@ DistributionRow = tuple[int, float, float, str]  # (id, epoch score, total, labe
 
 
 def export_distribution(
-    ledger: ScoreLedger,
-    labels: Mapping[int, Label],
-    retained_ids: Sequence[int],
+    ledger: ScoreLedger, ids: np.ndarray, labels: np.ndarray, retained: np.ndarray
 ) -> list[DistributionRow]:
-    """Score-vs-total rows for the retained pairs, ready for plotting."""
-    return [
-        (rid, ledger.last[rid], ledger.totals[rid], labels[rid].tag)
-        for rid in sorted(int(i) for i in retained_ids)
-    ]
+    """Score-vs-total rows for the retained pairs, ready for plotting; ``retained`` is a sorted row array."""
+    return list(
+        zip(
+            ids[retained].tolist(),
+            ledger.last[retained].tolist(),
+            ledger.totals[retained].tolist(),
+            map(LABEL_TAGS.__getitem__, labels[retained].tolist()),
+        )
+    )
 
 
 def write_distribution(path: str | Path, rows: Sequence[DistributionRow]) -> None:

@@ -126,9 +126,9 @@ def test_criterion_02_smoothing_exactness():
     worst = 0.0
     for alpha in (0.0, 0.5, 0.9):
         scores = rng.uniform(-1, 1, size=5)
-        ledger = ScoreLedger.fresh([0])
+        ledger = ScoreLedger.fresh(1)
         for s in scores:
-            update_total_scores(ledger, {0: float(s)}, alpha)
+            update_total_scores(ledger, [0], [float(s)], alpha)
         closed = sum(alpha ** (4 - j) * s for j, s in enumerate(scores))
         worst = max(worst, abs(ledger.totals[0] - closed))
     ok = worst <= 1e-12
@@ -137,8 +137,8 @@ def test_criterion_02_smoothing_exactness():
 
 # ---------------------------------------------------------------- criterion 3
 def test_criterion_03_rank_filter_geometry():
-    ledger = ScoreLedger(totals={i: float(i) for i in range(300)})
-    retained = list(range(300))
+    ledger = ScoreLedger(totals=np.arange(300.0), last=np.zeros(300))
+    retained = np.arange(300)
     for _ in range(9):
         retained = rank_and_filter(ledger, retained, 0.9)
     final = len(retained)
@@ -330,8 +330,7 @@ def test_criterion_10_distillation():
         held_values.append(held)
         noisy_ds = generate_dataset(cfg.data)
         shadow = EncoderPairState(key_encoder=teacher.key_encoder, query_encoder=student)
-        scores = score_pairs(shadow, noisy_ds, [int(i) for i in noisy_ds.ids])
-        svals = np.array([scores[int(i)] for i in noisy_ds.ids])
+        svals = score_pairs(shadow, noisy_ds, np.arange(len(noisy_ds)))
         good = svals[noisy_ds.labels == Label.GOOD].mean()
         noisy = svals[noisy_ds.labels == Label.NOISY].mean()
         gaps.append(good - noisy)

@@ -31,44 +31,52 @@ def _toy_dataset(n=40, seed=3):
     return generate_dataset(GenConfig(n_pairs=n, d_a=8, d_b=6, latent_dim=4, seq_len=4, token_coords=2, seed=seed))
 
 
+def _ledger(totals) -> ScoreLedger:
+    totals = np.array(totals, dtype=np.float64)
+    return ScoreLedger(totals=totals, last=np.zeros_like(totals))
+
+
 def test_score_pairs_deterministic_and_empty():
     ds = _toy_dataset()
     shadow = _shadow()
-    ids = [int(i) for i in ds.ids[:10]]
-    once = score_pairs(shadow, ds, ids)
-    twice = score_pairs(shadow, ds, ids)
-    assert once == twice
-    assert score_pairs(shadow, ds, []) == {}
+    rows = np.array([7, 0, 3, 12, 5])
+    once = score_pairs(shadow, ds, rows)
+    twice = score_pairs(shadow, ds, rows)
+    assert once.shape == (5,) and once.tobytes() == twice.tobytes()
+    assert score_pairs(shadow, ds, rows[:0]).shape == (0,)
 
 
 def test_update_total_scores_direct():
-    ledger = ScoreLedger(totals={1: 1.0})
-    update_total_scores(ledger, {1: 0.5}, alpha=0.9)
+    ledger = _ledger([0.0, 1.0])
+    update_total_scores(ledger, [1], [0.5], alpha=0.9)
     assert ledger.totals[1] == pytest.approx(1.4)
-    assert ledger.last[1] == 0.5
+    assert ledger.last.tolist() == [0.0, 0.5]
 
 
 def test_update_total_scores_memoryless_at_alpha_zero():
-    ledger = ScoreLedger(totals={1: 123.0})
-    update_total_scores(ledger, {1: 0.25}, alpha=0.0)
+    ledger = _ledger([0.0, 123.0])
+    update_total_scores(ledger, [1], [0.25], alpha=0.0)
     assert ledger.totals[1] == 0.25
 
 
 def test_update_total_scores_unknown_id():
-    ledger = ScoreLedger(totals={1: 0.0})
-    with pytest.raises(LedgerMiss):
-        update_total_scores(ledger, {2: 0.5}, alpha=0.9)
+    # Rows outside [0, n) are refused before any entry changes, negative ones too, which indexing would wrap.
+    ledger = _ledger([0.0, 0.0, 0.0])
+    for row in (-1, 3, 10**6):
+        with pytest.raises(LedgerMiss):
+            update_total_scores(ledger, [0, row], [0.5, 0.5], alpha=0.9)
+        assert ledger.totals.tolist() == ledger.last.tolist() == [0.0, 0.0, 0.0], row
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_update_total_scores_rejects_non_finite(bad):
     # A NaN total would make rank_and_filter's order depend on input order,
     # so the whole update is refused before any entry changes.
-    ledger = ScoreLedger(totals={1: 0.5, 2: 0.25})
+    ledger = _ledger([0.0, 0.5, 0.25])
     with pytest.raises(NonFiniteLoss):
-        update_total_scores(ledger, {1: 0.1, 2: bad}, alpha=0.9)
-    assert ledger.totals == {1: 0.5, 2: 0.25}
-    assert ledger.last == {}
+        update_total_scores(ledger, [1, 2], [0.1, bad], alpha=0.9)
+    assert ledger.totals.tolist() == [0.0, 0.5, 0.25]
+    assert ledger.last.tolist() == [0.0, 0.0, 0.0]
 
 
 @given(
@@ -77,42 +85,42 @@ def test_update_total_scores_rejects_non_finite(bad):
 )
 def test_smoothing_matches_closed_form(scores, alpha):
     # Oracle: the smoothed total is the geometric sum of past scores.
-    ledger = ScoreLedger.fresh([0])
+    ledger = ScoreLedger.fresh(1)
     for s in scores:
-        update_total_scores(ledger, {0: s}, alpha)
+        update_total_scores(ledger, [0], [s], alpha)
     k = len(scores)
     expected = sum(alpha ** (k - 1 - j) * s for j, s in enumerate(scores))
     assert abs(ledger.totals[0] - expected) <= 1e-12
 
 
 def test_rank_and_filter_top_scores():
-    ledger = ScoreLedger(totals={i: float(i) for i in range(10)})
-    kept = rank_and_filter(ledger, list(range(10)), keep_fraction=0.7)
-    assert kept == [9, 8, 7, 6, 5, 4, 3]
+    ledger = _ledger(range(10))
+    kept = rank_and_filter(ledger, np.arange(10), keep_fraction=0.7)
+    assert kept.tolist() == [9, 8, 7, 6, 5, 4, 3]
 
 
 def test_rank_and_filter_identity_at_one():
-    ledger = ScoreLedger(totals={i: float(-i) for i in range(5)})
-    kept = rank_and_filter(ledger, list(range(5)), keep_fraction=1.0)
-    assert sorted(kept) == list(range(5))
+    ledger = _ledger([-i for i in range(5)])
+    kept = rank_and_filter(ledger, np.arange(5), keep_fraction=1.0)
+    assert sorted(kept.tolist()) == list(range(5))
 
 
 def test_rank_and_filter_tie_break_ascending_id():
-    ledger = ScoreLedger(totals={i: 1.0 for i in range(6)})
-    kept = rank_and_filter(ledger, list(range(6)), keep_fraction=0.5)
-    assert kept == [0, 1, 2]
+    ledger = _ledger([1.0] * 6)
+    kept = rank_and_filter(ledger, np.arange(6), keep_fraction=0.5)
+    assert kept.tolist() == [0, 1, 2]
 
 
 def test_rank_and_filter_empty():
     with pytest.raises(EmptySet):
-        rank_and_filter(ScoreLedger(totals={}), [], keep_fraction=0.9)
+        rank_and_filter(ScoreLedger.fresh(0), np.arange(0), keep_fraction=0.9)
 
 
 def test_geometric_shrink_nine_rounds():
     # ceil rounding applied nine times from 300 at keep fraction 0.9.
     sizes = [300]
-    ledger = ScoreLedger(totals={i: float(i) for i in range(300)})
-    retained = list(range(300))
+    ledger = _ledger(range(300))
+    retained = np.arange(300)
     for _ in range(9):
         retained = rank_and_filter(ledger, retained, 0.9)
         sizes.append(len(retained))
@@ -120,20 +128,29 @@ def test_geometric_shrink_nine_rounds():
     assert 114 <= sizes[-1] <= 120
 
 
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=50, unique=True), st.randoms())
+@given(
+    st.dictionaries(
+        st.integers(0, 1000), st.sampled_from([0.0, -0.0, 0.5, -0.5]) | st.floats(-2, 2), min_size=1, max_size=50
+    ),
+    st.randoms(),
+)
 @settings(max_examples=50)
-def test_monotone_shrink(ids, rnd):
-    ledger = ScoreLedger(totals={i: float(i % 7) for i in ids})
-    kept = rank_and_filter(ledger, ids, keep_fraction=0.8)
+def test_monotone_shrink(total_of, rnd):
+    # Sparse, unsorted rows of a 1001-row ledger; totals have ties, and +0.0 beside -0.0.
+    ids = list(total_of)
+    ledger = ScoreLedger.fresh(1001)
+    ledger.totals[ids] = list(total_of.values())
+    totals = ledger.totals.tolist()
+    kept = rank_and_filter(ledger, ids, keep_fraction=0.8).tolist()
     assert len(kept) <= len(ids)
     assert set(kept) <= set(ids)
-    again = rank_and_filter(ledger, ids, keep_fraction=0.8)
+    again = rank_and_filter(ledger, ids, keep_fraction=0.8).tolist()
     assert kept == again  # deterministic, ties included
     # A total order: input order does not matter, and ties go to the smaller id.
     shuffled = list(ids)
     rnd.shuffle(shuffled)
-    assert rank_and_filter(ledger, shuffled, keep_fraction=0.8) == kept
-    assert kept == sorted(ids, key=lambda i: (-ledger.totals[i], i))[: math.ceil(0.8 * len(ids))]
+    assert rank_and_filter(ledger, shuffled, keep_fraction=0.8).tolist() == kept
+    assert kept == sorted(ids, key=lambda i: (-totals[i], i))[: math.ceil(0.8 * len(ids))]
 
 
 def test_check_stop_cases():
@@ -156,22 +173,29 @@ def test_check_stop_plateau_detection_delay():
 
 
 def test_filtering_ratio_report_boundaries():
-    labels = {0: Label.GOOD, 1: Label.CLEAN, 2: Label.NOISY, 3: Label.NOISY}
-    full = filtering_ratio_report([0, 1, 2, 3], [0, 1, 2, 3], labels)
-    assert full.good_retention == 1.0 and full.noisy_retention == 1.0
-    only_gc = filtering_ratio_report([0, 1, 2, 3], [0, 1], labels)
-    assert only_gc.good_retention == 1.0 and only_gc.noisy_retention == 0.0
-    vacuous = filtering_ratio_report([0, 1], [0], labels)
-    assert np.isnan(vacuous.noisy_retention)
+    codes = np.array([Label.GOOD, Label.CLEAN, Label.NOISY, Label.NOISY], dtype=np.int8)
+    # The run passes Label objects; codes give the same report.
+    for labels in (codes, np.array(list(Label), dtype=object)[codes]):
+        full = filtering_ratio_report(np.arange(4), np.arange(4), labels)
+        assert full.good_retention == 1.0 and full.noisy_retention == 1.0
+        only_gc = filtering_ratio_report(np.arange(4), np.array([1, 0]), labels)
+        assert only_gc.good_retention == 1.0 and only_gc.noisy_retention == 0.0
+        half = filtering_ratio_report(np.array([3, 1, 2, 0]), np.array([2, 1]), labels)
+        assert half.good_retention == 0.5 and half.noisy_retention == 0.5
+        vacuous = filtering_ratio_report(np.array([0, 1]), np.array([0]), labels)
+        assert np.isnan(vacuous.noisy_retention)
 
 
 def test_ledger_dump_format(tmp_path):
-    ledger = ScoreLedger.fresh([0, 1, 2])
-    update_total_scores(ledger, {0: 0.5, 1: 0.2, 2: -0.1}, alpha=0.9)
-    labels = {0: Label.GOOD, 1: Label.CLEAN, 2: Label.NOISY}
+    ledger = ScoreLedger.fresh(3)
+    update_total_scores(ledger, [0, 1, 2], [0.5, 0.2, -0.1], alpha=0.9)
+    labels = np.array([Label.GOOD, Label.CLEAN, Label.NOISY], dtype=np.int8)
     path = tmp_path / "ledger.csv"
-    write_ledger_dump(path, ledger, [0, 1, 2], [0, 1], labels)
+    write_ledger_dump(path, ledger, np.array([4, 10, 11]), np.array([0, 1]), labels)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,epoch_score,total_score,retained,oracle_label"
-    assert len(lines) == 4
-    assert lines[3].startswith("2,") and lines[3].endswith(",0,noisy")
+    assert lines == [
+        "id,epoch_score,total_score,retained,oracle_label",
+        "4,0.5,0.5,1,good",
+        "10,0.2,0.2,1,clean",
+        "11,-0.1,-0.1,0,noisy",
+    ]

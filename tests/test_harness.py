@@ -298,7 +298,8 @@ def test_shadow_is_the_set_up_pair_or_the_pair_at_the_epoch_boundary(tmp_path):
     stages = {}
     teacher, student, _ = teacher_and_student(StageInputs.of(cfg), stages)
     train, _ = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
-    set_up = score_pairs(EncoderPairState(teacher.key_encoder, student), train, [int(i) for i in train.ids])
+    set_up_scores = score_pairs(EncoderPairState(teacher.key_encoder, student), train, np.arange(len(train)))
+    set_up = dict(zip(train.ids.tolist(), set_up_scores.tolist()))
     for refresh, expected in ((False, [True, True, True]), (True, [True, False, False])):
         cfg.shadow_refresh_on = refresh
         pretrain(cfg, out_dir=tmp_path / str(refresh), stages=stages)
@@ -307,6 +308,37 @@ def test_shadow_is_the_set_up_pair_or_the_pair_at_the_epoch_boundary(tmp_path):
             scores = _ledger_epoch_scores(tmp_path / str(refresh), epoch)
             same.append(scores == {i: set_up[i] for i in scores})
         assert same == expected, refresh
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_dumps_agree_with_metrics_csv(tmp_path):
+    # Each ledger dump reproduces its epoch's retained-set rows of metrics.csv, and
+    # each distribution dump is the retained rows of that ledger dump.
+    cfg = tiny_config(23)
+    pretrain(cfg, out_dir=tmp_path)
+    metric = {(int(r["epoch"]), r["metric"]): float(r["value"]) for r in _read_rows(tmp_path / "metrics.csv")}
+    prior = _read_rows(tmp_path / "ledger_epoch1.csv")  # epoch 1 filters every training pair
+    for epoch in range(1, cfg.train.epochs + 1):
+        ledger = _read_rows(tmp_path / f"ledger_epoch{epoch}.csv")
+        kept = [r for r in ledger if r["retained"] == "1"]
+        assert metric[(epoch, "retained_count")] == len(kept)
+        for tag in ("good", "clean", "noisy"):
+            assert metric[(epoch, f"frac_{tag}")] == sum(r["oracle_label"] == tag for r in kept) / len(kept)
+        kept_ids = {r["id"] for r in kept}
+        for name, members in (
+            ("retention_noisy", [r for r in prior if r["oracle_label"] == "noisy"]),
+            ("retention_good", [r for r in prior if r["oracle_label"] != "noisy"]),
+        ):
+            assert metric[(epoch, name)] == sum(r["id"] in kept_ids for r in members) / len(members)
+        dist = _read_rows(tmp_path / f"distribution_epoch{epoch}.csv")
+        assert [(r["id"], r["s_epoch"], r["c_total"], r["label"]) for r in dist] == [
+            (r["id"], r["epoch_score"], r["total_score"], r["oracle_label"]) for r in kept
+        ]
+        prior = kept
 
 
 def test_filtering_shrinks_geometrically():
@@ -499,9 +531,13 @@ def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pairsieve.harness.generate_dataset", no_training)
     monkeypatch.setattr("pairsieve.harness.train_teacher", no_training)
     out = str(tmp_path / "out")
+    # n_val above the good-pair count (240 of 600) is refused before data generation too.
+    too_many = ["--seed", "0", "--set", "data.n_pairs=600", "--set", "n_val=400"]
     for argv in (
         ["pretrain", "--out-dir", out, "--set", "n_val=0"],
         ["sweep", "--axis", "queue", "--values", "8", "--out-dir", out, "--set", "n_val=0"],
+        ["pretrain", "--out-dir", out, *too_many],
+        ["sweep", "--axis", "queue", "--values", "8,64", "--seeds", "0", "--out-dir", out, *too_many],
     ):
         assert main(argv) == 2, argv
         err = json.loads(capsys.readouterr().err.strip())

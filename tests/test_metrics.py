@@ -147,25 +147,24 @@ def test_select_threshold_maximizes_f1():
 
 
 def test_noise_composition_exact():
-    labels = {0: Label.GOOD, 1: Label.CLEAN, 2: Label.NOISY, 3: Label.GOOD}
-    comp = noise_composition([0, 1, 2, 3], labels)
+    codes = np.array([Label.GOOD, Label.CLEAN, Label.NOISY, Label.GOOD], dtype=np.int8)
+    comp = noise_composition(codes)
     assert comp == {"good": 0.5, "clean": 0.25, "noisy": 0.25}
     assert sum(comp.values()) == pytest.approx(1.0, abs=1e-12)
-    only_good = noise_composition([0, 3], labels)
+    only_good = noise_composition(codes[[0, 3]])
     assert only_good == {"good": 1.0, "clean": 0.0, "noisy": 0.0}
+    assert noise_composition(codes[:0]) == {"good": 0.0, "clean": 0.0, "noisy": 0.0}
 
 
 def test_export_distribution_epoch_one_totals_equal_scores(tmp_path):
-    ledger = ScoreLedger.fresh([0, 1, 2])
-    scores = {0: 0.4, 1: -0.2, 2: 0.9}
-    update_total_scores(ledger, scores, alpha=0.9)  # first epoch: total == score
-    labels = {0: Label.GOOD, 1: Label.NOISY, 2: Label.CLEAN}
-    rows = export_distribution(ledger, labels, retained_ids=[0, 1, 2])
-    assert len(rows) == 3
-    for rid, s, c, _ in rows:
-        assert s == c == scores[rid]
+    ledger = ScoreLedger.fresh(4)
+    scores = [0.4, -0.2, 0.9]
+    update_total_scores(ledger, [0, 1, 3], scores, alpha=0.9)  # first epoch: total == score
+    ids = np.array([5, 6, 8, 9])
+    labels = np.array([Label.GOOD, Label.NOISY, Label.GOOD, Label.CLEAN], dtype=np.int8)
+    rows = export_distribution(ledger, ids, labels, np.array([0, 1, 3]))
+    assert rows == [(5, 0.4, 0.4, "good"), (6, -0.2, -0.2, "noisy"), (9, 0.9, 0.9, "clean")]
     path = tmp_path / "dist.csv"
     write_distribution(path, rows)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,s_epoch,c_total,label"
-    assert len(lines) == 4
+    assert lines == ["id,s_epoch,c_total,label", "5,0.4,0.4,good", "6,-0.2,-0.2,noisy", "9,0.9,0.9,clean"]
