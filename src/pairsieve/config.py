@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,7 +108,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     stop: StopRule = field(default_factory=StopRule)
     filtering_on: bool = True  # score/rank/prune loop
-    shadow_refresh_on: bool = True  # score with the pair at each epoch boundary, else the set-up pair
+    shadow_refresh_on: bool = True  # score with the pair at each epoch boundary, else the set-up student
     n_val: int = 500
     seed: int = 0
 
@@ -196,6 +197,9 @@ def apply_override(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
     current = target[leaf]
     value: object
     if raw in ("null", "none", "None"):
+        owner = _SECTIONS[parts[0]] if len(parts) > 1 else RunConfig
+        if type(None) not in typing.get_args(typing.get_type_hints(owner)[leaf]):
+            raise ConfigError(f"{dotted}: cannot be null")
         value = None
     elif isinstance(current, bool):
         if raw.lower() not in ("true", "false", "1", "0"):

@@ -6,6 +6,9 @@ alpha * total + score); pairs are re-ranked by total and only the top
 keep_fraction survive into the next epoch. Successive epochs thus
 ensemble the judgments of successive model snapshots. Pruned pairs are
 never re-admitted.
+
+The key tower is frozen, so the run encodes the keys once
+(``PretrainRun.key_matrix``) and ``score_pairs`` takes their rows.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_TAGS, Dataset, Label, write_csv
-from .encoder import EncoderPairState, encode_batch
+from .data import LABEL_TAGS, Label, write_csv
+from .encoder import EncoderParams, encode_batch
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
 
 
@@ -49,10 +52,9 @@ class StopRule:
             raise ConfigError("patience must be >= 1")
 
 
-def score_pairs(shadow: EncoderPairState, ds: Dataset, rows: np.ndarray) -> np.ndarray:
-    """Cosine correlation of each pair under the shadow encoders, aligned with ``rows``."""
-    keys, _ = encode_batch(shadow.key_encoder, ds.x_a[rows])
-    queries, _ = encode_batch(shadow.query_encoder, ds.x_b[rows])
+def score_pairs(keys: np.ndarray, query_encoder: EncoderParams, x_b: np.ndarray) -> np.ndarray:
+    """Cosine correlation of each pair: a frozen key embedding against the query tower's encoding of ``x_b``."""
+    queries, _ = encode_batch(query_encoder, x_b)
     return np.sum(keys * queries, axis=1)  # unit rows: dot == cosine
 
 

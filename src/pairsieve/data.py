@@ -35,10 +35,6 @@ class Label(IntEnum):
     def tag(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "Label":
-        return cls[tag.upper()]
-
 
 LABEL_TAGS = tuple(lab.tag for lab in Label)  # indexed by label code
 
@@ -284,25 +280,30 @@ def write_manifest(path: str | Path, ds: Dataset) -> None:
 
 
 def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (ids, labels, tokens) arrays from a manifest file."""
+    """Return (ids, labels, tokens) arrays from a manifest file.
+
+    Labels must be ``LABEL_TAGS`` exactly; ids and tokens must read as 1-D and 2-D integer arrays.
+    """
     ids, labels, tokens = [], [], []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             try:
                 row = json.loads(line)
                 ids.append(row["id"])
-                labels.append(Label.from_tag(row["oracle_label"]))
+                labels.append(LABEL_TAGS.index(row["oracle_label"]))
                 tokens.append(row["tokens"])
             except (ValueError, KeyError, TypeError) as e:
                 raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
+    if not ids:
+        return np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros((0, 0), np.int64)
     try:
-        return (
-            np.array(ids, dtype=np.int64),
-            np.array(labels, dtype=np.int8),
-            np.array(tokens, dtype=np.int64),
-        )
+        id_col, token_rows = np.array(ids), np.array(tokens)
     except ValueError as e:
         raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({e})") from e
+    for name, col, ndim in (("ids", id_col, 1), ("tokens", token_rows, 2)):
+        if col.ndim != ndim or not np.issubdtype(col.dtype, np.signedinteger):
+            raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({name} read as {col.ndim}-D {col.dtype})")
+    return id_col.astype(np.int64, copy=False), np.array(labels, dtype=np.int8), token_rows.astype(np.int64, copy=False)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -3,7 +3,8 @@
 A frozen teacher encoder supervises a student through MSE between their
 normalized outputs. Teacher and student see different views of the same
 underlying content, so the student has to learn the teacher's embedding
-geometry rather than copy weights.
+geometry rather than copy weights. The teacher is frozen, so
+``harness.distill_student`` encodes its targets once; the functions here take them.
 """
 
 from __future__ import annotations
@@ -24,32 +25,24 @@ WARMUP_FRAC = 0.05
 class DistillJob:
     """Inputs and schedule for one distillation run."""
 
-    teacher: EncoderParams  # frozen
+    targets: np.ndarray  # (n, d_e) frozen teacher embeddings
     student: EncoderParams
-    x_teacher: np.ndarray  # (n, teacher.d_in) teacher-view inputs
     x_student: np.ndarray  # (n, student.d_in) student-view inputs, row-aligned
     base_lr: float = 0.05
     batch_size: int = 256
 
     def __post_init__(self):
-        if self.x_teacher.shape[0] != self.x_student.shape[0]:
-            raise DimMismatch("teacher and student inputs must pair up row-wise")
-        if self.teacher.embed_dim != self.student.embed_dim:
+        if self.targets.shape[0] != self.x_student.shape[0]:
+            raise DimMismatch("teacher targets and student inputs must pair up row-wise")
+        if self.targets.shape[1] != self.student.embed_dim:
             raise DimMismatch("teacher and student must share the output dimension")
 
 
-def distill_loss(
-    teacher: EncoderParams,
-    student: EncoderParams,
-    x_teacher: np.ndarray,
-    x_student: np.ndarray,
-) -> tuple[float, EncoderParams]:
+def distill_loss(targets: np.ndarray, student: EncoderParams, x_student: np.ndarray) -> tuple[float, EncoderParams]:
     """Mean squared embedding distance over the batch; grads for the student only."""
-    x_teacher = np.atleast_2d(x_teacher)
-    x_student = np.atleast_2d(x_student)
-    if x_teacher.shape[0] == 0:
+    targets = np.atleast_2d(targets)
+    if targets.shape[0] == 0:
         raise EmptyBatch("distillation batch is empty")
-    targets, _ = encode_batch(teacher, x_teacher)
     outputs, cache = encode_batch(student, x_student)
     diff = outputs - targets
     n = diff.shape[0]
@@ -58,16 +51,10 @@ def distill_loss(
     return loss, grads
 
 
-def distill_mse(
-    teacher: EncoderParams,
-    student: EncoderParams,
-    x_teacher: np.ndarray,
-    x_student: np.ndarray,
-) -> float:
+def distill_mse(targets: np.ndarray, student: EncoderParams, x_student: np.ndarray) -> float:
     """Loss-only evaluation, typically on held-out rows."""
-    targets, _ = encode_batch(teacher, np.atleast_2d(x_teacher))
-    outputs, _ = encode_batch(student, np.atleast_2d(x_student))
-    return float(np.mean(np.sum((outputs - targets) ** 2, axis=1)))
+    outputs, _ = encode_batch(student, x_student)
+    return float(np.mean(np.sum((outputs - np.atleast_2d(targets)) ** 2, axis=1)))
 
 
 def run_distillation(
@@ -76,7 +63,7 @@ def run_distillation(
     """SGD on the distillation loss; returns the student and per-step losses."""
     if steps <= 0:
         raise ValueError("steps must be positive")
-    n = job.x_teacher.shape[0]
+    n = job.targets.shape[0]
     student = job.student
     warmup = int(round(WARMUP_FRAC * steps))
     losses: list[float] = []
@@ -86,9 +73,7 @@ def run_distillation(
             pick = np.arange(n)
         else:
             pick = substream(seed, "distill", step).integers(0, n, size=job.batch_size)
-        loss, grads = distill_loss(
-            job.teacher, student, job.x_teacher[pick], job.x_student[pick]
-        )
+        loss, grads = distill_loss(job.targets[pick], student, job.x_student[pick])
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"distillation loss non-finite at step {step}")
         lr = cosine_warmup_lr(step, warmup, steps, job.base_lr)

@@ -189,26 +189,25 @@ def distill_student(inputs: StageInputs, teacher: TeacherBundle) -> tuple[Encode
 
     The teacher reads its own view of each vector, the student the raw
     vector, so matched outputs require learning the embedding, not the
-    identity. Returns (student, held-out MSE, loss curve).
+    identity. The frozen teacher's targets come from one encode. Returns
+    (student, held-out MSE, loss curve).
     """
     dc = inputs.distill
-    ds = _clean_pairs(inputs, dc.corpus_size + dc.held_out, "distill_data")
-    x_student = ds.x_b
-    x_teacher = x_student @ teacher.view.T
+    x_student = _clean_pairs(inputs, dc.corpus_size + dc.held_out, "distill_data").x_b
+    targets, _ = encode_batch(teacher.text_encoder, x_student @ teacher.view.T)
     split = dc.corpus_size
     student = init_params(
         stage_seed(inputs.seed, "student_init"), inputs.data.d_b, inputs.encoder.hidden, inputs.encoder.embed_dim
     )
     job = DistillJob(
-        teacher=teacher.text_encoder,
+        targets=targets[:split],
         student=student,
-        x_teacher=x_teacher[:split],
         x_student=x_student[:split],
         base_lr=dc.base_lr,
         batch_size=dc.batch_size,
     )
     student, curve = run_distillation(job, dc.steps, seed=inputs.seed)
-    held = distill_mse(teacher.text_encoder, student, x_teacher[split:], x_student[split:])
+    held = distill_mse(targets[split:], student, x_student[split:])
     return student, held, curve
 
 
@@ -233,15 +232,13 @@ def teacher_and_student(
     return teacher, student, held
 
 
-def validation_metrics(state: EncoderPairState, val: Dataset) -> dict[str, float]:
-    """Retrieval recalls plus match f1 on the validation pairs.
+def validation_metrics(keys: np.ndarray, queries: np.ndarray) -> dict[str, float]:
+    """Retrieval recalls plus match f1 on the validation pairs, given their embeddings row by row.
 
     The f1 threshold is tuned on the even-indexed pairs and scored on the
     odd-indexed ones.
     """
-    keys, _ = encode_batch(state.key_encoder, val.x_a)
-    queries, _ = encode_batch(state.query_encoder, val.x_b)
-    n = len(val)
+    n = len(keys)
     truth = np.arange(n)
     b2a = recall_at_k(queries, keys, truth, ks=(1, 5, 10))
     a2b = recall_at_k(keys, queries, truth, ks=(1, 5, 10))
@@ -314,8 +311,8 @@ class PretrainRun:
     """One pretraining run; between epochs its whole state is the fields of this object.
 
     The constructor is the set-up: data and split, teacher and student, MLM
-    head, frozen keys, ledger, set-up pair, queue and lr plan. Then one
-    ``run_epoch`` per epoch, and ``finish`` writes checkpoints and CSVs.
+    head, frozen training and validation keys, ledger, queue and lr plan.
+    Then one ``run_epoch`` per epoch, and ``finish`` writes checkpoints and CSVs.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None):
@@ -350,12 +347,13 @@ class PretrainRun:
         # Key embeddings are computed once with the frozen tower and reused all
         # run; the store file is their durable form and round-trips bit-exactly.
         self.key_matrix, _ = encode_batch(self.state.key_encoder, self.train.x_a)
+        self.val_keys, _ = encode_batch(self.state.key_encoder, self.val.x_a)
         if self.out is not None:
             write_store(self.out / "keys.ecst", self.key_matrix)
 
         # Curation state is held per training row; train.ids is increasing, so row order is id order.
         self.ledger = ScoreLedger.fresh(len(self.train))
-        self.setup_pair = EncoderPairState(teacher.key_encoder, student)  # scores every epoch without refresh
+        self.setup_student = student  # read-only; the query tower that scores without refresh
         self.retained = np.arange(len(self.train))  # sorted rows
         self.filtering_active = cfg.filtering_on
         self.queue = MemoryQueue(cfg.train.queue_capacity, cfg.encoder.embed_dim)
@@ -389,7 +387,8 @@ class PretrainRun:
         if self.filtering_active:
             # Scoring precedes training, so the live pair is the shadow refreshed at the epoch boundary.
             before = self.retained
-            scores = score_pairs(self.state if cfg.shadow_refresh_on else self.setup_pair, train, before)
+            query_encoder = self.state.query_encoder if cfg.shadow_refresh_on else self.setup_student
+            scores = score_pairs(self.key_matrix[before], query_encoder, train.x_b[before])
             update_total_scores(self.ledger, before, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
             self.retained = np.sort(rank_and_filter(self.ledger, before, cfg.train.keep_fraction))
@@ -455,7 +454,8 @@ class PretrainRun:
             report.timing_rows.append((epoch, "step_time_mean_s", elapsed / epoch_steps))
         report.log(epoch, "steps_cum", report.total_steps)
 
-        vm = validation_metrics(self.state, self.val)
+        val_queries, _ = encode_batch(self.state.query_encoder, self.val.x_b)
+        vm = validation_metrics(self.val_keys, val_queries)
         for name, value in vm.items():
             report.log(epoch, name, value)
 
@@ -486,11 +486,11 @@ def pretrain(
 ) -> RunReport:
     """Run the full pipeline and return its report.
 
-    Per epoch: score the retained pairs with the shadow (the pair as it
-    stands at the epoch boundary, or the set-up pair without
-    ``shadow_refresh_on``), fold the scores into smoothed totals, keep
-    the top fraction, train one pass (contrastive plus weighted
-    masked-token loss while filtering), evaluate, and test the stop
+    Per epoch: score the retained pairs with the shadow (the frozen keys
+    against the query tower as it stands at the epoch boundary, or against
+    the set-up student without ``shadow_refresh_on``), fold the scores into
+    smoothed totals, keep the top fraction, train one pass (contrastive plus
+    weighted masked-token loss while filtering), evaluate, and test the stop
     rule. Once filtering stops, training continues contrastive-only on
     the frozen subset. With ``filtering_on`` false the loop is the plain
     baseline over the full noisy set. ``stages`` lets runs with equal
@@ -560,9 +560,10 @@ def cmd_eval(
             ds = generate_dataset(cfg.data)
     except FileNotFoundError as e:
         raise FormatError(f"{e.filename}: no such file") from e
-    state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
     _, val = split_validation(ds, cfg.n_val, cfg.seed) if cfg.n_val else (ds, ds)
-    metrics = validation_metrics(state, val)
+    keys, _ = encode_batch(key_enc, val.x_a)
+    queries, _ = encode_batch(query_enc, val.x_b)
+    metrics = validation_metrics(keys, queries)
     comp = noise_composition(val.labels)
     for tag, v in comp.items():
         metrics[f"frac_{tag}"] = v

@@ -106,10 +106,11 @@ def test_criterion_01_gradient_fidelity():
     teacher = init_params(7, 6, 5, 4)
     x_t = substream(2, "distill", 2).standard_normal((5, 6))
     x_s = substream(2, "distill", 3).standard_normal((5, 6))
+    targets, _ = encode_batch(teacher, x_t)
 
     def distill_fn(arrays):
         s = _rebuild(p, arrays)
-        loss, grads = distill_loss(teacher, s, x_t, x_s)
+        loss, grads = distill_loss(targets, s, x_s)
         return loss, grads.arrays()
 
     errs["distill"] = finite_diff_check(distill_fn, p.arrays()).max_rel_err
@@ -329,8 +330,8 @@ def test_criterion_10_distillation():
         student, held, _ = distill_student(StageInputs.of(cfg), teacher)
         held_values.append(held)
         noisy_ds = generate_dataset(cfg.data)
-        shadow = EncoderPairState(key_encoder=teacher.key_encoder, query_encoder=student)
-        svals = score_pairs(shadow, noisy_ds, np.arange(len(noisy_ds)))
+        keys, _ = encode_batch(teacher.key_encoder, noisy_ds.x_a)
+        svals = score_pairs(keys, student, noisy_ds.x_b)
         good = svals[noisy_ds.labels == Label.GOOD].mean()
         noisy = svals[noisy_ds.labels == Label.NOISY].mean()
         gaps.append(good - noisy)

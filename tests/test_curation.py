@@ -16,7 +16,7 @@ from pairsieve.curation import (
     write_ledger_dump,
 )
 from pairsieve.data import GenConfig, Label, generate_dataset
-from pairsieve.encoder import EncoderPairState, init_params
+from pairsieve.encoder import EncoderPairState, encode_batch, init_params
 from pairsieve.errors import EmptySet, LedgerMiss, NonFiniteLoss
 
 
@@ -40,10 +40,11 @@ def test_score_pairs_deterministic_and_empty():
     ds = _toy_dataset()
     shadow = _shadow()
     rows = np.array([7, 0, 3, 12, 5])
-    once = score_pairs(shadow, ds, rows)
-    twice = score_pairs(shadow, ds, rows)
+    keys, _ = encode_batch(shadow.key_encoder, ds.x_a)
+    once = score_pairs(keys[rows], shadow.query_encoder, ds.x_b[rows])
+    twice = score_pairs(keys[rows], shadow.query_encoder, ds.x_b[rows])
     assert once.shape == (5,) and once.tobytes() == twice.tobytes()
-    assert score_pairs(shadow, ds, rows[:0]).shape == (0,)
+    assert score_pairs(keys[rows[:0]], shadow.query_encoder, ds.x_b[rows[:0]]).shape == (0,)
 
 
 def test_update_total_scores_direct():

@@ -20,7 +20,7 @@ from pairsieve.data import (
     write_csv,
     write_manifest,
 )
-from pairsieve.errors import ConfigError, DimMismatch, InsufficientData
+from pairsieve.errors import ConfigError, DimMismatch, FormatError, InsufficientData
 from pairsieve.rng import substream
 
 
@@ -290,6 +290,14 @@ def test_manifest_round_trip(tmp_path):
     second = tmp_path / "again.jsonl"
     write_manifest(second, generate_dataset(small_cfg(n_pairs=50, seed=12)))
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_read_manifest_rejects_scalar_tokens(tmp_path):
+    # Every line's tokens a scalar would stack into a 1-D array; a token array must be 2-D.
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"id": 0, "oracle_label": "good", "tokens": 7}\n{"id": 1, "oracle_label": "noisy", "tokens": 8}\n')
+    with pytest.raises(FormatError, match="tokens read as 1-D int64"):
+        read_manifest(path)
 
 
 def _manifest_by_json_dumps(ds):

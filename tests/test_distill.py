@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from pairsieve.distill import DistillJob, distill_loss, run_distillation
-from pairsieve.encoder import EncoderParams, clone_params, init_params
+from pairsieve.encoder import EncoderParams, clone_params, encode_batch, init_params
 from pairsieve.errors import DimMismatch, EmptyBatch
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
+
+
+def _targets(teacher, x):
+    return encode_batch(teacher, x)[0]
 
 
 def test_loss_zero_for_identical_copy():
     teacher = init_params(1, 6, 5, 4)
     student = clone_params(teacher)
     x = substream(0, "distill", 0).standard_normal((8, 6))
-    loss, grads = distill_loss(teacher, student, x, x)
+    loss, grads = distill_loss(_targets(teacher, x), student, x)
     assert loss == pytest.approx(0.0, abs=1e-30)
     for arr in grads.arrays():
         np.testing.assert_allclose(arr, 0.0, atol=1e-15)
@@ -24,18 +28,19 @@ def test_loss_reduces_gap_in_one_dim():
     teacher = EncoderParams(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1))
     student = EncoderParams(np.array([[-1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1))
     x = np.array([[1.0]])
-    loss, grads = distill_loss(teacher, student, x, x)
+    loss, grads = distill_loss(_targets(teacher, x), student, x)
     assert loss == pytest.approx(4.0)
     # The projection Jacobian of the 1-D normalization is zero, so use a
     # 2-D case to check the gradient direction reduces the gap.
     teacher2 = init_params(3, 4, 3, 2)
     student2 = init_params(4, 4, 3, 2)
     xs = substream(1, "distill", 1).standard_normal((6, 4))
-    loss_before, grads2 = distill_loss(teacher2, student2, xs, xs)
+    targets2 = _targets(teacher2, xs)
+    loss_before, grads2 = distill_loss(targets2, student2, xs)
     from pairsieve.encoder import sgd_step
 
     stepped = sgd_step(student2, grads2, lr=1e-3)
-    loss_after, _ = distill_loss(teacher2, stepped, xs, xs)
+    loss_after, _ = distill_loss(targets2, stepped, xs)
     assert loss_after < loss_before
 
 
@@ -45,6 +50,7 @@ def test_loss_gradient_matches_finite_differences():
     rng = substream(2, "distill", 2)
     x_t = rng.standard_normal((5, 6))
     x_s = rng.standard_normal((5, 6))
+    targets = _targets(teacher, x_t)
 
     def loss_fn(arrays):
         s = EncoderParams(
@@ -53,7 +59,7 @@ def test_loss_gradient_matches_finite_differences():
             np.asarray(arrays[2]).reshape(5, 4),
             np.asarray(arrays[3]),
         )
-        loss, grads = distill_loss(teacher, s, x_t, x_s)
+        loss, grads = distill_loss(targets, s, x_s)
         return loss, grads.arrays()
 
     report = finite_diff_check(loss_fn, student.arrays())
@@ -63,49 +69,50 @@ def test_loss_gradient_matches_finite_differences():
 def test_empty_batch_rejected():
     teacher = init_params(1, 4, 3, 2)
     with pytest.raises(EmptyBatch):
-        distill_loss(teacher, clone_params(teacher), np.empty((0, 4)), np.empty((0, 4)))
+        distill_loss(np.empty((0, 2)), clone_params(teacher), np.empty((0, 4)))
 
 
 def test_mismatched_rows_rejected():
     teacher = init_params(1, 4, 3, 2)
     with pytest.raises(DimMismatch):
-        DistillJob(
-            teacher=teacher,
-            student=clone_params(teacher),
-            x_teacher=np.ones((3, 4)),
-            x_student=np.ones((2, 4)),
-        )
+        DistillJob(targets=np.ones((3, 2)), student=clone_params(teacher), x_student=np.ones((2, 4)))
+
+
+def test_mismatched_output_dim_rejected():
+    teacher = init_params(1, 4, 3, 2)
+    with pytest.raises(DimMismatch):
+        DistillJob(targets=np.ones((3, 4)), student=clone_params(teacher), x_student=np.ones((3, 4)))
 
 
 def test_run_distillation_lr_zero_flat_curve():
     teacher = init_params(5, 6, 5, 4)
     student = init_params(6, 6, 5, 4)
     x = substream(3, "distill", 3).standard_normal((64, 6))
-    job = DistillJob(teacher=teacher, student=student, x_teacher=x, x_student=x, base_lr=0.0, batch_size=64)
+    job = DistillJob(targets=_targets(teacher, x), student=student, x_student=x, base_lr=0.0, batch_size=64)
     _, losses = run_distillation(job, steps=5, seed=0)
     assert len(set(losses)) == 1  # full-batch sampling with lr 0 repeats the same loss
 
 
 def test_teacher_untouched_by_distillation():
     teacher = init_params(5, 6, 5, 4)
-    frozen = [a.copy() for a in teacher.arrays()]
     student = init_params(6, 6, 5, 4)
     x = substream(4, "distill", 4).standard_normal((128, 6))
-    job = DistillJob(teacher=teacher, student=student, x_teacher=x, x_student=x, base_lr=0.05)
+    job = DistillJob(targets=_targets(teacher, x), student=student, x_student=x, base_lr=0.05)
+    frozen = job.targets.copy()
     run_distillation(job, steps=50, seed=1)
-    for a, b in zip(teacher.arrays(), frozen):
-        np.testing.assert_array_equal(a, b)
+    assert job.targets.tobytes() == frozen.tobytes()
 
 
 def test_descent_on_fixed_batch():
     teacher = init_params(9, 6, 5, 4)
     student = init_params(10, 6, 5, 4)
     x = substream(5, "distill", 5).standard_normal((32, 6))
+    targets = _targets(teacher, x)
     losses = []
     from pairsieve.encoder import sgd_step
 
     for _ in range(60):
-        loss, grads = distill_loss(teacher, student, x, x)
+        loss, grads = distill_loss(targets, student, x)
         losses.append(loss)
         student = sgd_step(student, grads, lr=5e-3)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))

@@ -18,7 +18,7 @@ from pairsieve.config import (
 )
 from pairsieve.curation import score_pairs
 from pairsieve.data import GenConfig, generate_dataset, split_validation
-from pairsieve.encoder import EncoderPairState, encode_batch, init_params, load_params, save_params
+from pairsieve.encoder import encode_batch, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import harness
 from pairsieve.harness import (
@@ -127,6 +127,27 @@ def test_config_override():
     assert cfg.train.keep_fraction == 0.8  # a rejected override leaves no trace
 
 
+@pytest.mark.parametrize("dotted", ["seed", "filtering_on", "shadow_refresh_on", "stop.enabled", "data.n_pairs"])
+def test_null_override_refused_for_required_fields(tmp_path, capsys, dotted):
+    # Only a field annotated as optional takes null; anything else exits 2 before the run directory exists.
+    out = tmp_path / "p"
+    argv = ["pretrain", "--seed", "0", "--set", f"{dotted}=null", "--set", "data.n_pairs=200", "--set", "n_val=20"]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and f"{dotted}: cannot be null" in err["message"]
+    assert not out.exists()
+
+
+def test_null_override_clears_optional_fields():
+    cfg = tiny_config()
+    cfg.train.step_budget = 5
+    cfg.train.filter_epochs_max = 2
+    cfg.data.world_seed = 3
+    for dotted in ("train.step_budget", "train.filter_epochs_max", "data.world_seed"):
+        cfg = apply_override(cfg, dotted, "null")
+    assert (cfg.train.step_budget, cfg.train.filter_epochs_max, cfg.data.world_seed) == (None, None, None)
+
+
 def test_config_validation_surfaces():
     payload = to_dict(tiny_config())
     payload["train"]["alpha"] = 1.5
@@ -175,14 +196,29 @@ def test_load_dataset_dir_empty(tmp_path):
     assert ds.x_b.shape == (0, cfg.data.d_b)
 
 
+def _manifest_line(rid="599", label='"good"', tokens="[" + "1, " * 11 + "1]") -> str:
+    """One manifest line of ``tiny_config`` (12 tokens), its fields given as raw JSON."""
+    return f'{{"id": {rid}, "oracle_label": {label}, "tokens": {tokens}}}\n'
+
+
 @pytest.mark.parametrize(
     "keep, tail, message",
     [
         (500, [], "manifest has 500 rows, x_a.ecst 600"),
         (599, ['{"id": 5, "orac'], "manifest.jsonl:600: malformed"),
         (599, ['{"id": 599, "oracle_label": "good", "tokens": [1]}\n'], "manifest ids or tokens"),
+        (599, [_manifest_line(label="5")], "manifest.jsonl:600: malformed"),
+        (599, [_manifest_line(label='"GoOd"')], "manifest.jsonl:600: malformed"),
+        (599, [_manifest_line(label='"3"')], "manifest.jsonl:600: malformed"),
+        (599, [_manifest_line(rid="99999999999999999999999")], "ids read as 1-D object"),
+        (599, [_manifest_line(rid="0.5")], "ids read as 1-D float64"),
+        (599, [_manifest_line(rid="1.7")], "ids read as 1-D float64"),
+        (599, [_manifest_line(rid='"3"')], "ids read as 1-D <U"),
+        (599, [_manifest_line(tokens="7")], "manifest ids or tokens"),
+        (599, [_manifest_line(tokens="[" + "1.5, " * 11 + "1.5]")], "tokens read as 2-D float64"),
     ],
-    ids=["truncated", "torn", "ragged"],
+    ids=["truncated", "torn", "ragged", "code-label", "case-label", "digit-label", "huge-id", "half-id",
+         "float-id", "string-id", "scalar-tokens", "float-tokens"],
 )
 def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep, tail, message):
     # A damaged manifest is a format error (exit 4): never scored against stores it does not describe.
@@ -238,11 +274,11 @@ def test_metrics_csv_keeps_finished_epochs_of_a_failed_run(tmp_path, monkeypatch
     real = harness.validation_metrics
     epochs_validated = []
 
-    def fail_in_epoch_2(state, val):
+    def fail_in_epoch_2(keys, queries):
         epochs_validated.append(len(epochs_validated) + 1)
         if epochs_validated[-1] == 2:
             raise RuntimeError("injected failure")
-        return real(state, val)
+        return real(keys, queries)
 
     monkeypatch.setattr(harness, "validation_metrics", fail_in_epoch_2)
     with pytest.raises(RuntimeError, match="injected failure"):
@@ -250,6 +286,29 @@ def test_metrics_csv_keeps_finished_epochs_of_a_failed_run(tmp_path, monkeypatch
     kept = (tmp_path / "cut/metrics.csv").read_text().splitlines(keepends=True)
     finished = [line for line in whole[1:] if int(line.split(",")[1]) <= 1]
     assert kept == whole[: 1 + len(finished)]  # the header and every row of epochs 0 and 1
+
+
+def test_frozen_towers_are_encoded_once(monkeypatch):
+    # The frozen key tower encodes the training keys and the validation keys, once each, and the
+    # teacher text tower the distillation targets once; scoring, validation and every distillation
+    # step read those embeddings.
+    from pairsieve import contrastive, curation, distill, encoder, mlm
+
+    real = encoder.encode_batch
+    encoded = []  # the parameters of every call, kept alive so that identities stay distinct
+
+    def spy(p, x):
+        encoded.append(p)
+        return real(p, x)
+
+    for mod in (encoder, harness, distill, curation, contrastive, mlm):
+        if getattr(mod, "encode_batch", None) is real:
+            monkeypatch.setattr(mod, "encode_batch", spy)
+    stages = {}
+    pretrain(tiny_config(23), stages=stages)
+    ((teacher, _, _),) = stages.values()
+    assert sum(p is teacher.key_encoder for p in encoded) == 2
+    assert sum(p is teacher.text_encoder for p in encoded) == 1
 
 
 def test_frozen_key_tower_and_store_consistency(tmp_path):
@@ -298,7 +357,7 @@ def test_shadow_is_the_set_up_pair_or_the_pair_at_the_epoch_boundary(tmp_path):
     stages = {}
     teacher, student, _ = teacher_and_student(StageInputs.of(cfg), stages)
     train, _ = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
-    set_up_scores = score_pairs(EncoderPairState(teacher.key_encoder, student), train, np.arange(len(train)))
+    set_up_scores = score_pairs(encode_batch(teacher.key_encoder, train.x_a)[0], student, train.x_b)
     set_up = dict(zip(train.ids.tolist(), set_up_scores.tolist()))
     for refresh, expected in ((False, [True, True, True]), (True, [True, False, False])):
         cfg.shadow_refresh_on = refresh
