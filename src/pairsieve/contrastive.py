@@ -137,20 +137,17 @@ def contrastive_forward(
     queue: MemoryQueue,
     batch: PairBatch,
     tau: float,
-    key_lookup: KeyLookup | None = None,
+    key_lookup: KeyLookup,
 ) -> tuple[np.ndarray, BatchCache, float, np.ndarray]:
     """Keys, query forward pass and contrastive loss of one training step.
 
-    Keys come from the frozen encoder (or a precomputed lookup holding
-    the same bits). Returns (keys, query forward cache, loss,
-    d(loss)/d(queries)).
+    The key tower is frozen, so its embeddings are computed once outside
+    the step; ``key_lookup(batch.ids)`` gathers the batch's rows of them.
+    Returns (keys, query forward cache, loss, d(loss)/d(queries)).
     """
     if batch.ids.shape[0] == 0:
         raise EmptyBatch("training batch is empty")
-    if key_lookup is not None:
-        keys = key_lookup(batch.ids)
-    else:
-        keys, _ = encode_batch(state.key_encoder, batch.x_a)
+    keys = key_lookup(batch.ids)
     queries, cache = encode_batch(state.query_encoder, batch.x_b)
     cbatch = ContrastiveBatch(queries=queries, positives=keys, ids=batch.ids)
     loss, d_queries = contrastive_loss(cbatch, queue, tau)
@@ -163,8 +160,8 @@ def training_step(
     batch: PairBatch,
     tau: float,
     lr: float,
-    weight_decay: float = 0.0,
-    key_lookup: KeyLookup | None = None,
+    weight_decay: float,
+    key_lookup: KeyLookup,
 ) -> tuple[EncoderPairState, MemoryQueue, float]:
     """One contrastive update of the query encoder.
 

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -289,6 +290,8 @@ def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         for lineno, line in enumerate(f, start=1):
             try:
                 row = json.loads(line)
+                if isinstance(row["id"], bool):  # numpy would read true as 1
+                    raise TypeError("id is a JSON boolean")
                 ids.append(row["id"])
                 labels.append(LABEL_TAGS.index(row["oracle_label"]))
                 tokens.append(row["tokens"])
@@ -303,6 +306,8 @@ def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for name, col, ndim in (("ids", id_col, 1), ("tokens", token_rows, 2)):
         if col.ndim != ndim or not np.issubdtype(col.dtype, np.signedinteger):
             raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({name} read as {col.ndim}-D {col.dtype})")
+    if bool in set(map(type, chain.from_iterable(tokens))):  # numpy reads false beside ints as 0
+        raise FormatError(f"{path}: manifest ids or tokens are not integer arrays (tokens hold JSON booleans)")
     return id_col.astype(np.int64, copy=False), np.array(labels, dtype=np.int8), token_rows.astype(np.int64, copy=False)
 
 

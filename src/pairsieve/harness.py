@@ -664,34 +664,35 @@ def benchmark_step_time(
 ) -> float:
     """Seconds per training step against a full queue of the given size.
 
-    Runs ``reps`` timed blocks of ``steps`` identical steps and returns
-    the per-step mean of the fastest block (minimum damps scheduler
-    noise). Blocks are timed in this thread's CPU time, so other
-    processes' load on a shared CPU does not count; process time would
-    count BLAS worker threads spinning between calls.
+    Runs ``reps`` timed blocks of ``steps`` steps and returns the per-step
+    mean of the fastest block (minimum damps scheduler noise). Blocks are
+    timed in this thread's CPU time, so other processes' load on a shared
+    CPU does not count; process time would count BLAS worker threads
+    spinning between calls. As in a run, each step gathers its keys from
+    one encode of the frozen tower, made outside the timed blocks.
     """
     rng = substream(cfg.seed, "bench")
     d_e = cfg.encoder.embed_dim
     key_enc = init_params(stage_seed(cfg.seed, "key_init"), cfg.data.d_a, cfg.encoder.hidden, d_e)
     query_enc = init_params(stage_seed(cfg.seed, "text_init"), cfg.data.d_b, cfg.encoder.hidden, d_e)
     n = cfg.train.batch_pairs
-    batch = PairBatch(
-        ids=np.arange(n, dtype=np.int64),
-        x_a=rng.standard_normal((n, cfg.data.d_a)),
-        x_b=rng.standard_normal((n, cfg.data.d_b)),
-    )
+    x_a = rng.standard_normal((n, cfg.data.d_a))
+    x_b = rng.standard_normal((n, cfg.data.d_b))
     fill = rng.standard_normal((queue_capacity, d_e))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
-
+    keys, _ = encode_batch(key_enc, x_a)
+    # Step s takes ids s*n onwards and the fill's ids are negative, so no queue entry shares a batch id.
+    batches = [PairBatch(ids=np.arange(s * n, (s + 1) * n), x_a=x_a, x_b=x_b) for s in range(steps)]
     best = float("inf")
     for _ in range(reps):
         state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
         queue = MemoryQueue(queue_capacity, d_e)
-        queue.push(fill, np.arange(10**6, 10**6 + queue_capacity))
+        queue.push(fill, np.arange(-queue_capacity, 0))
         t0 = time.thread_time()
-        for _ in range(steps):
+        for batch in batches:
             state, queue, _ = training_step(
-                state, queue, batch, cfg.train.tau, cfg.train.base_lr, cfg.train.weight_decay
+                state, queue, batch, cfg.train.tau, cfg.train.base_lr, cfg.train.weight_decay,
+                lambda ids: keys[ids % n],
             )
         best = min(best, (time.thread_time() - t0) / steps)
     return best

@@ -121,12 +121,12 @@ def combined_step(
     state: EncoderPairState,
     queue: MemoryQueue,
     pair_batch: PairBatch,
-    text_batch: MaskedBatch | None,
+    text_batch: MaskedBatch,
     text_weight: float,
     tau: float,
     lr: float,
-    weight_decay: float = 0.0,
-    key_lookup: KeyLookup | None = None,
+    weight_decay: float,
+    key_lookup: KeyLookup,
 ) -> tuple[EncoderPairState, MemoryQueue, tuple[float, float]]:
     """One update combining the contrastive and masked-token objectives.
 
@@ -137,12 +137,11 @@ def combined_step(
     keys, cache, loss_c, d_queries = contrastive_forward(state, queue, pair_batch, tau, key_lookup)
     w = text_weight
     loss_mlm = 0.0
-    mlm_grads = None
-    if w > 0 and text_batch is not None:
+    if w > 0:
         loss_mlm, mlm_grads = mlm_loss(state.query_encoder, state.mlm, text_batch)
     if lr > 0:
         grads = encode_backward(state.query_encoder, cache, d_queries)
-        if mlm_grads is not None:
+        if w > 0:
             grads = EncoderParams(*(g + w * m for g, m in zip(grads.arrays(), mlm_grads.encoder.arrays())))
             state.mlm = MlmHead(
                 lift=state.mlm.lift,

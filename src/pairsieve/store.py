@@ -50,20 +50,12 @@ class StoreHeader:
     count: int
 
 
-def write_store(path: str | Path, embeddings: np.ndarray | list[np.ndarray]) -> StoreHeader:
-    """Write rows to ``path``; empty input produces a header-only file."""
-    if isinstance(embeddings, list):
-        if embeddings and len({e.shape for e in embeddings}) != 1:
-            raise DimMismatch("store rows must share one dimension")
-        rows = np.asarray(embeddings, dtype=np.float64)
-    else:
-        rows = np.asarray(embeddings, dtype=np.float64)
-    if rows.size == 0:
-        count, dim = 0, (rows.shape[1] if rows.ndim == 2 else 0)
-    else:
-        if rows.ndim != 2:
-            raise DimMismatch(f"expected 2-D row data, got shape {rows.shape}")
-        count, dim = rows.shape
+def write_store(path: str | Path, embeddings: np.ndarray) -> StoreHeader:
+    """Write the rows of a 2-D array to ``path``; an array with no rows gives a header-only file."""
+    rows = np.asarray(embeddings, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DimMismatch(f"expected 2-D row data, got shape {rows.shape}")
+    count, dim = rows.shape
     header = StoreHeader(STORE_VERSION, dim, count)
     with atomic_open(path) as f:
         f.write(_HEADER.pack(STORE_MAGIC, header.version, dim, count))

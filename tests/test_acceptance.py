@@ -308,7 +308,8 @@ def test_criterion_09_frozen_key_consistency():
             rows = [row_of[int(i)] for i in ids]
             batch = PairBatch(ids=ids, x_a=train.x_a[rows], x_b=train.x_b[rows])
             state, queue, _ = training_step(
-                state, queue, batch, tau=0.07, lr=5e-3, key_lookup=lambda i: keys[[row_of[int(j)] for j in i]]
+                state, queue, batch, tau=0.07, lr=5e-3, weight_decay=0.0,
+                key_lookup=lambda i: keys[[row_of[int(j)] for j in i]],
             )
         emb, ids_in_queue = queue.snapshot()
         fresh, _ = encode_batch(state.key_encoder, train.x_a[[row_of[int(i)] for i in ids_in_queue]])
@@ -369,10 +370,15 @@ def test_criterion_11_mlm_contract():
             mlm=init_mlm_head(33, 7, 6, 4),
         )
 
+    keys, _ = encode_batch(fresh_state().key_encoder, pair_batch.x_a)
     sa, qa, _ = combined_step(
-        fresh_state(), MemoryQueue(8, 4), pair_batch, text, 0.0, tau=0.07, lr=1e-2
+        fresh_state(), MemoryQueue(8, 4), pair_batch, text, 0.0, tau=0.07, lr=1e-2, weight_decay=0.0,
+        key_lookup=lambda ids: keys[ids],
     )
-    sb, qb, _ = training_step(fresh_state(), MemoryQueue(8, 4), pair_batch, tau=0.07, lr=1e-2)
+    sb, qb, _ = training_step(
+        fresh_state(), MemoryQueue(8, 4), pair_batch, tau=0.07, lr=1e-2, weight_decay=0.0,
+        key_lookup=lambda ids: keys[ids],
+    )
     identical = all(
         a.tobytes() == b.tobytes()
         for a, b in zip(sa.query_encoder.arrays(), sb.query_encoder.arrays())

@@ -281,7 +281,10 @@ def test_training_step_lr_zero_only_grows_queue():
     )
     before = [a.copy() for a in state.query_encoder.arrays()]
     queue = MemoryQueue(16, 4)
-    state, queue, loss = training_step(state, queue, batch, tau=0.07, lr=0.0)
+    keys, _ = encode_batch(state.key_encoder, batch.x_a)
+    state, queue, loss = training_step(
+        state, queue, batch, tau=0.07, lr=0.0, weight_decay=0.0, key_lookup=lambda ids: keys[ids]
+    )
     for a, b in zip(state.query_encoder.arrays(), before):
         np.testing.assert_array_equal(a, b)
     assert len(queue) == 3
@@ -303,7 +306,9 @@ def test_training_step_push_after_loss():
         MemoryQueue(16, 4),
         tau=0.07,
     )
-    _, queue, loss = training_step(state, queue, batch, tau=0.07, lr=1e-3)
+    _, queue, loss = training_step(
+        state, queue, batch, tau=0.07, lr=1e-3, weight_decay=0.0, key_lookup=lambda ids: keys[ids]
+    )
     assert loss == pytest.approx(expected, abs=1e-12)
     assert len(queue) == 2
 
@@ -321,12 +326,16 @@ def test_training_convergence_on_clean_toy_set():
             key_encoder=init_params(seed * 7 + 1, cfg.d_a, 32, 16),
             query_encoder=init_params(seed * 7 + 2, cfg.d_b, 32, 16),
         )
+        keys, _ = encode_batch(state.key_encoder, ds.x_a)
         capacity = 128
         queue = MemoryQueue(capacity, 16)
         loss = None
         for step in range(200):
             pick = substream(seed, "batch", step).integers(0, 64, size=32)
             batch = PairBatch(ids=ds.ids[pick], x_a=ds.x_a[pick], x_b=ds.x_b[pick])
-            state, queue, loss = training_step(state, queue, batch, tau=0.07, lr=5e-3)
+            state, queue, loss = training_step(
+                state, queue, batch, tau=0.07, lr=5e-3, weight_decay=0.0,
+                key_lookup=lambda ids: keys[ds.rows_for_ids(ids)],
+            )
         wins += loss < 0.5 * math.log(1 + capacity)
     assert wins >= 3

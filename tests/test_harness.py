@@ -20,7 +20,7 @@ from pairsieve.curation import score_pairs
 from pairsieve.data import GenConfig, generate_dataset, split_validation
 from pairsieve.encoder import encode_batch, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
-from pairsieve import harness
+from pairsieve import contrastive, harness
 from pairsieve.harness import (
     StageInputs,
     TeacherBundle,
@@ -148,6 +148,29 @@ def test_null_override_clears_optional_fields():
     assert (cfg.train.step_budget, cfg.train.filter_epochs_max, cfg.data.world_seed) == (None, None, None)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"filtering_on": "false"}, {"train": {"epochs": 2.5}}, {"data": {"n_pairs": True}}],
+    ids=["string-for-bool", "float-for-int", "bool-for-int"],
+)
+def test_mistyped_config_exits_2_before_any_output(tmp_path, capsys, payload):
+    # Each value is checked against its field's annotation before the run directory exists.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "p"
+    assert main(["pretrain", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_override_parses_by_annotation_and_ints_stay_in_float_fields():
+    payload = to_dict(tiny_config())
+    payload["train"]["base_lr"] = 1
+    cfg = from_dict(payload)
+    assert to_json(cfg) == json.dumps(payload, indent=2, sort_keys=True)  # stored unchanged
+    assert apply_override(cfg, "train.base_lr", "0.5").train.base_lr == 0.5
+
+
 def test_config_validation_surfaces():
     payload = to_dict(tiny_config())
     payload["train"]["alpha"] = 1.5
@@ -216,9 +239,11 @@ def _manifest_line(rid="599", label='"good"', tokens="[" + "1, " * 11 + "1]") ->
         (599, [_manifest_line(rid='"3"')], "ids read as 1-D <U"),
         (599, [_manifest_line(tokens="7")], "manifest ids or tokens"),
         (599, [_manifest_line(tokens="[" + "1.5, " * 11 + "1.5]")], "tokens read as 2-D float64"),
+        (599, [_manifest_line(rid="true")], "manifest.jsonl:600: malformed"),
+        (599, [_manifest_line(tokens="[" + "1, " * 11 + "false]")], "tokens hold JSON booleans"),
     ],
     ids=["truncated", "torn", "ragged", "code-label", "case-label", "digit-label", "huge-id", "half-id",
-         "float-id", "string-id", "scalar-tokens", "float-tokens"],
+         "float-id", "string-id", "scalar-tokens", "float-tokens", "bool-id", "bool-token"],
 )
 def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep, tail, message):
     # A damaged manifest is a format error (exit 4): never scored against stores it does not describe.
@@ -484,6 +509,47 @@ def test_benchmark_step_time_positive():
     cfg = tiny_config(14)
     t = benchmark_step_time(cfg, queue_capacity=8, steps=5, reps=2)
     assert t > 0
+
+
+def test_benchmark_step_encodes_the_key_tower_once(monkeypatch):
+    # As in a run, the frozen key tower is encoded once per call, outside the timed blocks; every
+    # step encodes only its queries and gathers its keys.
+    real_init, real_encode = harness.init_params, harness.encode_batch
+    made, encoded = [], []
+
+    def init_spy(*args):
+        made.append(real_init(*args))
+        return made[-1]
+
+    def encode_spy(p, x):
+        encoded.append((p, x.shape[0]))
+        return real_encode(p, x)
+
+    monkeypatch.setattr(harness, "init_params", init_spy)
+    for mod in (harness, contrastive):
+        monkeypatch.setattr(mod, "encode_batch", encode_spy)
+    cfg = tiny_config(14)
+    steps, reps = 6, 3
+    benchmark_step_time(cfg, queue_capacity=64, steps=steps, reps=reps)
+    key_enc, _ = made
+    assert [rows for p, rows in encoded if p is key_enc] == [cfg.train.batch_pairs]
+    assert sum(p is not key_enc for p, _ in encoded) == steps * reps
+
+
+def test_benchmark_step_ids_never_meet_the_queue(monkeypatch):
+    # Every step contrasts against a full queue whose ids are all outside the batch, so the
+    # same-id exclusion removes nothing, as for nearly every column in a run.
+    real = contrastive.contrastive_loss
+    seen = []
+
+    def spy(batch, queue, tau):
+        neg_ids = queue.snapshot()[1]
+        seen.append((len(neg_ids), bool(np.isin(neg_ids, batch.ids).any())))
+        return real(batch, queue, tau)
+
+    monkeypatch.setattr(contrastive, "contrastive_loss", spy)
+    benchmark_step_time(tiny_config(14), queue_capacity=256, steps=8, reps=2)
+    assert seen == [(256, False)] * 16
 
 
 def test_cli_gen_data_and_errors(tmp_path, capsys):

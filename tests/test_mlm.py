@@ -11,6 +11,7 @@ from pairsieve.encoder import (
     EncoderPairState,
     MlmHead,
     cosine_warmup_lr,
+    encode_batch,
     init_mlm_head,
     init_params,
     sgd_step,
@@ -194,11 +195,13 @@ def test_combined_step_weight_zero_bit_identical():
     state_b = _pair_state(1)
     queue_a = MemoryQueue(8, 4)
     queue_b = MemoryQueue(8, 4)
+    keys, _ = encode_batch(state_a.key_encoder, pair_batch.x_a)
     state_a, queue_a, (loss_c, loss_m) = combined_step(
-        state_a, queue_a, pair_batch, masked, 0.0, tau=0.07, lr=1e-2
+        state_a, queue_a, pair_batch, masked, 0.0, tau=0.07, lr=1e-2, weight_decay=0.0,
+        key_lookup=lambda ids: keys[ids],
     )
     state_b, queue_b, loss_plain = training_step(
-        state_b, queue_b, pair_batch, tau=0.07, lr=1e-2
+        state_b, queue_b, pair_batch, tau=0.07, lr=1e-2, weight_decay=0.0, key_lookup=lambda ids: keys[ids]
     )
     assert loss_c == loss_plain
     assert loss_m == 0.0
@@ -219,8 +222,10 @@ def test_combined_step_updates_head_and_encoder():
     enc_before = state.query_encoder.w1.copy()
     key_before = [a.copy() for a in state.key_encoder.arrays()]
     queue = MemoryQueue(8, 4)
+    keys, _ = encode_batch(state.key_encoder, pair_batch.x_a)
     state, queue, (loss_c, loss_m) = combined_step(
-        state, queue, pair_batch, masked, 0.5, tau=0.07, lr=1e-2
+        state, queue, pair_batch, masked, 0.5, tau=0.07, lr=1e-2, weight_decay=0.0,
+        key_lookup=lambda ids: keys[ids],
     )
     assert loss_m > 0
     assert not np.array_equal(state.mlm.w, head_before)

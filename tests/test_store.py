@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairsieve.errors import DimMismatch, FormatError
+from pairsieve.errors import FormatError
 from pairsieve.store import HEADER_SIZE, StoreHandle, write_store
 
 
@@ -86,11 +86,6 @@ def test_read_all_short_read_detected(tmp_path):
             f.truncate(HEADER_SIZE + 8)  # shrunk after the size check at open
         with pytest.raises(FormatError):
             h.read_all()
-
-
-def test_inconsistent_dims_rejected(tmp_path):
-    with pytest.raises(DimMismatch):
-        write_store(tmp_path / "d.ecst", [np.ones(3), np.ones(4)])
 
 
 @given(
