@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How often acceptance criterion 8's step-time check flips on this host.
 
-Runs the criterion's four ``benchmark_step_time`` calls (its config, queue
+Runs the criterion's ``benchmark_step_time`` call (its config, queue
 sizes 8, 64, 512 and 4096, 40 steps, best of 5 blocks) ``--runs`` times in
 one process, against whichever ``pairsieve`` is importable. A run flips
 when its times are not monotone in the queue size, which fails the
@@ -30,7 +30,7 @@ def main() -> None:
     cfg = RunConfig(data=GenConfig(n_pairs=1000, seed=0), seed=0)
     runs, flips = [], 0
     for i in range(args.runs):
-        times = [benchmark_step_time(cfg, q, steps=40, reps=5) * 1e6 for q in SIZES]
+        times = [t * 1e6 for t in benchmark_step_time(cfg, SIZES, steps=40, reps=5)]
         flipped = not all(a <= b for a, b in zip(times, times[1:]))
         flips += flipped
         runs.append(times)

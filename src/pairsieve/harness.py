@@ -168,19 +168,19 @@ def train_teacher(inputs: StageInputs) -> TeacherBundle:
     warmup = int(round(inputs.warmup_frac * steps))
     n = len(ds)
     for step in range(steps):
+        # Clean-pair ids are their rows (arange), so the picked rows name the pairs.
         pick = substream(seed, "teacher", step).integers(0, n, size=tc.batch_size)
-        ids = ds.ids[pick]
         lr = cosine_warmup_lr(step, warmup, steps, inputs.base_lr)
         emb_a, cache_a = encode_batch(enc_a, ds.x_a[pick])
         emb_b, cache_b = encode_batch(enc_b, x_view[pick])
         # Two one-sided losses train both towers symmetrically.
-        _, d_b = contrastive_loss(ContrastiveBatch(emb_b, emb_a, ids), queue_a, tau)
-        _, d_a = contrastive_loss(ContrastiveBatch(emb_a, emb_b, ids), queue_b, tau)
+        _, d_b = contrastive_loss(ContrastiveBatch(emb_b, emb_a, pick), queue_a, tau)
+        _, d_a = contrastive_loss(ContrastiveBatch(emb_a, emb_b, pick), queue_b, tau)
         if lr > 0:
             enc_b = sgd_step(enc_b, encode_backward(enc_b, cache_b, d_b), lr, wd)
             enc_a = sgd_step(enc_a, encode_backward(enc_a, cache_a, d_a), lr, wd)
-        queue_a.push(emb_a, ids)
-        queue_b.push(emb_b, ids)
+        queue_a.push(emb_a, pick)
+        queue_b.push(emb_b, pick)
     return TeacherBundle(key_encoder=enc_a, text_encoder=enc_b, view=view)
 
 
@@ -351,7 +351,7 @@ class PretrainRun:
         if self.out is not None:
             write_store(self.out / "keys.ecst", self.key_matrix)
 
-        # Curation state is held per training row; train.ids is increasing, so row order is id order.
+        # Curation state and step ids are training rows; train.ids (increasing) maps a row to its output id.
         self.ledger = ScoreLedger.fresh(len(self.train))
         self.setup_student = student  # read-only; the query tower that scores without refresh
         self.retained = np.arange(len(self.train))  # sorted rows
@@ -367,8 +367,8 @@ class PretrainRun:
         self.warmup = int(round(cfg.train.warmup_frac * self.plan_steps))
         self.regular_term = 1.0
 
-    def key_lookup(self, ids: np.ndarray) -> np.ndarray:
-        return self.key_matrix[self.train.rows_for_ids(ids)]
+    def key_lookup(self, rows: np.ndarray) -> np.ndarray:
+        return self.key_matrix[rows]
 
     def out_of_steps(self) -> bool:
         budget = self.cfg.train.step_budget
@@ -419,7 +419,7 @@ class PretrainRun:
         for rows in _epoch_batches(self.retained, cfg.train.batch_pairs, cfg.seed, epoch):
             if self.out_of_steps():
                 break
-            pair_batch = PairBatch(ids=train.ids[rows], x_a=train.x_a[rows], x_b=train.x_b[rows])
+            pair_batch = PairBatch(ids=rows, x_a=train.x_a[rows], x_b=train.x_b[rows])
             lr = cosine_warmup_lr(self.state.step, self.warmup, self.plan_steps, cfg.train.base_lr)
             if self.filtering_active and cfg.train.batch_text > 0:
                 text_rng = substream(cfg.seed, "mask", self.state.step)
@@ -632,7 +632,6 @@ def cmd_sweep(
 
     results = []
     stages: StageCache = {}
-    step_times: dict[int, float] = {}
     for variant in points:
         value = reduce(getattr, dotted.split("."), variant)
         sub = out / f"{axis}_{value}_seed{variant.seed}"
@@ -647,11 +646,8 @@ def cmd_sweep(
             "frac_noisy": report.metric(last_epoch, "frac_noisy"),
             "retained_count": report.metric(last_epoch, "retained_count"),
             "total_steps": report.total_steps,
+            "step_time_s": report.timing_rows[-1][2],
         }
-        if axis == "queue":
-            if value not in step_times:
-                step_times[value] = benchmark_step_time(cfg, value)
-            row["step_time_s"] = step_times[value]
         results.append(row)
 
     names = list(results[0])
@@ -660,16 +656,18 @@ def cmd_sweep(
 
 
 def benchmark_step_time(
-    cfg: RunConfig, queue_capacity: int, steps: int = 60, reps: int = 5
-) -> float:
-    """Seconds per training step against a full queue of the given size.
+    cfg: RunConfig, capacities: tuple[int, ...], steps: int = 60, reps: int = 5
+) -> list[float]:
+    """Seconds per training step against a full queue of each given size.
 
-    Runs ``reps`` timed blocks of ``steps`` steps and returns the per-step
-    mean of the fastest block (minimum damps scheduler noise). Blocks are
-    timed in this thread's CPU time, so other processes' load on a shared
-    CPU does not count; process time would count BLAS worker threads
-    spinning between calls. As in a run, each step gathers its keys from
-    one encode of the frozen tower, made outside the timed blocks.
+    Each of ``reps`` repetitions times one block of ``steps`` steps per size
+    in turn, so a slow spell of the host hits every size alike; a block's
+    first step is untimed, so no timed step refills a cache that another size
+    left. A size's figure is its fastest block's per-step mean in this
+    thread's CPU time, which leaves out time given to other processes (not
+    their slowing of a shared core) and BLAS workers spinning between calls.
+    As in a run, each step gathers its keys from one encode of the frozen
+    tower, made outside the timed blocks.
     """
     rng = substream(cfg.seed, "bench")
     d_e = cfg.encoder.embed_dim
@@ -678,21 +676,23 @@ def benchmark_step_time(
     n = cfg.train.batch_pairs
     x_a = rng.standard_normal((n, cfg.data.d_a))
     x_b = rng.standard_normal((n, cfg.data.d_b))
-    fill = rng.standard_normal((queue_capacity, d_e))
+    fill = rng.standard_normal((max(capacities), d_e))
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
     keys, _ = encode_batch(key_enc, x_a)
     # Step s takes ids s*n onwards and the fill's ids are negative, so no queue entry shares a batch id.
-    batches = [PairBatch(ids=np.arange(s * n, (s + 1) * n), x_a=x_a, x_b=x_b) for s in range(steps)]
-    best = float("inf")
+    batches = [PairBatch(ids=np.arange(s * n, (s + 1) * n), x_a=x_a, x_b=x_b) for s in range(steps + 1)]
+    best = [float("inf")] * len(capacities)
     for _ in range(reps):
-        state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
-        queue = MemoryQueue(queue_capacity, d_e)
-        queue.push(fill, np.arange(-queue_capacity, 0))
-        t0 = time.thread_time()
-        for batch in batches:
-            state, queue, _ = training_step(
-                state, queue, batch, cfg.train.tau, cfg.train.base_lr, cfg.train.weight_decay,
-                lambda ids: keys[ids % n],
-            )
-        best = min(best, (time.thread_time() - t0) / steps)
+        for i, capacity in enumerate(capacities):
+            state = EncoderPairState(key_encoder=key_enc, query_encoder=query_enc)
+            queue = MemoryQueue(capacity, d_e)
+            queue.push(fill[:capacity], np.arange(-capacity, 0))
+            for s, batch in enumerate(batches):
+                if s == 1:  # step 0 is the untimed one
+                    t0 = time.thread_time()
+                state, queue, _ = training_step(
+                    state, queue, batch, cfg.train.tau, cfg.train.base_lr, cfg.train.weight_decay,
+                    lambda ids: keys[ids % n],
+                )
+            best[i] = min(best[i], (time.thread_time() - t0) / steps)
     return best

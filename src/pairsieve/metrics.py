@@ -74,19 +74,18 @@ def f1_at_threshold(
 
 
 def select_threshold(true_scores: np.ndarray, mismatch_scores: np.ndarray) -> float:
-    """Threshold maximizing f1, scanned over midpoints of the pooled scores."""
-    pooled = np.unique(np.concatenate([true_scores, mismatch_scores]))
-    if pooled.size == 1:
-        candidates = [pooled[0] - 1.0]
-    else:
-        mids = (pooled[:-1] + pooled[1:]) / 2.0
-        candidates = [pooled[0] - 1.0, *mids]
-    best_t, best_f1 = candidates[0], -1.0
-    for t in candidates:
-        r = f1_at_threshold(true_scores, mismatch_scores, t)
-        if r.f1 > best_f1:
-            best_t, best_f1 = t, r.f1
-    return float(best_t)
+    """Threshold maximizing ``f1_at_threshold`` over midpoints of the pooled scores; the lowest of equals wins."""
+    true_sorted, mism_sorted = np.sort(true_scores), np.sort(mismatch_scores)
+    if true_sorted.size == 0 or mism_sorted.size == 0:
+        raise ValueError("both score populations must be non-empty")
+    pooled = np.unique(np.concatenate([true_sorted, mism_sorted]))
+    candidates = np.concatenate([[pooled[0] - 1.0], (pooled[:-1] + pooled[1:]) / 2.0])
+    tp = true_sorted.size - np.searchsorted(true_sorted, candidates, side="right")
+    fp = mism_sorted.size - np.searchsorted(mism_sorted, candidates, side="right")
+    precision = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp > 0)
+    recall = tp / true_sorted.size
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(tp.shape), where=tp > 0)
+    return float(candidates[np.argmax(f1)])
 
 
 def noise_composition(codes: np.ndarray) -> dict[str, float]:

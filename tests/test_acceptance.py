@@ -270,7 +270,7 @@ def test_criterion_08_queue_behaviour(stages):
         wins += recalls[512] >= recalls[8]
 
     bench_cfg = RunConfig(data=GenConfig(n_pairs=1000, seed=0), seed=0)
-    times = [benchmark_step_time(bench_cfg, q, steps=40, reps=5) for q in (8, 64, 512, 4096)]
+    times = benchmark_step_time(bench_cfg, (8, 64, 512, 4096), steps=40, reps=5)
     monotone = all(a <= b for a, b in zip(times, times[1:]))
     ok = wins >= 4 and monotone
     detail = (

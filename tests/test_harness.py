@@ -17,7 +17,7 @@ from pairsieve.config import (
     to_json,
 )
 from pairsieve.curation import score_pairs
-from pairsieve.data import GenConfig, generate_dataset, split_validation
+from pairsieve.data import Dataset, GenConfig, generate_dataset, split_validation
 from pairsieve.encoder import encode_batch, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import contrastive, harness
@@ -507,8 +507,8 @@ def test_sweep_single_value_matches_pretrain(tmp_path):
 
 def test_benchmark_step_time_positive():
     cfg = tiny_config(14)
-    t = benchmark_step_time(cfg, queue_capacity=8, steps=5, reps=2)
-    assert t > 0
+    times = benchmark_step_time(cfg, (8, 64), steps=5, reps=2)
+    assert len(times) == 2 and all(t > 0 for t in times)
 
 
 def test_benchmark_step_encodes_the_key_tower_once(monkeypatch):
@@ -529,16 +529,18 @@ def test_benchmark_step_encodes_the_key_tower_once(monkeypatch):
     for mod in (harness, contrastive):
         monkeypatch.setattr(mod, "encode_batch", encode_spy)
     cfg = tiny_config(14)
-    steps, reps = 6, 3
-    benchmark_step_time(cfg, queue_capacity=64, steps=steps, reps=reps)
+    capacities, steps, reps = (8, 64), 6, 3
+    benchmark_step_time(cfg, capacities, steps=steps, reps=reps)
     key_enc, _ = made
     assert [rows for p, rows in encoded if p is key_enc] == [cfg.train.batch_pairs]
-    assert sum(p is not key_enc for p, _ in encoded) == steps * reps
+    # Each block takes one untimed step before its timed ones.
+    assert sum(p is not key_enc for p, _ in encoded) == len(capacities) * (steps + 1) * reps
 
 
 def test_benchmark_step_ids_never_meet_the_queue(monkeypatch):
     # Every step contrasts against a full queue whose ids are all outside the batch, so the
-    # same-id exclusion removes nothing, as for nearly every column in a run.
+    # same-id exclusion removes nothing, as for nearly every column in a run. Each repetition
+    # runs one block per size, in the order given: one untimed step, then the timed ones.
     real = contrastive.contrastive_loss
     seen = []
 
@@ -548,8 +550,8 @@ def test_benchmark_step_ids_never_meet_the_queue(monkeypatch):
         return real(batch, queue, tau)
 
     monkeypatch.setattr(contrastive, "contrastive_loss", spy)
-    benchmark_step_time(tiny_config(14), queue_capacity=256, steps=8, reps=2)
-    assert seen == [(256, False)] * 16
+    benchmark_step_time(tiny_config(14), (256, 64), steps=8, reps=2)
+    assert seen == ([(256, False)] * 9 + [(64, False)] * 9) * 2
 
 
 def test_cli_gen_data_and_errors(tmp_path, capsys):
@@ -796,11 +798,47 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
     cfg = tiny_config(20)
     cfg.train.epochs = 1
     teacher_runs = count_calls(monkeypatch, "train_teacher")
-    step_timings = count_calls(monkeypatch, "benchmark_step_time")
     rows = cmd_sweep(cfg, "queue", [8, 64], seeds=[0, 1], out_dir=tmp_path / "sweep")
     assert len(rows) == 4
     assert len(teacher_runs) == 2
-    # One step-time measurement per queue size, shared by both seeds' rows.
-    assert [args[1] for args in step_timings] == [8, 64]
-    assert rows[0]["step_time_s"] == rows[1]["step_time_s"]
-    assert rows[2]["step_time_s"] == rows[3]["step_time_s"]
+
+
+@pytest.mark.parametrize("axis, values", [("queue", [8, 64]), ("lambda", [0.8, 0.9])])
+def test_sweep_step_time_is_its_runs_own(tmp_path, monkeypatch, axis, values):
+    # Each row's step_time_s is the last step time its own run wrote; no synthetic step is timed.
+    cfg = tiny_config(21)
+    cfg.train.epochs = 2
+    step_timings = count_calls(monkeypatch, "benchmark_step_time")
+    rows = cmd_sweep(cfg, axis, values, seeds=[21], out_dir=tmp_path)
+    assert step_timings == []
+    for row in rows:
+        timing = _read_rows(tmp_path / f"{axis}_{row['value']}_seed21/timing.csv")
+        assert [r["metric"] for r in timing] == ["step_time_mean_s"] * 2
+        assert row["step_time_s"] == float(timing[-1]["value"])
+    with open(tmp_path / f"sweep_{axis}.csv", newline="") as f:
+        assert [float(r["step_time_s"]) for r in csv.DictReader(f)] == [row["step_time_s"] for row in rows]
+
+
+def test_pretrain_names_pairs_by_training_row(monkeypatch):
+    # The step's batch and queue ids are training rows, and keys are gathered without an id-to-row map.
+    def refuse(self, ids):
+        raise AssertionError("rows_for_ids called")
+
+    monkeypatch.setattr(Dataset, "rows_for_ids", refuse)
+    seen = []
+    for name in ("training_step", "combined_step"):
+        real = getattr(harness, name)
+
+        def spy(state, queue, batch, *args, real=real):
+            out = real(state, queue, batch, *args)
+            seen.append((batch.ids, out[1].snapshot()[1]))
+            return out
+
+        monkeypatch.setattr(harness, name, spy)
+    cfg = tiny_config(22)
+    report = pretrain(cfg)
+    n_train = cfg.data.n_pairs - cfg.n_val
+    assert len(seen) == report.total_steps
+    for batch_ids, queue_ids in seen:
+        assert 0 <= batch_ids.min() and batch_ids.max() < n_train
+        assert 0 <= queue_ids.min() and queue_ids.max() < n_train

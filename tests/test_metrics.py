@@ -146,6 +146,37 @@ def test_select_threshold_maximizes_f1():
         assert f1_at_threshold(true_scores, mism_scores, t).f1 <= best + 1e-12
 
 
+def _select_threshold_by_loop(true_scores, mismatch_scores):
+    """Reference: score every candidate with ``f1_at_threshold``; the first best wins."""
+    pooled = np.unique(np.concatenate([true_scores, mismatch_scores]))
+    candidates = [pooled[0] - 1.0, *((pooled[:-1] + pooled[1:]) / 2.0)]
+    best_t, best_f1 = candidates[0], -1.0
+    for t in candidates:
+        r = f1_at_threshold(true_scores, mismatch_scores, t)
+        if r.f1 > best_f1:
+            best_t, best_f1 = t, r.f1
+    return float(best_t)
+
+
+score_lists = st.lists(
+    st.one_of(st.floats(-1, 1), st.integers(-4, 4).map(lambda k: k / 4)), min_size=1, max_size=40
+)
+
+
+@given(score_lists, score_lists)
+@settings(max_examples=200)
+def test_select_threshold_matches_per_candidate_loop(true_s, mism_s):
+    # Quantised scores make ties within and across the two populations.
+    got = select_threshold(np.array(true_s), np.array(mism_s))
+    want = _select_threshold_by_loop(np.array(true_s), np.array(mism_s))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_select_threshold_rejects_an_empty_population():
+    with pytest.raises(ValueError):
+        select_threshold(np.array([0.5]), np.array([]))
+
+
 def test_noise_composition_exact():
     codes = np.array([Label.GOOD, Label.CLEAN, Label.NOISY, Label.GOOD], dtype=np.int8)
     comp = noise_composition(codes)
