@@ -16,7 +16,6 @@ from .config import RunConfig, apply_override, load_config
 from .errors import (
     ConfigError,
     FormatError,
-    InsufficientData,
     NonFiniteLoss,
     PairsieveError,
 )
@@ -25,7 +24,6 @@ from . import harness
 # Error category -> exit code, reported as {"error": category} on stderr.
 _EXIT_CODES = [
     (ConfigError, 2),
-    (InsufficientData, 3),
     (FormatError, 4),
     (NonFiniteLoss, 5),
     (PairsieveError, 6),

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimMismatch, FormatError, InsufficientData
+from .errors import ConfigError, FormatError
 from .rng import Substreams, substream
 from .store import atomic_open
 
@@ -127,9 +127,6 @@ class Dataset:
             tokens=self.tokens[rows].copy(),
             config=self.config,
         )
-
-    def label_counts(self) -> dict[Label, int]:
-        return {lab: int(np.sum(self.labels == lab)) for lab in Label}
 
 
 def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:
@@ -247,25 +244,6 @@ def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Datas
     train = ds.take_rows(np.flatnonzero(mask))
     val = ds.take_rows(val_rows)
     return train, val
-
-
-def threshold_subsets(
-    ds: Dataset, scores: np.ndarray, thresholds: Sequence[float], m: int, seed: int
-) -> list[Dataset]:
-    """For each threshold, sample m pairs whose score (one per row of ``ds``) exceeds it."""
-    scores = np.asarray(scores)
-    if len(scores) != len(ds):
-        raise DimMismatch(f"{len(scores)} scores for {len(ds)} pairs")
-    subsets = []
-    for ti, t in enumerate(thresholds):
-        eligible = np.flatnonzero(scores > t)
-        if eligible.size < m:
-            raise InsufficientData(
-                f"threshold {t}: {eligible.size} eligible pairs, need {m}"
-            )
-        pick = substream(seed, "subset", ti).permutation(eligible)[:m]
-        subsets.append(ds.take_rows(np.sort(pick)))
-    return subsets
 
 
 def write_manifest(path: str | Path, ds: Dataset) -> None:

@@ -9,8 +9,6 @@ geometry rather than copy weights. The teacher is frozen, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .encoder import EncoderParams, cosine_warmup_lr, encode_backward, encode_batch, sgd_step
@@ -19,23 +17,6 @@ from .rng import substream
 
 # Share of the distillation steps spent ramping the lr up from zero.
 WARMUP_FRAC = 0.05
-
-
-@dataclass
-class DistillJob:
-    """Inputs and schedule for one distillation run."""
-
-    targets: np.ndarray  # (n, d_e) frozen teacher embeddings
-    student: EncoderParams
-    x_student: np.ndarray  # (n, student.d_in) student-view inputs, row-aligned
-    base_lr: float = 0.05
-    batch_size: int = 256
-
-    def __post_init__(self):
-        if self.targets.shape[0] != self.x_student.shape[0]:
-            raise DimMismatch("teacher targets and student inputs must pair up row-wise")
-        if self.targets.shape[1] != self.student.embed_dim:
-            raise DimMismatch("teacher and student must share the output dimension")
 
 
 def distill_loss(targets: np.ndarray, student: EncoderParams, x_student: np.ndarray) -> tuple[float, EncoderParams]:
@@ -58,25 +39,33 @@ def distill_mse(targets: np.ndarray, student: EncoderParams, x_student: np.ndarr
 
 
 def run_distillation(
-    job: DistillJob, steps: int, seed: int = 0
+    targets: np.ndarray, student: EncoderParams, x_student: np.ndarray,
+    steps: int, base_lr: float, batch_size: int, seed: int,
 ) -> tuple[EncoderParams, list[float]]:
-    """SGD on the distillation loss; returns the student and per-step losses."""
+    """SGD on the distillation loss; returns the student and per-step losses.
+
+    ``targets`` (n, d_e) are the frozen teacher's embeddings and ``x_student``
+    (n, student.d_in) the student-view inputs, row-aligned with them.
+    """
+    if targets.shape[0] != x_student.shape[0]:
+        raise DimMismatch("teacher targets and student inputs must pair up row-wise")
+    if targets.shape[1] != student.embed_dim:
+        raise DimMismatch("teacher and student must share the output dimension")
     if steps <= 0:
         raise ValueError("steps must be positive")
-    n = job.targets.shape[0]
-    student = job.student
+    n = targets.shape[0]
     warmup = int(round(WARMUP_FRAC * steps))
     losses: list[float] = []
-    full_batch = job.batch_size >= n
+    full_batch = batch_size >= n
     for step in range(steps):
         if full_batch:
             pick = np.arange(n)
         else:
-            pick = substream(seed, "distill", step).integers(0, n, size=job.batch_size)
-        loss, grads = distill_loss(job.targets[pick], student, job.x_student[pick])
+            pick = substream(seed, "distill", step).integers(0, n, size=batch_size)
+        loss, grads = distill_loss(targets[pick], student, x_student[pick])
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"distillation loss non-finite at step {step}")
-        lr = cosine_warmup_lr(step, warmup, steps, job.base_lr)
+        lr = cosine_warmup_lr(step, warmup, steps, base_lr)
         if lr > 0:
             student = sgd_step(student, grads, lr)
         losses.append(loss)

@@ -48,9 +48,6 @@ class EncoderParams:
     def embed_dim(self) -> int:
         return self.w2.shape[1]
 
-    def param_count(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
-
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
@@ -117,16 +114,6 @@ def init_mlm_head(seed: int, vocab: int, d_in: int, embed_dim: int) -> MlmHead:
     lift = rng.standard_normal((vocab + 1, d_in)) * np.sqrt(embed_dim / d_in)
     w = rng.uniform(-1.0 / np.sqrt(embed_dim), 1.0 / np.sqrt(embed_dim), size=(embed_dim, vocab))
     return MlmHead(lift=lift, w=w, b=np.zeros(vocab))
-
-
-def clone_params(p: EncoderParams) -> EncoderParams:
-    return EncoderParams(p.w1.copy(), p.b1.copy(), p.w2.copy(), p.b2.copy())
-
-
-def zero_grads(p: EncoderParams) -> EncoderParams:
-    return EncoderParams(
-        np.zeros_like(p.w1), np.zeros_like(p.b1), np.zeros_like(p.w2), np.zeros_like(p.b2)
-    )
 
 
 def encode_batch(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCache]:

@@ -21,10 +21,6 @@ class ConfigError(PairsieveError):
     """A configuration violates its invariants."""
 
 
-class InsufficientData(PairsieveError):
-    """Not enough eligible records to satisfy a request."""
-
-
 class LedgerMiss(PairsieveError):
     """A score update referenced an id the ledger does not track."""
 

@@ -46,7 +46,7 @@ from .data import (
     write_csv,
     write_manifest,
 )
-from .distill import DistillJob, distill_mse, run_distillation
+from .distill import distill_mse, run_distillation
 from .encoder import (
     EncoderPairState,
     EncoderParams,
@@ -199,14 +199,9 @@ def distill_student(inputs: StageInputs, teacher: TeacherBundle) -> tuple[Encode
     student = init_params(
         stage_seed(inputs.seed, "student_init"), inputs.data.d_b, inputs.encoder.hidden, inputs.encoder.embed_dim
     )
-    job = DistillJob(
-        targets=targets[:split],
-        student=student,
-        x_student=x_student[:split],
-        base_lr=dc.base_lr,
-        batch_size=dc.batch_size,
+    student, curve = run_distillation(
+        targets[:split], student, x_student[:split], dc.steps, dc.base_lr, dc.batch_size, inputs.seed
     )
-    student, curve = run_distillation(job, dc.steps, seed=inputs.seed)
     held = distill_mse(targets[split:], student, x_student[split:])
     return student, held, curve
 
@@ -312,7 +307,7 @@ class PretrainRun:
 
     The constructor is the set-up: data and split, teacher and student, MLM
     head, frozen training and validation keys, ledger, queue and lr plan.
-    Then one ``run_epoch`` per epoch, and ``finish`` writes checkpoints and CSVs.
+    Then one ``run_epoch`` per epoch, and ``finish`` writes checkpoints and ``timing.csv``.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None):
@@ -467,7 +462,7 @@ class PretrainRun:
             write_metrics_csv(out / "metrics.csv", report.run_id, report.rows)
 
     def finish(self) -> RunReport:
-        """Write the checkpoints, ``metrics.csv`` and ``timing.csv``; return the report."""
+        """Write the checkpoints and ``timing.csv``; return the report."""
         self.report.final_retained_ids = self.train.ids[self.retained]
         if self.out is not None:
             ck = self.out / "checkpoints"
@@ -476,7 +471,6 @@ class PretrainRun:
             save_params(ck / "query.ecpm", self.state.query_encoder)
             write_store(ck / "mlm_head.ecst", np.vstack([self.state.mlm.w, self.state.mlm.b[None, :]]))
             write_store(ck / "token_lift.ecst", self.state.mlm.lift)
-            write_metrics_csv(self.out / "metrics.csv", self.report.run_id, self.report.rows)
             write_metrics_csv(self.out / "timing.csv", self.report.run_id, self.report.timing_rows)
         return self.report
 
@@ -610,9 +604,10 @@ def cmd_sweep(
 ) -> list[dict]:
     """Run the pipeline per (value, seed) and emit a comparison CSV; values and seeds may be strings.
 
-    Every grid point is built and validated before anything runs. The
-    sweep axes lie outside ``StageInputs``, so the points of one seed share
-    one teacher and student through a cache that lives for this call.
+    Every grid point is built, validated and checked to be distinct before
+    anything runs. The sweep axes lie outside ``StageInputs``, so the points
+    of one seed share one teacher and student through a cache that lives
+    for this call.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (choose from {sorted(SWEEP_AXES)})")
@@ -627,13 +622,17 @@ def cmd_sweep(
         for raw in (values if values else DEFAULT_GRIDS[axis])
         for seed in seeds
     ]
+    if not points:
+        raise ConfigError(f"{axis} sweep: no seeds given")
+    grid = [(reduce(getattr, dotted.split("."), p), p.seed) for p in points]
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"{axis} sweep: a (value, seed) point repeats in {grid}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
     stages: StageCache = {}
-    for variant in points:
-        value = reduce(getattr, dotted.split("."), variant)
+    for variant, (value, _) in zip(points, grid):
         sub = out / f"{axis}_{value}_seed{variant.seed}"
         report = pretrain(variant, out_dir=sub, stages=stages)
         last_epoch = max(e for e, _, _ in report.rows)

@@ -51,7 +51,6 @@ class F1Result:
     precision: float
     recall: float
     f1: float
-    degenerate: bool = False  # no predicted positives
 
 
 def f1_at_threshold(
@@ -66,7 +65,7 @@ def f1_at_threshold(
     fp = int(np.sum(mismatch_scores > threshold))
     fn = true_scores.size - tp
     if tp + fp == 0:
-        return F1Result(0.0, 0.0, 0.0, degenerate=True)
+        return F1Result(0.0, 0.0, 0.0)
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)

@@ -109,14 +109,6 @@ def mlm_loss(query_encoder, head: MlmHead, batch: MaskedBatch) -> tuple[float, M
     return loss, MlmGrads(enc_grads, head_w_grad, head_b_grad)
 
 
-def mlm_accuracy(query_encoder, head: MlmHead, batch: MaskedBatch) -> float:
-    """Fraction of masked positions whose argmax logit hits the original token."""
-    inputs = _position_inputs(head, batch)
-    emb, _ = encode_batch(query_encoder, inputs)
-    logits = emb @ head.w + head.b
-    return float(np.mean(np.argmax(logits, axis=1) == batch.targets))
-
-
 def combined_step(
     state: EncoderPairState,
     queue: MemoryQueue,

@@ -17,7 +17,6 @@ _STREAMS = {
     "labels": 2,
     "record": 3,
     "split": 4,
-    "subset": 5,
     "init": 6,
     "view": 7,
     "teacher": 8,

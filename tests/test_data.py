@@ -16,11 +16,10 @@ from pairsieve.data import (
     mixing_matrices,
     read_manifest,
     split_validation,
-    threshold_subsets,
     write_csv,
     write_manifest,
 )
-from pairsieve.errors import ConfigError, DimMismatch, FormatError, InsufficientData
+from pairsieve.errors import ConfigError, FormatError
 from pairsieve.rng import substream
 
 
@@ -57,7 +56,7 @@ def test_largest_remainder_partition(n, weights):
 
 def test_label_fractions_exact():
     ds = generate_dataset(small_cfg(n_pairs=1000, f_good=0.5, f_clean=0.2, f_noisy=0.3, seed=7))
-    counts = ds.label_counts()
+    counts = np.bincount(ds.labels, minlength=len(Label))
     assert counts[Label.GOOD] == 500
     assert counts[Label.CLEAN] == 200
     assert counts[Label.NOISY] == 300
@@ -65,7 +64,7 @@ def test_label_fractions_exact():
 
 def test_no_noisy_when_fraction_zero():
     ds = generate_dataset(small_cfg(f_good=0.6, f_clean=0.4, f_noisy=0.0))
-    assert ds.label_counts()[Label.NOISY] == 0
+    assert not np.any(ds.labels == Label.NOISY)
 
 
 def test_generation_deterministic():
@@ -238,42 +237,21 @@ def test_split_validation_zero():
 
 def test_split_validation_all_good_boundary():
     ds = generate_dataset(small_cfg(n_pairs=100, seed=9))
-    n_good = ds.label_counts()[Label.GOOD]
+    n_good = int(np.sum(ds.labels == Label.GOOD))
     train, val = split_validation(ds, n_good, seed=1)
-    assert train.label_counts()[Label.GOOD] == 0
+    assert not np.any(train.labels == Label.GOOD)
     with pytest.raises(ConfigError):
         split_validation(ds, n_good + 1, seed=1)
-
-
-def test_threshold_subsets_vacuous_threshold():
-    ds = generate_dataset(small_cfg(n_pairs=200, seed=4))
-    subsets = threshold_subsets(ds, _latent_proxy_scores(ds), [-1.0], m=50, seed=2)
-    assert len(subsets) == 1 and len(subsets[0]) == 50
-
-
-def test_threshold_subsets_insufficient():
-    ds = generate_dataset(small_cfg(n_pairs=100, seed=4))
-    with pytest.raises(InsufficientData) as err:
-        threshold_subsets(ds, np.zeros(len(ds)), [0.5], m=10, seed=2)
-    assert "0.5" in str(err.value)
-
-
-def test_threshold_subsets_rejects_misaligned_scores():
-    ds = generate_dataset(small_cfg(n_pairs=100, seed=4))
-    for n in (99, 101):
-        with pytest.raises(DimMismatch):
-            threshold_subsets(ds, np.ones(n), [0.5], m=10, seed=2)
 
 
 def test_threshold_ladder_good_fraction_non_decreasing():
     ds = generate_dataset(GenConfig(n_pairs=4000, seed=6))
     scores = _latent_proxy_scores(ds)
     # Evenly spaced ladder mapped into the upper score range, mirroring a
-    # four-rung threshold study.
+    # four-rung threshold study; each rung's good fraction is over every pair above it.
     lo, hi = np.quantile(scores, [0.50, 0.95])
     ladder = [lo + t * (hi - lo) for t in (0.0, 1 / 3, 2 / 3, 1.0)]
-    subsets = threshold_subsets(ds, scores, ladder, m=150, seed=8)
-    good_fracs = [np.mean(sub.labels == Label.GOOD) for sub in subsets]
+    good_fracs = [np.mean(ds.labels[scores > t] == Label.GOOD) for t in ladder]
     assert all(b >= a for a, b in zip(good_fracs, good_fracs[1:]))
     assert good_fracs[-1] > good_fracs[0]
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pairsieve.distill import DistillJob, distill_loss, run_distillation
-from pairsieve.encoder import EncoderParams, clone_params, encode_batch, init_params
+from pairsieve.distill import distill_loss, run_distillation
+from pairsieve.encoder import EncoderParams, encode_batch, init_params
 from pairsieve.errors import DimMismatch, EmptyBatch
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
@@ -14,7 +14,7 @@ def _targets(teacher, x):
 
 def test_loss_zero_for_identical_copy():
     teacher = init_params(1, 6, 5, 4)
-    student = clone_params(teacher)
+    student = init_params(1, 6, 5, 4)
     x = substream(0, "distill", 0).standard_normal((8, 6))
     loss, grads = distill_loss(_targets(teacher, x), student, x)
     assert loss == pytest.approx(0.0, abs=1e-30)
@@ -67,29 +67,28 @@ def test_loss_gradient_matches_finite_differences():
 
 
 def test_empty_batch_rejected():
-    teacher = init_params(1, 4, 3, 2)
+    student = init_params(1, 4, 3, 2)
     with pytest.raises(EmptyBatch):
-        distill_loss(np.empty((0, 2)), clone_params(teacher), np.empty((0, 4)))
+        distill_loss(np.empty((0, 2)), student, np.empty((0, 4)))
 
 
 def test_mismatched_rows_rejected():
-    teacher = init_params(1, 4, 3, 2)
+    student = init_params(1, 4, 3, 2)
     with pytest.raises(DimMismatch):
-        DistillJob(targets=np.ones((3, 2)), student=clone_params(teacher), x_student=np.ones((2, 4)))
+        run_distillation(np.ones((3, 2)), student, np.ones((2, 4)), steps=1, base_lr=0.05, batch_size=256, seed=0)
 
 
 def test_mismatched_output_dim_rejected():
-    teacher = init_params(1, 4, 3, 2)
+    student = init_params(1, 4, 3, 2)
     with pytest.raises(DimMismatch):
-        DistillJob(targets=np.ones((3, 4)), student=clone_params(teacher), x_student=np.ones((3, 4)))
+        run_distillation(np.ones((3, 4)), student, np.ones((3, 4)), steps=1, base_lr=0.05, batch_size=256, seed=0)
 
 
 def test_run_distillation_lr_zero_flat_curve():
     teacher = init_params(5, 6, 5, 4)
     student = init_params(6, 6, 5, 4)
     x = substream(3, "distill", 3).standard_normal((64, 6))
-    job = DistillJob(targets=_targets(teacher, x), student=student, x_student=x, base_lr=0.0, batch_size=64)
-    _, losses = run_distillation(job, steps=5, seed=0)
+    _, losses = run_distillation(_targets(teacher, x), student, x, steps=5, base_lr=0.0, batch_size=64, seed=0)
     assert len(set(losses)) == 1  # full-batch sampling with lr 0 repeats the same loss
 
 
@@ -97,10 +96,10 @@ def test_teacher_untouched_by_distillation():
     teacher = init_params(5, 6, 5, 4)
     student = init_params(6, 6, 5, 4)
     x = substream(4, "distill", 4).standard_normal((128, 6))
-    job = DistillJob(targets=_targets(teacher, x), student=student, x_student=x, base_lr=0.05)
-    frozen = job.targets.copy()
-    run_distillation(job, steps=50, seed=1)
-    assert job.targets.tobytes() == frozen.tobytes()
+    targets = _targets(teacher, x)
+    frozen = targets.copy()
+    run_distillation(targets, student, x, steps=50, base_lr=0.05, batch_size=256, seed=1)
+    assert targets.tobytes() == frozen.tobytes()
 
 
 def test_descent_on_fixed_batch():

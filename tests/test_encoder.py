@@ -14,11 +14,14 @@ from pairsieve.encoder import (
     load_params,
     save_params,
     sgd_step,
-    zero_grads,
 )
 from pairsieve.errors import CacheMismatch, DimMismatch, FormatError, ZeroNorm
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
+
+
+def _zero_grads(p):
+    return EncoderParams(*(np.zeros_like(a) for a in p.arrays()))
 
 
 def _rebuild(template, arrays):
@@ -39,7 +42,7 @@ def test_init_deterministic():
 
 def test_init_param_count():
     p = init_params(0, 64, 32, 16)
-    assert p.param_count() == 64 * 32 + 32 + 32 * 16 + 16 == 2608
+    assert sum(a.size for a in p.arrays()) == 64 * 32 + 32 + 32 * 16 + 16 == 2608
 
 
 def test_init_weight_std_matches_uniform():
@@ -116,12 +119,12 @@ def test_backward_matches_finite_differences():
 
 def test_sgd_step_basics():
     p = init_params(1, 3, 2, 2)
-    unchanged = sgd_step(p, zero_grads(p), lr=0.1, weight_decay=0.0)
+    unchanged = sgd_step(p, _zero_grads(p), lr=0.1, weight_decay=0.0)
     for a, b in zip(p.arrays(), unchanged.arrays()):
         np.testing.assert_array_equal(a, b)
 
     one = EncoderParams(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1))
-    g = zero_grads(one)
+    g = _zero_grads(one)
     g.w1[0, 0] = 1.0
     stepped = sgd_step(one, g, lr=0.1)
     assert stepped.w1[0, 0] == pytest.approx(0.9)
@@ -130,7 +133,7 @@ def test_sgd_step_basics():
 def test_sgd_weight_decay_skips_biases():
     p = init_params(2, 3, 2, 2)
     p.b1[:] = 1.0
-    stepped = sgd_step(p, zero_grads(p), lr=0.5, weight_decay=1e-4)
+    stepped = sgd_step(p, _zero_grads(p), lr=0.5, weight_decay=1e-4)
     np.testing.assert_array_equal(stepped.b1, p.b1)
     assert np.all(np.abs(stepped.w1) < np.abs(p.w1))
 

@@ -803,6 +803,22 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
     assert len(teacher_runs) == 2
 
 
+@pytest.mark.parametrize(
+    "axis, values, seeds",
+    [("lambda", ["0.8", "0.80"], ["0"]), ("queue", ["8"], ["3", "3"]), ("queue", ["8"], [])],
+    ids=["repeated-value", "repeated-seed", "no-seeds"],
+)
+def test_sweep_rejects_an_empty_or_repeated_grid(tmp_path, monkeypatch, axis, values, seeds):
+    # A repeated point would run twice into one directory and write two rows; no seeds leave no row.
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("pairsieve.harness.pretrain", no_training)
+    with pytest.raises(ConfigError):
+        cmd_sweep(tiny_config(22), axis, values, seeds, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("axis, values", [("queue", [8, 64]), ("lambda", [0.8, 0.9])])
 def test_sweep_step_time_is_its_runs_own(tmp_path, monkeypatch, axis, values):
     # Each row's step_time_s is the last step time its own run wrote; no synthetic step is timed.

@@ -100,7 +100,7 @@ def test_f1_perfect_separation():
 
 def test_f1_degenerate_no_predictions():
     r = f1_at_threshold(np.array([0.1]), np.array([0.2]), 0.9)
-    assert r.f1 == 0.0 and r.degenerate
+    assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
 
 def test_f1_matches_exact_confusion_matrix():
