@@ -11,17 +11,21 @@ from pairsieve.data import write_csv
 from pairsieve.harness import pretrain
 
 
-def main() -> None:
+def seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", default="0,1,2,3,4")
+    ap.add_argument("--seeds", type=seed_list, default="0,1,2,3,4")
     ap.add_argument("--n-pairs", type=int, default=10000)
     ap.add_argument("--out-dir", default="out/noise_removal")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for seed in args.seeds:
         cfg = noise_removal_config(seed, args.n_pairs)
         report = pretrain(cfg, out_dir=out / f"seed{seed}")
         train_n = args.n_pairs - cfg.n_val

@@ -51,6 +51,8 @@ class DistillConfig:
     def __post_init__(self):
         if min(self.corpus_size, self.held_out, self.steps, self.batch_size) <= 0:
             raise ConfigError("distillation settings must be positive")
+        if not self.base_lr > 0:
+            raise ConfigError(f"distill base_lr must be positive, got {self.base_lr}")
 
 
 @dataclass
@@ -85,6 +87,8 @@ class TrainConfig:
             raise ConfigError("batch_text must be >= 0")
         if not self.base_lr > 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0 <= self.warmup_frac <= 1:
             raise ConfigError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if not 0 < self.p_mask < 1:

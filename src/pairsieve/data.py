@@ -81,7 +81,7 @@ class GenConfig:
             raise ConfigError("sigma_good must not exceed sigma_clean")
         if min(self.sigma_good, self.sigma_clean) < 0:
             raise ConfigError("noise scales must be non-negative")
-        if min(self.n_pairs, 1) < 0:
+        if self.n_pairs < 0:
             raise ConfigError("n_pairs must be non-negative")
         if min(self.latent_dim, self.d_a, self.d_b, self.seq_len) <= 0:
             raise ConfigError("dims must be positive")

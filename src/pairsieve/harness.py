@@ -60,12 +60,10 @@ from .encoder import (
 )
 from .errors import ConfigError, FormatError
 from .metrics import (
-    export_distribution,
     f1_at_threshold,
     noise_composition,
     recall_at_k,
     select_threshold,
-    write_distribution,
     write_metrics_csv,
 )
 from .mlm import combined_step, mask_batch
@@ -339,12 +337,9 @@ class PretrainRun:
             ),
         )
 
-        # Key embeddings are computed once with the frozen tower and reused all
-        # run; the store file is their durable form and round-trips bit-exactly.
+        # Key embeddings are computed once with the frozen tower and reused all run.
         self.key_matrix, _ = encode_batch(self.state.key_encoder, self.train.x_a)
         self.val_keys, _ = encode_batch(self.state.key_encoder, self.val.x_a)
-        if self.out is not None:
-            write_store(self.out / "keys.ecst", self.key_matrix)
 
         # Curation state and step ids are training rows; train.ids (increasing) maps a row to its output id.
         self.ledger = ScoreLedger.fresh(len(self.train))
@@ -398,10 +393,6 @@ class PretrainRun:
             report.log(epoch, "regular_term", self.regular_term)
             if out is not None:
                 write_ledger_dump(out / f"ledger_epoch{epoch}.csv", self.ledger, train.ids, self.retained, train.labels)
-                write_distribution(
-                    out / f"distribution_epoch{epoch}.csv",
-                    export_distribution(self.ledger, train.ids, train.labels, self.retained),
-                )
 
         comp = noise_composition(train.labels[self.retained])
         report.log(epoch, "retained_count", len(self.retained))

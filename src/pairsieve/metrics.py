@@ -94,6 +94,8 @@ def noise_composition(codes: np.ndarray) -> dict[str, float]:
     return {lab.tag: (counts[lab] / n if n else 0.0) for lab in Label}
 
 
+# No run writes a distribution dump: it is the retained rows of the ledger dump. These three stay only
+# because perfbench/spans.py TARGETS names the two functions; ROADMAP item 4 deletes them with their targets.
 DistributionRow = tuple[int, float, float, str]  # (id, epoch score, total, label)
 
 

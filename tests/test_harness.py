@@ -22,6 +22,7 @@ from pairsieve.encoder import encode_batch, init_params, load_params, save_param
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import contrastive, harness
 from pairsieve.harness import (
+    PretrainRun,
     StageInputs,
     TeacherBundle,
     benchmark_step_time,
@@ -171,9 +172,13 @@ def test_override_parses_by_annotation_and_ints_stay_in_float_fields():
     assert apply_override(cfg, "train.base_lr", "0.5").train.base_lr == 0.5
 
 
-def test_config_validation_surfaces():
+@pytest.mark.parametrize(
+    "section, name, value",
+    [("train", "alpha", 1.5), ("distill", "base_lr", -1.0), ("distill", "base_lr", 0.0), ("train", "weight_decay", -1.0)],
+)
+def test_config_validation_surfaces(section, name, value):
     payload = to_dict(tiny_config())
-    payload["train"]["alpha"] = 1.5
+    payload[section][name] = value
     with pytest.raises(ConfigError):
         from_dict(payload)
 
@@ -280,12 +285,18 @@ def test_pretrain_deterministic_metrics(tmp_path):
 
 
 def test_pretrain_writes_provenance_and_checkpoints(tmp_path):
+    # The run directory holds exactly these files, so no redundant output comes back unnoticed.
     cfg = tiny_config(5)
     report = pretrain(cfg, out_dir=tmp_path / "run")
     assert (tmp_path / "run/config.json").read_text() == to_json(cfg) + "\n"
-    for name in ("key.ecpm", "query.ecpm", "mlm_head.ecst", "token_lift.ecst"):
-        assert (tmp_path / "run/checkpoints" / name).exists()
-    assert (tmp_path / "run/timing.csv").exists()
+    written = {p.relative_to(tmp_path / "run").as_posix() for p in (tmp_path / "run").rglob("*") if p.is_file()}
+    assert written == {
+        "config.json",
+        "metrics.csv",
+        "timing.csv",
+        *(f"ledger_epoch{epoch}.csv" for epoch in (1, 2, 3)),
+        *(f"checkpoints/{name}" for name in ("key.ecpm", "query.ecpm", "mlm_head.ecst", "token_lift.ecst")),
+    }
     assert report.total_steps > 0
 
 
@@ -337,17 +348,16 @@ def test_frozen_towers_are_encoded_once(monkeypatch):
 
 
 def test_frozen_key_tower_and_store_consistency(tmp_path):
-    # Re-encoding any stored key with the saved frozen tower reproduces
-    # the stored bytes exactly.
+    # Re-encoding the training keys with the saved frozen tower reproduces
+    # the run's key matrix exactly.
     cfg = tiny_config(6)
-    pretrain(cfg, out_dir=tmp_path / "run")
+    stages = {}
+    pretrain(cfg, out_dir=tmp_path / "run", stages=stages)
     key_enc = load_params(tmp_path / "run/checkpoints/key.ecpm")
     full = generate_dataset(cfg.data)
     train, _ = split_validation(full, cfg.n_val, cfg.seed)
     fresh, _ = encode_batch(key_enc, train.x_a)
-    with StoreHandle(tmp_path / "run/keys.ecst") as store:
-        stored = store.read_all()
-    assert stored.tobytes() == fresh.tobytes()
+    assert PretrainRun(cfg, stages=stages).key_matrix.tobytes() == fresh.tobytes()
 
 
 def test_mode_lattice_counters():
@@ -400,8 +410,7 @@ def _read_rows(path) -> list[dict]:
 
 
 def test_dumps_agree_with_metrics_csv(tmp_path):
-    # Each ledger dump reproduces its epoch's retained-set rows of metrics.csv, and
-    # each distribution dump is the retained rows of that ledger dump.
+    # Each ledger dump reproduces its epoch's retained-set rows of metrics.csv.
     cfg = tiny_config(23)
     pretrain(cfg, out_dir=tmp_path)
     metric = {(int(r["epoch"]), r["metric"]): float(r["value"]) for r in _read_rows(tmp_path / "metrics.csv")}
@@ -418,10 +427,6 @@ def test_dumps_agree_with_metrics_csv(tmp_path):
             ("retention_good", [r for r in prior if r["oracle_label"] != "noisy"]),
         ):
             assert metric[(epoch, name)] == sum(r["id"] in kept_ids for r in members) / len(members)
-        dist = _read_rows(tmp_path / f"distribution_epoch{epoch}.csv")
-        assert [(r["id"], r["s_epoch"], r["c_total"], r["label"]) for r in dist] == [
-            (r["id"], r["epoch_score"], r["total_score"], r["oracle_label"]) for r in kept
-        ]
         prior = kept
 
 
