@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABEL_TAGS, Label, write_csv
+from .data import LABEL_TAGS, Label
 from .encoder import EncoderParams, encode_batch
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
+from .store import atomic_open
 
 
 @dataclass
@@ -132,17 +133,17 @@ def filtering_ratio_report(
 def write_ledger_dump(
     path: str | Path, ledger: ScoreLedger, ids: np.ndarray, retained: np.ndarray, labels: np.ndarray
 ) -> None:
-    """Per-pair epoch dump: id, epoch score, total, retained flag, label; one line per row."""
+    """Per-pair epoch dump: id, epoch score, total, retained flag, label; one line per row.
+
+    Each line has the bytes that ``csv.writer`` gives the row with the
+    floats as ``repr``, built directly: no field holds a comma, quote or
+    line break, so none is quoted.
+    """
     flag = np.zeros(len(ids), dtype=np.int64)
     flag[retained] = 1
-    write_csv(
-        path,
-        ["id", "epoch_score", "total_score", "retained", "oracle_label"],
-        zip(
-            ids.tolist(),
-            map(repr, ledger.last.tolist()),
-            map(repr, ledger.totals.tolist()),
-            flag.tolist(),
-            map(LABEL_TAGS.__getitem__, labels.tolist()),
-        ),
-    )
+    with atomic_open(path, "w", newline="") as f:
+        f.write("id,epoch_score,total_score,retained,oracle_label\r\n")
+        for rid, score, total, kept, lab in zip(
+            ids.tolist(), ledger.last.tolist(), ledger.totals.tolist(), flag.tolist(), labels.tolist()
+        ):
+            f.write(f"{rid},{score!r},{total!r},{kept},{LABEL_TAGS[lab]}\r\n")

@@ -161,7 +161,7 @@ def _label_plan(cfg: GenConfig) -> np.ndarray:
     return substream(cfg.seed, "labels").permutation(plan)
 
 
-# Records per block: bounds the draw buffer and the block-math temporaries.
+# Records per block: bounds the draw buffer, the block-math temporaries and the manifest's Python lists.
 _BLOCK = 256
 
 
@@ -230,15 +230,20 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     )
 
 
-def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Carve a validation set out of the good-labeled pairs only."""
-    good_rows = np.flatnonzero(ds.labels == Label.GOOD)
+def validation_rows(labels: np.ndarray, n_val: int, seed: int) -> np.ndarray:
+    """The sorted rows of the validation set: ``n_val`` of the good-labeled pairs, drawn by ``seed``."""
+    good_rows = np.flatnonzero(labels == Label.GOOD)
     if n_val > good_rows.size:
         raise ConfigError(
             f"requested {n_val} validation pairs, only {good_rows.size} good pairs available"
         )
     perm = substream(seed, "split").permutation(good_rows)
-    val_rows = np.sort(perm[:n_val])
+    return np.sort(perm[:n_val])
+
+
+def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
+    """Carve a validation set out of the good-labeled pairs only."""
+    val_rows = validation_rows(ds.labels, n_val, seed)
     mask = np.ones(len(ds), dtype=bool)
     mask[val_rows] = False
     train = ds.take_rows(np.flatnonzero(mask))
@@ -250,12 +255,14 @@ def write_manifest(path: str | Path, ds: Dataset) -> None:
     """One JSON object per line: {id, oracle_label, tokens}.
 
     Each line has the bytes of ``json.dumps(row, sort_keys=True)``, built
-    directly from the columns.
+    directly from the columns, one block of rows at a time.
     """
     with atomic_open(path, "w", encoding="utf-8") as f:
-        for rid, lab, row in zip(ds.ids.tolist(), ds.labels.tolist(), ds.tokens.tolist()):
-            toks = ", ".join(map(str, row))
-            f.write(f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": [{toks}]}}\n')
+        for start in range(0, len(ds), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            for rid, lab, row in zip(ds.ids[block].tolist(), ds.labels[block].tolist(), ds.tokens[block].tolist()):
+                toks = ", ".join(map(str, row))
+                f.write(f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": [{toks}]}}\n')
 
 
 def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

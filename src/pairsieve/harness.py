@@ -43,6 +43,7 @@ from .data import (
     largest_remainder_counts,
     orthonormal_columns,
     split_validation,
+    validation_rows,
     write_csv,
     write_manifest,
 )
@@ -58,7 +59,7 @@ from .encoder import (
     save_params,
     sgd_step,
 )
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, EmptySet, FormatError
 from .metrics import (
     f1_at_threshold,
     noise_composition,
@@ -532,7 +533,12 @@ def cmd_eval(
     out_dir: str | Path,
     data_dir: str | Path | None = None,
 ) -> dict[str, float]:
-    """Evaluate a saved encoder pair; writes one metrics CSV."""
+    """Evaluate a saved encoder pair; writes one metrics CSV.
+
+    It scores the validation pairs, or every pair when ``n_val`` is 0. The
+    full dataset is released once the validation rows are taken, so
+    scoring holds only the rows it evaluates.
+    """
     from .encoder import load_params
 
     ck = Path(checkpoint_dir)
@@ -545,11 +551,14 @@ def cmd_eval(
             ds = generate_dataset(cfg.data)
     except FileNotFoundError as e:
         raise FormatError(f"{e.filename}: no such file") from e
-    _, val = split_validation(ds, cfg.n_val, cfg.seed) if cfg.n_val else (ds, ds)
-    keys, _ = encode_batch(key_enc, val.x_a)
-    queries, _ = encode_batch(query_enc, val.x_b)
+    if cfg.n_val:
+        ds = ds.take_rows(validation_rows(ds.labels, cfg.n_val, cfg.seed))
+    if not len(ds):
+        raise EmptySet("no pairs to evaluate")
+    keys, _ = encode_batch(key_enc, ds.x_a)
+    queries, _ = encode_batch(query_enc, ds.x_b)
     metrics = validation_metrics(keys, queries)
-    comp = noise_composition(val.labels)
+    comp = noise_composition(ds.labels)
     for tag, v in comp.items():
         metrics[f"frac_{tag}"] = v
     out = Path(out_dir)

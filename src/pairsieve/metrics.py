@@ -17,6 +17,10 @@ from .curation import ScoreLedger
 from .data import LABEL_TAGS, Label, write_csv
 from .errors import MissingTruth
 
+# Similarity cells that recall_at_k scores at once (8 MB of float64), whatever the set size. A block of
+# two or more query rows gives the same products as the full matrix, so the recalls do not depend on it.
+_CELL_BUDGET = 1 << 20
+
 
 def recall_at_k(
     queries: np.ndarray,
@@ -27,22 +31,34 @@ def recall_at_k(
     """Recall@k for each k: the fraction of queries whose true key ranks in the top k by cosine.
 
     ``truth[i]`` is the key row for query row i. Rows must be unit-norm
-    (dot == cosine). Score ties break toward the smaller key index.
+    (dot == cosine). Score ties break toward the smaller key index. The
+    similarities are scored in blocks of query rows of about
+    ``_CELL_BUDGET`` cells, never the whole matrix at once.
     """
     n = queries.shape[0]
     if len(truth) != n:
         raise MissingTruth(f"{n} queries but {len(truth)} ground-truth entries")
-    sims = queries @ keys.T  # (n, n_keys)
+    n_keys = keys.shape[0]
     truth = np.asarray(truth, dtype=np.int64)
-    if np.any(truth < 0) or np.any(truth >= keys.shape[0]):
+    if np.any(truth < 0) or np.any(truth >= n_keys):
         raise MissingTruth("ground-truth index out of key range")
-    true_scores = sims[np.arange(n), truth]
-    # Rank = number of keys strictly better, plus equal-scored keys with smaller index.
-    better = (sims > true_scores[:, None]).sum(axis=1)
-    equal_before = (
-        (sims == true_scores[:, None]) & (np.arange(keys.shape[0])[None, :] < truth[:, None])
-    ).sum(axis=1)
-    rank = better + equal_before  # 0-based
+    key_index = np.arange(n_keys)
+    rank = np.empty(n, dtype=np.int64)  # 0-based
+    step = max(1, _CELL_BUDGET // max(n_keys, 1))
+    s = 0
+    while s < n:
+        # A lone last row joins the block before it: a one-row product takes numpy's
+        # matrix-vector path, which rounds differently from the full product.
+        e = n if n - s <= step + 1 else s + step
+        sims = queries[s:e] @ keys.T
+        t = truth[s:e]
+        true_scores = sims[np.arange(e - s), t][:, None]
+        # Rank = number of keys strictly better, plus equal-scored keys with smaller index.
+        rank[s:e] = np.count_nonzero(sims > true_scores, axis=1) + np.count_nonzero(
+            (sims == true_scores) & (key_index < t[:, None]), axis=1
+        )
+        del sims  # before the next block's product exists
+        s = e
     return {int(k): float(np.mean(rank < k)) for k in ks}
 
 

@@ -59,7 +59,7 @@ def write_store(path: str | Path, embeddings: np.ndarray) -> StoreHeader:
     header = StoreHeader(STORE_VERSION, dim, count)
     with atomic_open(path) as f:
         f.write(_HEADER.pack(STORE_MAGIC, header.version, dim, count))
-        f.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")))  # the rows' own buffer, not a copy
         f.flush()
         os.fsync(f.fileno())
     return header

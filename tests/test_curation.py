@@ -1,8 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsieve.curation import (
@@ -200,3 +202,43 @@ def test_ledger_dump_format(tmp_path):
         "10,0.2,0.2,1,clean",
         "11,-0.1,-0.1,0,noisy",
     ]
+
+
+def _ledger_dump_by_csv_writer(ledger, ids, retained, labels):
+    flag = np.zeros(len(ids), dtype=np.int64)
+    flag[retained] = 1
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["id", "epoch_score", "total_score", "retained", "oracle_label"])
+    for rid, score, total, kept, lab in zip(ids, ledger.last, ledger.totals, flag, labels):
+        w.writerow([int(rid), repr(float(score)), repr(float(total)), int(kept), Label(int(lab)).tag])
+    return out.getvalue().encode("utf-8")
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300]
+_LEDGER_ROWS = st.lists(
+    st.tuples(
+        st.integers(-(2**63), 2**63 - 1),
+        st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS),
+        st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS),
+        st.booleans(),
+        st.sampled_from(list(Label)),
+    ),
+    max_size=30,
+)
+
+
+@given(_LEDGER_ROWS)
+@example([(i, f, -f, i % 2 == 0, Label(i % 3)) for i, f in enumerate(_SPECIAL_FLOATS)])
+@settings(max_examples=150, deadline=None)
+def test_ledger_dump_bytes_equal_csv_writer(tmp_path_factory, rows):
+    ids = np.array([r[0] for r in rows], dtype=np.int64)
+    ledger = ScoreLedger(
+        totals=np.array([r[2] for r in rows], dtype=np.float64),
+        last=np.array([r[1] for r in rows], dtype=np.float64),
+    )
+    retained = np.flatnonzero([r[3] for r in rows])
+    labels = np.array([r[4] for r in rows], dtype=np.int8)
+    path = tmp_path_factory.mktemp("dump") / "ledger.csv"
+    write_ledger_dump(path, ledger, ids, retained, labels)
+    assert path.read_bytes() == _ledger_dump_by_csv_writer(ledger, ids, retained, labels)

@@ -293,6 +293,7 @@ def test_manifest_bytes_equal_json_dumps(tmp_path):
     for ds in (
         Dataset(ids, labels, sub.x_a, sub.x_b, sub.tokens, sub.config),
         sub.take_rows(np.array([], dtype=np.int64)),
+        generate_dataset(small_cfg(n_pairs=589, seed=5)),  # two full blocks of lines and a partial one
     ):
         path = tmp_path / f"manifest{len(ds)}.jsonl"
         write_manifest(path, ds)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from pairsieve.curation import ScoreLedger, update_total_scores
 from pairsieve.data import Label
+from pairsieve import metrics
 from pairsieve.errors import MissingTruth
 from pairsieve.metrics import (
     export_distribution,
@@ -83,6 +85,53 @@ def test_recall_tie_break_ascending_key():
     keys = np.array([[1.0, 0.0], [1.0, 0.0]])  # exact tie
     assert recall_at_k(queries, keys, [0], ks=(1,))[1] == 1.0
     assert recall_at_k(queries, keys, [1], ks=(1,))[1] == 0.0
+
+
+def _reference_recall(queries, keys, truth, ks):
+    """Recall by the dense formula: the whole similarity matrix at once, the tie rule on it."""
+    sims = queries @ keys.T
+    truth = np.asarray(truth, dtype=np.int64)
+    true_scores = sims[np.arange(queries.shape[0]), truth]
+    better = (sims > true_scores[:, None]).sum(axis=1)
+    equal_before = (
+        (sims == true_scores[:, None]) & (np.arange(keys.shape[0])[None, :] < truth[:, None])
+    ).sum(axis=1)
+    rank = better + equal_before
+    return {int(k): float(np.mean(rank < k)) for k in ks}
+
+
+@given(
+    st.integers(4, 40),
+    st.integers(0, 10),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_blocked_recall_matches_dense_reference(n, extra_keys, dim, rows_per_block, seed):
+    # Small-integer coordinates give exact score ties, within a row and across block edges;
+    # a cell budget of a few rows splits every case into several blocks.
+    rng = np.random.default_rng(seed)
+    queries = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    keys = rng.integers(-2, 3, size=(n + extra_keys, dim)).astype(np.float64)
+    truth = rng.permutation(n + extra_keys)[:n]
+    ks = (1, 2, 3, 5, 10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_CELL_BUDGET", rows_per_block * (n + extra_keys))
+        assert recall_at_k(queries, keys, truth, ks) == _reference_recall(queries, keys, truth, ks)
+
+
+def test_recall_memory_is_a_block_not_the_matrix():
+    # The 3000 x 3000 float64 similarity matrix alone is 72 MB; tracemalloc sees numpy's buffers.
+    rng = np.random.default_rng(5)
+    queries, keys = unit_rows(rng, 3000, 16), unit_rows(rng, 3000, 16)
+    tracemalloc.start()
+    try:
+        recall_at_k(queries, keys, np.arange(3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72e6 / 4
 
 
 def test_f1_simple_values():

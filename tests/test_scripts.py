@@ -6,11 +6,51 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_noise_removal_bad_seed_list_is_a_usage_error_before_any_run(tmp_path):
-    spec = importlib.util.spec_from_file_location("run_noise_removal", SCRIPTS / "run_noise_removal.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_noise_removal_bad_seed_list_is_a_usage_error_before_any_run(tmp_path):
+    script = _load("run_noise_removal")
     with pytest.raises(SystemExit) as exit_info:
         script.main(["--seeds", "0,x", "--out-dir", str(tmp_path / "out")])
     assert exit_info.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+def _protocol_output(root, timing_value="0.012", step_time="0.0031", metric="0.5"):
+    (root / "run").mkdir(parents=True)
+    (root / "commands").mkdir()
+    (root / "commands/run.stdout").write_text('{"total_steps": 3}\n')
+    (root / "run/metrics.csv").write_text(f"run_id,epoch,metric,value\r\nr,1,val_f1,{metric}\r\n")
+    (root / "run/timing.csv").write_text(f"run_id,epoch,metric,value\r\nr,1,step_time_s,{timing_value}\r\n")
+    (root / "sweep_queue.csv").write_text(f"axis,value,step_time_s,val_f1\r\nqueue,512,{step_time},{metric}\r\n")
+    (root / "digests.json").write_text(f'{{"timing": "{timing_value}"}}\n')
+    return root
+
+
+def test_byte_protocol_compare_masks_only_the_measured_times(tmp_path, capsys):
+    protocol = _load("byte_protocol")
+    parent = _protocol_output(tmp_path / "parent")
+    same = _protocol_output(tmp_path / "same", timing_value="0.019", step_time="0.0047")
+    assert protocol.main(["--compare", str(parent), str(same)]) == 0
+
+    moved = _protocol_output(tmp_path / "moved", metric="0.5000000000000001")
+    assert protocol.main(["--compare", str(parent), str(moved)]) == 1
+    out = capsys.readouterr().out
+    for name in ("run/metrics.csv", "sweep_queue.csv"):
+        assert f"differs: {name}" in out
+    assert "differs: run/timing.csv" not in out
+
+    renamed = _protocol_output(tmp_path / "renamed")
+    (renamed / "run/timing.csv").write_text("run_id,epoch,metric,value\r\nr,1,step_ms,0.012\r\n")
+    (renamed / "commands/run.stdout").unlink()
+    (renamed / "commands/run.exit").write_text("0\n")
+    assert protocol.main(["--compare", str(parent), str(renamed)]) == 1
+    out = capsys.readouterr().out
+    assert "differs: run/timing.csv" in out
+    assert f"only in {parent}: commands/run.stdout" in out
+    assert f"only in {renamed}: commands/run.exit" in out
