@@ -16,9 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain
+from itertools import chain, count, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -165,13 +165,13 @@ def _label_plan(cfg: GenConfig) -> np.ndarray:
 _BLOCK = 256
 
 
-def generate_dataset(cfg: GenConfig) -> Dataset:
-    """Deterministically generate ``cfg.n_pairs`` labeled pairs.
+def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
+    """Generate ``cfg.n_pairs`` labeled pairs as consecutive blocks of at most ``_BLOCK`` rows.
 
     Each record is produced from its own (seed, "record", id) substream,
     so output is independent of generation order. The records of a block
     draw in turn from one re-keyed generator; the math then runs over the
-    whole block.
+    whole block. Each block is a fresh ``Dataset`` whose ids are its rows.
     """
     a_mix, b_mix = mixing_matrices(cfg)
     labels = _label_plan(cfg)
@@ -185,9 +185,6 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     erf_den = np.linalg.norm(b_head, axis=1) * math.sqrt(2.0)
     reps = -(-cfg.seq_len // tc)  # ceil
 
-    x_a = np.empty((cfg.n_pairs, d_a))
-    x_b = np.empty((cfg.n_pairs, cfg.d_b))
-    tokens = np.empty((cfg.n_pairs, cfg.seq_len), dtype=np.int64)
     # One row of draws per record: [z_a | z_b | noise_a | noise_b]. A
     # record draws z_a, then z_b if noisy, then the noise for a and for b,
     # so a noisy record fills its row in one call. A good or clean record
@@ -197,29 +194,52 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     for start in range(0, cfg.n_pairs, _BLOCK):
         stop = min(start + _BLOCK, cfg.n_pairs)
         block = draws[: stop - start]
-        noisy = labels[start:stop] == Label.NOISY
-        for row, rid, is_noisy in zip(block, range(start, stop), noisy.tolist()):
-            rng = streams.at(rid)
+        block_labels = labels[start:stop]
+        x_a = np.empty((stop - start, d_a))
+        x_b = np.empty((stop - start, cfg.d_b))
+        tokens = np.empty((stop - start, cfg.seq_len), dtype=np.int64)
+        noisy = block_labels == Label.NOISY
+        for i, (row, is_noisy) in enumerate(zip(block, noisy.tolist())):
+            rng = streams.at(start + i)
             if is_noisy:
                 rng.standard_normal(out=row)
-                tokens[rid] = rng.integers(0, cfg.vocab, size=cfg.seq_len)
+                tokens[i] = rng.integers(0, cfg.vocab, size=cfg.seq_len)
             else:
                 rng.standard_normal(out=row[k:])
         shared = ~noisy
         block[shared, :k] = block[shared, k : 2 * k]
-        block[:, 2 * k :] *= noise[labels[start:stop]][:, None]
+        block[:, 2 * k :] *= noise[block_labels][:, None]
         # A stacked matmul runs one gemv per record, as the per-record
         # product did; a 2-D product changes the last bits.
         z = block[:, : 2 * k].reshape(-1, 2, k, 1)
-        np.matmul(a_mix, z[:, 0], out=x_a[start:stop, :, None])
-        np.matmul(b_mix, z[:, 1], out=x_b[start:stop, :, None])
-        x_a[start:stop] += block[:, 2 * k : 2 * k + d_a]
-        x_b[start:stop] += block[:, 2 * k + d_a :]
+        np.matmul(a_mix, z[:, 0], out=x_a[:, :, None])
+        np.matmul(b_mix, z[:, 1], out=x_b[:, :, None])
+        x_a += block[:, 2 * k : 2 * k + d_a]
+        x_b += block[:, 2 * k + d_a :]
         # Cycle a few quantized coordinates across the sequence; the
         # redundancy is what makes masked positions recoverable.
         u = 0.5 * (1.0 + erf((b_head @ z[shared, 1])[..., 0] / erf_den).astype(float))
         base = np.minimum((u * cfg.vocab).astype(np.int64), cfg.vocab - 1)
-        tokens[start:stop][shared] = np.tile(base, reps)[:, : cfg.seq_len]
+        tokens[shared] = np.tile(base, reps)[:, : cfg.seq_len]
+        yield Dataset(
+            ids=np.arange(start, stop, dtype=np.int64),
+            labels=block_labels,
+            x_a=x_a,
+            x_b=x_b,
+            tokens=tokens,
+            config=cfg,
+        )
+
+
+def generate_dataset(cfg: GenConfig) -> Dataset:
+    """Deterministically generate ``cfg.n_pairs`` labeled pairs: the blocks of ``generate_blocks``, joined."""
+    x_a = np.empty((cfg.n_pairs, cfg.d_a))
+    x_b = np.empty((cfg.n_pairs, cfg.d_b))
+    tokens = np.empty((cfg.n_pairs, cfg.seq_len), dtype=np.int64)
+    labels = np.empty(cfg.n_pairs, dtype=np.int8)
+    for block in generate_blocks(cfg):
+        rows = slice(block.ids[0], block.ids[-1] + 1)
+        labels[rows], x_a[rows], x_b[rows], tokens[rows] = block.labels, block.x_a, block.x_b, block.tokens
     return Dataset(
         ids=np.arange(cfg.n_pairs, dtype=np.int64),
         labels=labels,
@@ -228,6 +248,17 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         tokens=tokens,
         config=cfg,
     )
+
+
+def generated_rows(cfg: GenConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x_a`` and ``x_b`` of ``generate_dataset(cfg)`` at the sorted ``rows``, kept block by block from one pass."""
+    x_a = np.empty((len(rows), cfg.d_a))
+    x_b = np.empty((len(rows), cfg.d_b))
+    for block in generate_blocks(cfg):
+        lo, hi = np.searchsorted(rows, (block.ids[0], block.ids[-1] + 1))
+        picked = rows[lo:hi] - block.ids[0]
+        x_a[lo:hi], x_b[lo:hi] = block.x_a[picked], block.x_b[picked]
+    return x_a, x_b
 
 
 def validation_rows(labels: np.ndarray, n_val: int, seed: int) -> np.ndarray:
@@ -251,49 +282,84 @@ def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Datas
     return train, val
 
 
-def write_manifest(path: str | Path, ds: Dataset) -> None:
-    """One JSON object per line: {id, oracle_label, tokens}.
+def write_manifest_lines(f: IO[str], ds: Dataset) -> None:
+    """Write one JSON object per row of ``ds`` to ``f``: {id, oracle_label, tokens}.
 
     Each line has the bytes of ``json.dumps(row, sort_keys=True)``, built
     directly from the columns, one block of rows at a time.
     """
+    for start in range(0, len(ds), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for rid, lab, row in zip(ds.ids[block].tolist(), ds.labels[block].tolist(), ds.tokens[block].tolist()):
+            toks = ", ".join(map(str, row))
+            f.write(f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": [{toks}]}}\n')
+
+
+def write_manifest(path: str | Path, ds: Dataset) -> None:
+    """Write the manifest of ``ds`` to ``path``; see ``write_manifest_lines``."""
     with atomic_open(path, "w", encoding="utf-8") as f:
-        for start in range(0, len(ds), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            for rid, lab, row in zip(ds.ids[block].tolist(), ds.labels[block].tolist(), ds.tokens[block].tolist()):
-                toks = ", ".join(map(str, row))
-                f.write(f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": [{toks}]}}\n')
+        write_manifest_lines(f, ds)
+
+
+def _manifest_blocks(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ids, labels, tokens) arrays of each block of ``_BLOCK`` manifest lines.
+
+    Every block passes the checks a whole manifest must pass: labels are
+    ``LABEL_TAGS`` exactly, ids and tokens read as 1-D and 2-D integer
+    arrays. Across blocks the tokens must keep one width.
+    """
+    width = None
+    with open(path, encoding="utf-8") as f:
+        for first in count(1, _BLOCK):
+            lines = list(islice(f, _BLOCK))
+            if not lines:
+                return
+            ids, labels, tokens = [], [], []
+            for lineno, line in enumerate(lines, start=first):
+                try:
+                    row = json.loads(line)
+                    if isinstance(row["id"], bool):  # numpy would read true as 1
+                        raise TypeError("id is a JSON boolean")
+                    ids.append(row["id"])
+                    labels.append(LABEL_TAGS.index(row["oracle_label"]))
+                    tokens.append(row["tokens"])
+                except (ValueError, KeyError, TypeError) as e:
+                    raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
+            try:
+                id_col, token_rows = np.array(ids), np.array(tokens)
+            except ValueError as e:
+                raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({e})") from e
+            for name, col, ndim in (("ids", id_col, 1), ("tokens", token_rows, 2)):
+                if col.ndim != ndim or not np.issubdtype(col.dtype, np.signedinteger):
+                    raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({name} read as {col.ndim}-D {col.dtype})")
+            if bool in set(map(type, chain.from_iterable(tokens))):  # numpy reads false beside ints as 0
+                raise FormatError(f"{path}: manifest ids or tokens are not integer arrays (tokens hold JSON booleans)")
+            if width is None:
+                width = token_rows.shape[1]
+            elif token_rows.shape[1] != width:
+                raise FormatError(
+                    f"{path}:{first}: manifest ids or tokens are not integer arrays"
+                    f" (tokens {token_rows.shape[1]} wide from this line, {width} before)"
+                )
+            yield id_col.astype(np.int64, copy=False), np.array(labels, dtype=np.int8), token_rows.astype(np.int64, copy=False)
 
 
 def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (ids, labels, tokens) arrays from a manifest file.
-
-    Labels must be ``LABEL_TAGS`` exactly; ids and tokens must read as 1-D and 2-D integer arrays.
-    """
-    ids, labels, tokens = [], [], []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                row = json.loads(line)
-                if isinstance(row["id"], bool):  # numpy would read true as 1
-                    raise TypeError("id is a JSON boolean")
-                ids.append(row["id"])
-                labels.append(LABEL_TAGS.index(row["oracle_label"]))
-                tokens.append(row["tokens"])
-            except (ValueError, KeyError, TypeError) as e:
-                raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
-    if not ids:
+    """Return (ids, labels, tokens) arrays from a manifest file, checked as ``_manifest_blocks`` checks it."""
+    blocks = list(_manifest_blocks(path))
+    if not blocks:
         return np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros((0, 0), np.int64)
-    try:
-        id_col, token_rows = np.array(ids), np.array(tokens)
-    except ValueError as e:
-        raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({e})") from e
-    for name, col, ndim in (("ids", id_col, 1), ("tokens", token_rows, 2)):
-        if col.ndim != ndim or not np.issubdtype(col.dtype, np.signedinteger):
-            raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({name} read as {col.ndim}-D {col.dtype})")
-    if bool in set(map(type, chain.from_iterable(tokens))):  # numpy reads false beside ints as 0
-        raise FormatError(f"{path}: manifest ids or tokens are not integer arrays (tokens hold JSON booleans)")
-    return id_col.astype(np.int64, copy=False), np.array(labels, dtype=np.int8), token_rows.astype(np.int64, copy=False)
+    ids, labels, tokens = zip(*blocks)
+    return np.concatenate(ids), np.concatenate(labels), np.concatenate(tokens)
+
+
+def read_manifest_labels(path: str | Path) -> np.ndarray:
+    """The label codes of a manifest, every line checked as ``read_manifest`` checks it.
+
+    Each block's ids and tokens are dropped once checked, so only the
+    label column is held.
+    """
+    return np.concatenate([np.zeros(0, np.int8), *(labels for _, labels, _ in _manifest_blocks(path))])
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

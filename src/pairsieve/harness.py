@@ -9,6 +9,7 @@ byte-stable across reruns.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import ceil
@@ -39,13 +40,18 @@ from .data import (
     Dataset,
     GenConfig,
     Label,
+    _label_plan,
+    generate_blocks,
     generate_dataset,
+    generated_rows,
     largest_remainder_counts,
     orthonormal_columns,
+    read_manifest,
+    read_manifest_labels,
     split_validation,
     validation_rows,
     write_csv,
-    write_manifest,
+    write_manifest_lines,
 )
 from .distill import distill_mse, run_distillation
 from .encoder import (
@@ -69,7 +75,7 @@ from .metrics import (
 )
 from .mlm import combined_step, mask_batch
 from .rng import substream
-from .store import StoreHandle, write_store
+from .store import StoreHandle, appending_store, atomic_open, write_store
 
 # Stage tags for deriving per-component seeds from the master seed.
 _STAGE = {
@@ -492,13 +498,22 @@ def pretrain(
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir: str | Path) -> dict[str, str]:
-    """Write the dataset manifest and raw-vector stores."""
+    """Write the dataset manifest and raw-vector stores, one generated block at a time.
+
+    All three files are written to temporary siblings and moved into place
+    only after the last block, so an error leaves any earlier output as it was.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = generate_dataset(cfg.data)
-    write_manifest(out / "manifest.jsonl", ds)
-    write_store(out / "x_a.ecst", ds.x_a)
-    write_store(out / "x_b.ecst", ds.x_b)
+    d = cfg.data
+    with ExitStack() as files:
+        manifest = files.enter_context(atomic_open(out / "manifest.jsonl", "w", encoding="utf-8"))
+        append_a = files.enter_context(appending_store(out / "x_a.ecst", d.d_a, d.n_pairs))
+        append_b = files.enter_context(appending_store(out / "x_b.ecst", d.d_b, d.n_pairs))
+        for block in generate_blocks(d):
+            write_manifest_lines(manifest, block)
+            append_a(block.x_a)
+            append_b(block.x_b)
     save_config(out / "config.json", cfg)
     return {
         "manifest": str(out / "manifest.jsonl"),
@@ -535,9 +550,11 @@ def cmd_eval(
 ) -> dict[str, float]:
     """Evaluate a saved encoder pair; writes one metrics CSV.
 
-    It scores the validation pairs, or every pair when ``n_val`` is 0. The
-    full dataset is released once the validation rows are taken, so
-    scoring holds only the rows it evaluates.
+    It scores the validation pairs, or every pair when ``n_val`` is 0, and
+    holds only those rows. With ``data_dir`` one pass over the manifest
+    keeps the labels, and the rows are then read from the stores; without
+    it, the labels come from the label plan and the rows are kept from one
+    generation pass, block by block.
     """
     from .encoder import load_params
 
@@ -546,19 +563,20 @@ def cmd_eval(
         key_enc = load_params(ck / "key.ecpm")
         query_enc = load_params(ck / "query.ecpm")
         if data_dir is not None:
-            ds = load_dataset_dir(data_dir, cfg.data)
+            labels, x_a, x_b = _read_eval_rows(Path(data_dir), cfg)
         else:
-            ds = generate_dataset(cfg.data)
+            labels = _label_plan(cfg.data)
+            rows = _eval_rows(labels, cfg)
+            labels = labels[rows]
+            x_a, x_b = generated_rows(cfg.data, rows)
     except FileNotFoundError as e:
         raise FormatError(f"{e.filename}: no such file") from e
-    if cfg.n_val:
-        ds = ds.take_rows(validation_rows(ds.labels, cfg.n_val, cfg.seed))
-    if not len(ds):
+    if not len(labels):
         raise EmptySet("no pairs to evaluate")
-    keys, _ = encode_batch(key_enc, ds.x_a)
-    queries, _ = encode_batch(query_enc, ds.x_b)
+    keys, _ = encode_batch(key_enc, x_a)
+    queries, _ = encode_batch(query_enc, x_b)
     metrics = validation_metrics(keys, queries)
-    comp = noise_composition(ds.labels)
+    comp = noise_composition(labels)
     for tag, v in comp.items():
         metrics[f"frac_{tag}"] = v
     out = Path(out_dir)
@@ -567,19 +585,32 @@ def cmd_eval(
     return metrics
 
 
-def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
-    """Rebuild a Dataset from a gen-data output directory."""
-    from .data import read_manifest
+def _eval_rows(labels: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """The sorted rows eval scores: the validation rows, or every row when ``n_val`` is 0."""
+    return validation_rows(labels, cfg.n_val, cfg.seed) if cfg.n_val else np.arange(len(labels))
 
+
+def _check_row_counts(d: Path, n_rows: int, sa: StoreHandle, sb: StoreHandle) -> None:
+    if not n_rows == len(sa) == len(sb):
+        raise FormatError(f"{d}: manifest has {n_rows} rows, x_a.ecst {len(sa)}, x_b.ecst {len(sb)}")
+
+
+def _read_eval_rows(d: Path, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, ``x_a`` and ``x_b`` of the rows eval scores, read from a gen-data output directory."""
+    labels = read_manifest_labels(d / "manifest.jsonl")
+    with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:
+        _check_row_counts(d, len(labels), sa, sb)
+        rows = _eval_rows(labels, cfg)
+        return labels[rows], sa.read_rows(rows), sb.read_rows(rows)
+
+
+def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
+    """Rebuild a whole Dataset from a gen-data output directory."""
     d = Path(data_dir)
     ids, labels, tokens = read_manifest(d / "manifest.jsonl")
-    with StoreHandle(d / "x_a.ecst") as sa:
-        x_a = sa.read_all()
-    with StoreHandle(d / "x_b.ecst") as sb:
-        x_b = sb.read_all()
-    if not len(ids) == len(x_a) == len(x_b):
-        raise FormatError(f"{d}: manifest has {len(ids)} rows, x_a.ecst {len(x_a)}, x_b.ecst {len(x_b)}")
-    return Dataset(ids=ids, labels=labels, x_a=x_a, x_b=x_b, tokens=tokens, config=cfg)
+    with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:
+        _check_row_counts(d, len(ids), sa, sb)
+        return Dataset(ids=ids, labels=labels, x_a=sa.read_all(), x_b=sb.read_all(), tokens=tokens, config=cfg)
 
 
 SWEEP_AXES = {

@@ -12,7 +12,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -22,6 +22,8 @@ STORE_MAGIC = b"ECST"
 STORE_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 HEADER_SIZE = _HEADER.size  # 20 bytes
+# Rows per read of ``StoreHandle.read_rows``: bounds its window buffer.
+_READ_BLOCK = 4096
 
 
 @contextmanager
@@ -50,19 +52,44 @@ class StoreHeader:
     count: int
 
 
+@contextmanager
+def appending_store(path: str | Path, dim: int, count: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write a store of ``count`` rows of ``dim`` values, appended in blocks through the yielded function.
+
+    The header is written first, from ``count``. As with ``atomic_open``,
+    ``path`` gets the new file only on a clean exit, and only when exactly
+    ``count`` rows were appended; otherwise it is left as it was.
+    """
+    with atomic_open(path) as f:
+        f.write(_HEADER.pack(STORE_MAGIC, STORE_VERSION, dim, count))
+        written = 0
+
+        def append(rows: np.ndarray) -> None:
+            nonlocal written
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 2 or rows.shape[1] != dim:
+                raise DimMismatch(f"expected rows of {dim} values, got shape {rows.shape}")
+            if written + len(rows) > count:
+                raise DimMismatch(f"{path}: {written + len(rows)} rows appended, header says {count}")
+            f.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")))  # the rows' own buffer, not a copy
+            written += len(rows)
+
+        yield append
+        if written != count:
+            raise DimMismatch(f"{path}: {written} rows appended, header says {count}")
+        f.flush()
+        os.fsync(f.fileno())
+
+
 def write_store(path: str | Path, embeddings: np.ndarray) -> StoreHeader:
     """Write the rows of a 2-D array to ``path``; an array with no rows gives a header-only file."""
     rows = np.asarray(embeddings, dtype=np.float64)
     if rows.ndim != 2:
         raise DimMismatch(f"expected 2-D row data, got shape {rows.shape}")
     count, dim = rows.shape
-    header = StoreHeader(STORE_VERSION, dim, count)
-    with atomic_open(path) as f:
-        f.write(_HEADER.pack(STORE_MAGIC, header.version, dim, count))
-        f.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")))  # the rows' own buffer, not a copy
-        f.flush()
-        os.fsync(f.fileno())
-    return header
+    with appending_store(path, dim, count) as append:
+        append(rows)
+    return StoreHeader(STORE_VERSION, dim, count)
 
 
 class StoreHandle:
@@ -116,6 +143,31 @@ class StoreHandle:
         if len(blob) != row_bytes:
             raise FormatError(f"{self.path}: short read at row {index}")
         return np.frombuffer(blob, dtype="<f8").copy()
+
+    def read_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Return the strictly increasing ``rows``, reading one window of at most ``_READ_BLOCK`` rows at a time.
+
+        Each read starts at the next wanted row and covers every wanted row
+        within the window, so only those windows of the file are read.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if np.any(np.diff(rows) <= 0):
+            raise ValueError("rows must be strictly increasing")
+        if rows.size and (rows[0] < 0 or rows[-1] >= self.header.count):
+            raise IndexError(f"rows {rows[0]}..{rows[-1]} out of range ({self.header.count} rows)")
+        out = np.empty((rows.size, self.header.dim), dtype="<f8")
+        window = np.empty((min(_READ_BLOCK, self.header.count), self.header.dim), dtype="<f8")
+        i = 0
+        while i < rows.size:
+            lo = int(rows[i])
+            j = int(np.searchsorted(rows, lo + _READ_BLOCK))
+            buf = window[: int(rows[j - 1]) - lo + 1]
+            self._f.seek(HEADER_SIZE + lo * self.header.dim * 8)
+            if self._f.readinto(buf) != buf.nbytes:
+                raise FormatError(f"{self.path}: short read at row {lo}")
+            out[i:j] = buf[rows[i:j] - lo]
+            i = j
+        return out
 
     def read_all(self) -> np.ndarray:
         """Return every row, read with one call into a preallocated array."""

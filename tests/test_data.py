@@ -10,11 +10,14 @@ from pairsieve.data import (
     Dataset,
     GenConfig,
     Label,
+    _BLOCK,
     _label_plan,
     generate_dataset,
+    generated_rows,
     largest_remainder_counts,
     mixing_matrices,
     read_manifest,
+    read_manifest_labels,
     split_validation,
     write_csv,
     write_manifest,
@@ -168,6 +171,15 @@ def test_generation_matches_per_record_reference_across_blocks(cfg):
     _assert_matches_reference(cfg)
 
 
+def test_generated_rows_are_the_dataset_rows():
+    cfg = small_cfg(n_pairs=600, seed=4)
+    ds = generate_dataset(cfg)
+    for rows in (np.arange(600), np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 599]), np.arange(0)):
+        x_a, x_b = generated_rows(cfg, rows)
+        assert x_a.tobytes() == ds.x_a[rows].tobytes()
+        assert x_b.tobytes() == ds.x_b[rows].tobytes()
+
+
 def test_rows_for_ids_matches_positions_and_rejects_unknown_ids():
     # A shuffled subset has gaps in its ids and a largest id that is not last.
     ds = generate_dataset(small_cfg(n_pairs=60))
@@ -276,6 +288,22 @@ def test_read_manifest_rejects_scalar_tokens(tmp_path):
     path.write_text('{"id": 0, "oracle_label": "good", "tokens": 7}\n{"id": 1, "oracle_label": "noisy", "tokens": 8}\n')
     with pytest.raises(FormatError, match="tokens read as 1-D int64"):
         read_manifest(path)
+
+
+def test_manifest_blocks_read_as_one_file(tmp_path):
+    # 589 lines: two full blocks of lines and a partial one.
+    ds = generate_dataset(small_cfg(n_pairs=589, seed=5))
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, ds)
+    ids, labels, tokens = read_manifest(path)
+    assert ids.tobytes() == ds.ids.tobytes() and tokens.tobytes() == ds.tokens.tobytes()
+    assert labels.tobytes() == read_manifest_labels(path).tobytes() == ds.labels.tobytes()
+    lines = path.read_text().splitlines(keepends=True)
+    lines[_BLOCK:] = [line.replace('"tokens": [', '"tokens": [1, ') for line in lines[_BLOCK:]]
+    path.write_text("".join(lines))
+    for read in (read_manifest, read_manifest_labels):
+        with pytest.raises(FormatError, match=f"manifest.jsonl:{_BLOCK + 1}: .* wide from this line"):
+            read(path)
 
 
 def _manifest_by_json_dumps(ds):

@@ -18,7 +18,7 @@ from pairsieve.config import (
     to_json,
 )
 from pairsieve.curation import score_pairs
-from pairsieve.data import Dataset, GenConfig, generate_dataset, split_validation
+from pairsieve.data import _BLOCK, Dataset, GenConfig, generate_dataset, split_validation
 from pairsieve.encoder import encode_batch, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import contrastive, harness
@@ -291,8 +291,9 @@ def test_cli_eval_of_a_dataset_with_no_pairs_is_an_empty_set_error(tmp_path, cap
 
 def test_eval_memory_is_the_dataset_and_a_block(tmp_path):
     # 2000 validation pairs: their dense similarity matrix alone is 32 MB. Measured traced
-    # peaks: 13.8 MB scoring in blocks over the validation rows, 49.3 MB with the dense matrix
-    # and the training split held.
+    # peaks: 13.5 MB reading only the validation rows and scoring them in blocks of about
+    # 2^20 cells (8.4 MB), 13.8 MB reading the whole dataset first, 49.3 MB with the dense
+    # matrix and the training split held. The bound is the measured peak plus 1.5 MB.
     cfg = tiny_config(3, n_pairs=6000)
     cfg.n_val = 2000
     cmd_gen_data(cfg, tmp_path / "d")
@@ -303,7 +304,106 @@ def test_eval_memory_is_the_dataset_and_a_block(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 15e6
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_data_and_eval_hold_a_block_not_the_dataset(tmp_path):
+    # 10000 pairs are 10 MB of arrays; gen-data writes them one generated block at a time,
+    # and eval reads the labels and then only the 200 rows it scores. Measured traced
+    # peaks: 1.7 MB for gen-data and 2.3 MB for eval (its 2.1 MB read window), against
+    # 11.1 and 10.3 MB holding the whole dataset. The bound leaves 0.7 MB of headroom.
+    cfg = tiny_config(5, n_pairs=10000)
+    cfg.n_val = 200
+    assert _traced_peak(cmd_gen_data, cfg, tmp_path / "d") < 3e6
+    ck = _untrained_checkpoints(tmp_path / "ck", cfg)
+    assert _traced_peak(cmd_eval, ck, cfg, tmp_path / "ev", tmp_path / "d") < 3e6
+
+
+def test_gen_data_failure_leaves_earlier_output_and_no_partial_file(tmp_path, monkeypatch):
+    # The manifest and both stores are moved into place together after the last block.
+    cmd_gen_data(tiny_config(16), tmp_path / "old")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+    real = harness.generate_blocks
+
+    def failing(cfg):
+        for i, block in enumerate(real(cfg)):
+            if i == 2:
+                raise RuntimeError("block source failed")
+            yield block
+
+    monkeypatch.setattr(harness, "generate_blocks", failing)
+    for out in (tmp_path / "old", tmp_path / "fresh"):
+        with pytest.raises(RuntimeError, match="block source failed"):
+            cmd_gen_data(tiny_config(17), out)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
+    assert sorted(before) == ["config.json", "manifest.jsonl", "x_a.ecst", "x_b.ecst"]
+    assert list((tmp_path / "fresh").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ({299: '{"id": 5, "orac\n'}, "manifest.jsonl:300: malformed"),
+        ({299: _manifest_line(rid="299", label="5")}, "manifest.jsonl:300: malformed"),
+        ({299: _manifest_line(rid="299", tokens="[1]")}, "manifest ids or tokens"),
+        ({299: _manifest_line(rid="0.5")}, "ids read as 1-D float64"),
+        ({299: _manifest_line(rid="99999999999999999999999")}, "ids read as 1-D object"),
+        ({299: _manifest_line(tokens="[" + "1, " * 11 + "false]")}, "tokens hold JSON booleans"),
+        (
+            dict.fromkeys(range(_BLOCK, 600), _manifest_line(tokens="[" + "1, " * 10 + "1]")),
+            f"manifest.jsonl:{_BLOCK + 1}: manifest ids or tokens",
+        ),
+        ("x_b.ecst", "header implies"),
+    ],
+    ids=["torn", "code-label", "ragged", "half-id", "huge-id", "bool-token", "width-at-block-boundary", "x_b-size"],
+)
+def test_eval_checks_every_manifest_block_before_scoring(tmp_path, capsys, monkeypatch, damage, message):
+    # Line 300 of 600 lies in the middle block of lines; the width change starts the second block.
+    cfg = tiny_config(2)
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg_path, cfg)
+    cmd_gen_data(cfg, tmp_path / "d")
+    if damage == "x_b.ecst":
+        with open(tmp_path / "d/x_b.ecst", "ab") as f:
+            f.write(bytes(8))
+    else:
+        manifest = tmp_path / "d/manifest.jsonl"
+        lines = manifest.read_text().splitlines(keepends=True)
+        for i, line in damage.items():
+            lines[i] = line
+        manifest.write_text("".join(lines))
+    encoded = count_calls(monkeypatch, "encode_batch")
+    read = []
+    monkeypatch.setattr(StoreHandle, "read_rows", lambda self, rows: read.append(rows))
+    ck = _untrained_checkpoints(tmp_path / "ck", cfg)
+    argv = ["eval", "--config", str(cfg_path), "--checkpoint", str(ck), "--data-dir", str(tmp_path / "d")]
+    assert main(argv + ["--out-dir", str(tmp_path / "ev")]) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FormatError"
+    assert message in err["message"]
+    assert encoded == [] and read == []
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_without_data_dir_scores_the_rows_gen_data_writes(tmp_path):
+    # The regenerate path keeps the same rows from the generation blocks that gen-data writes.
+    cfg = tiny_config(18)
+    cmd_gen_data(cfg, tmp_path / "d")
+    ck = _untrained_checkpoints(tmp_path / "ck", cfg)
+    for n_val in (100, 0):
+        cfg.n_val = n_val
+        cmd_eval(ck, cfg, tmp_path / f"dir{n_val}", tmp_path / "d")
+        cmd_eval(ck, cfg, tmp_path / f"regen{n_val}")
+        assert (tmp_path / f"dir{n_val}/eval.csv").read_bytes() == (tmp_path / f"regen{n_val}/eval.csv").read_bytes()
 
 
 def test_pretrain_deterministic_metrics(tmp_path):
@@ -461,6 +561,27 @@ def test_dumps_agree_with_metrics_csv(tmp_path):
         ):
             assert metric[(epoch, name)] == sum(r["id"] in kept_ids for r in members) / len(members)
         prior = kept
+
+
+def test_epoch_batches_reshuffle_every_epoch():
+    rows = np.arange(0, 900, 3)
+    first, second = (np.concatenate(harness._epoch_batches(rows, 64, 0, epoch)) for epoch in (1, 2))
+    np.testing.assert_array_equal(np.sort(first), rows)
+    np.testing.assert_array_equal(np.sort(second), rows)
+    assert not np.array_equal(first, second)
+
+
+def test_regular_term_is_the_running_product_of_retention_ratios(tmp_path):
+    cfg = tiny_config(24)
+    cfg.train.epochs = 4
+    pretrain(cfg, out_dir=tmp_path)
+    metric = {(int(r["epoch"]), r["metric"]): float(r["value"]) for r in _read_rows(tmp_path / "metrics.csv")}
+    product = 1.0
+    for epoch in range(1, cfg.train.epochs + 1):
+        good, noisy = metric[(epoch, "retention_good")], metric[(epoch, "retention_noisy")]
+        product *= noisy / good
+        assert metric[(epoch, "regular_term")] == product, epoch
+    assert product < 1  # noisy pairs were pruned faster than good ones
 
 
 def test_filtering_shrinks_geometrically():

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pairsieve.errors import FormatError
-from pairsieve.store import HEADER_SIZE, StoreHandle, write_store
+from pairsieve import store
+from pairsieve.errors import DimMismatch, FormatError
+from pairsieve.store import HEADER_SIZE, StoreHandle, appending_store, write_store
 
 
 def test_empty_store(tmp_path):
@@ -86,6 +87,54 @@ def test_read_all_short_read_detected(tmp_path):
             f.truncate(HEADER_SIZE + 8)  # shrunk after the size check at open
         with pytest.raises(FormatError):
             h.read_all()
+
+
+def test_appended_blocks_equal_one_write(tmp_path):
+    rows = np.random.default_rng(2).standard_normal((10, 3))
+    with appending_store(tmp_path / "a.ecst", 3, 10) as append:
+        for start in range(0, 10, 4):
+            append(rows[start : start + 4])
+    write_store(tmp_path / "w.ecst", rows)
+    assert (tmp_path / "a.ecst").read_bytes() == (tmp_path / "w.ecst").read_bytes()
+
+
+@pytest.mark.parametrize("blocks", [[3], [3, 3, 3, 3], [2, 2, 2, 2, 2, 2]], ids=["short", "over-mid-block", "over-when-full"])
+def test_appending_other_than_the_header_count_keeps_the_old_file(tmp_path, blocks):
+    path = tmp_path / "s.ecst"
+    write_store(path, np.ones((2, 2)))
+    before = path.read_bytes()
+    with pytest.raises(DimMismatch, match="header says 10"):
+        with appending_store(path, 2, 10) as append:
+            for n in blocks:
+                append(np.zeros((n, 2)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.ecst"]
+
+
+@pytest.mark.parametrize("window", [1, 3, 7, 4096])
+def test_read_rows_equals_read_all_at_rows(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(store, "_READ_BLOCK", window)
+    rng = np.random.default_rng(window)
+    data = rng.standard_normal((40, 5))
+    path = tmp_path / "r.ecst"
+    write_store(path, data)
+    with StoreHandle(path) as h:
+        for rows in (np.arange(0), np.arange(40), np.array([0, 39]), np.sort(rng.choice(40, 13, replace=False))):
+            got = h.read_rows(rows)
+            assert got.shape == (len(rows), 5)
+            assert got.tobytes() == data[rows].tobytes()
+
+
+def test_read_rows_rejects_rows_out_of_range_or_order(tmp_path):
+    path = tmp_path / "r.ecst"
+    write_store(path, np.ones((5, 2)))
+    with StoreHandle(path) as h:
+        for rows in ([0, 5], [-1, 2]):
+            with pytest.raises(IndexError):
+                h.read_rows(np.array(rows))
+        for rows in ([2, 1], [1, 1]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                h.read_rows(np.array(rows))
 
 
 @given(
