@@ -231,34 +231,51 @@ def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
         )
 
 
+def _generated_parts(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> list[Dataset]:
+    """One ``Dataset`` per array of sorted rows, holding those generated rows, all filled block by block from one pass."""
+    parts = [
+        Dataset(
+            ids=np.asarray(rows, dtype=np.int64),
+            labels=np.empty(len(rows), dtype=np.int8),
+            x_a=np.empty((len(rows), cfg.d_a)),
+            x_b=np.empty((len(rows), cfg.d_b)),
+            tokens=np.empty((len(rows), cfg.seq_len), dtype=np.int64),
+            config=cfg,
+        )
+        for rows in row_sets
+    ]
+    for block in generate_blocks(cfg):
+        for part in parts:
+            lo, hi = np.searchsorted(part.ids, (block.ids[0], block.ids[-1] + 1))
+            picked = part.ids[lo:hi] - block.ids[0]
+            part.labels[lo:hi], part.tokens[lo:hi] = block.labels[picked], block.tokens[picked]
+            part.x_a[lo:hi], part.x_b[lo:hi] = block.x_a[picked], block.x_b[picked]
+    return parts
+
+
 def generate_dataset(cfg: GenConfig) -> Dataset:
     """Deterministically generate ``cfg.n_pairs`` labeled pairs: the blocks of ``generate_blocks``, joined."""
-    x_a = np.empty((cfg.n_pairs, cfg.d_a))
-    x_b = np.empty((cfg.n_pairs, cfg.d_b))
-    tokens = np.empty((cfg.n_pairs, cfg.seq_len), dtype=np.int64)
-    labels = np.empty(cfg.n_pairs, dtype=np.int8)
-    for block in generate_blocks(cfg):
-        rows = slice(block.ids[0], block.ids[-1] + 1)
-        labels[rows], x_a[rows], x_b[rows], tokens[rows] = block.labels, block.x_a, block.x_b, block.tokens
-    return Dataset(
-        ids=np.arange(cfg.n_pairs, dtype=np.int64),
-        labels=labels,
-        x_a=x_a,
-        x_b=x_b,
-        tokens=tokens,
-        config=cfg,
-    )
+    (ds,) = _generated_parts(cfg, [np.arange(cfg.n_pairs)])
+    return ds
 
 
 def generated_rows(cfg: GenConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x_a`` and ``x_b`` of ``generate_dataset(cfg)`` at the sorted ``rows``, kept block by block from one pass."""
-    x_a = np.empty((len(rows), cfg.d_a))
-    x_b = np.empty((len(rows), cfg.d_b))
-    for block in generate_blocks(cfg):
-        lo, hi = np.searchsorted(rows, (block.ids[0], block.ids[-1] + 1))
-        picked = rows[lo:hi] - block.ids[0]
-        x_a[lo:hi], x_b[lo:hi] = block.x_a[picked], block.x_b[picked]
-    return x_a, x_b
+    (part,) = _generated_parts(cfg, [rows])
+    return part.x_a, part.x_b
+
+
+def generate_split(cfg: GenConfig, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
+    """``split_validation(generate_dataset(cfg), n_val, seed)`` from one generation pass.
+
+    The label plan picks the validation rows before any record is drawn,
+    so the whole dataset is never held beside the two parts.
+    """
+    val_rows = validation_rows(_label_plan(cfg), n_val, seed)
+    mask = np.ones(cfg.n_pairs, dtype=bool)
+    mask[val_rows] = False
+    train, val = _generated_parts(cfg, (np.flatnonzero(mask), val_rows))
+    return train, val
 
 
 def validation_rows(labels: np.ndarray, n_val: int, seed: int) -> np.ndarray:

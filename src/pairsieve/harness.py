@@ -43,12 +43,12 @@ from .data import (
     _label_plan,
     generate_blocks,
     generate_dataset,
+    generate_split,
     generated_rows,
     largest_remainder_counts,
     orthonormal_columns,
     read_manifest,
     read_manifest_labels,
-    split_validation,
     validation_rows,
     write_csv,
     write_manifest_lines,
@@ -330,8 +330,7 @@ class PretrainRun:
             "mlm_steps": 0,
         }
 
-        full = generate_dataset(cfg.data)
-        self.train, self.val = split_validation(full, cfg.n_val, cfg.seed)
+        self.train, self.val = generate_split(cfg.data, cfg.n_val, cfg.seed)
 
         teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
         self.report.log(0, "distill_held_mse", held_mse)

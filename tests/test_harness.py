@@ -815,6 +815,7 @@ def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
         raise AssertionError("training started")
 
     monkeypatch.setattr("pairsieve.harness.generate_dataset", no_training)
+    monkeypatch.setattr("pairsieve.harness.generate_split", no_training)
     monkeypatch.setattr("pairsieve.harness.train_teacher", no_training)
     out = str(tmp_path / "out")
     # n_val above the good-pair count (240 of 600) is refused before data generation too.
