@@ -92,8 +92,11 @@ def contrastive_loss(
 
     Excluded entries are found per column with ``np.isin`` and only
     their (row, column) cells are set to ``-inf``, so they add nothing
-    to the softmax. The logits are shifted and exponentiated in place,
-    and no probability matrix is built.
+    to the softmax. ``isin`` always takes its lookup-table path: every
+    caller's ids are row indices, so the table holds one byte per row at
+    most, while numpy's default sorts whenever the batch's ids span more
+    than six times the queue plus the batch. The logits are shifted and
+    exponentiated in place, and no probability matrix is built.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -112,20 +115,28 @@ def contrastive_loss(
     queries = batch.queries * (1.0 / tau)
     pos_logit = np.einsum("ij,ij->i", queries, batch.positives)  # (n,)
     logits = queries @ negs.T  # (n, m)
-    cols = np.flatnonzero(np.isin(neg_ids, batch.ids))
+    cols = np.flatnonzero(np.isin(neg_ids, batch.ids, kind="table"))
     rows, hits = np.nonzero(batch.ids[:, None] == neg_ids[cols][None, :])
     logits[rows, cols[hits]] = -np.inf
 
     # Stabilized softmax over [positive, negatives...] per row.
-    row_max = np.maximum(pos_logit, logits.max(axis=1))
+    row_max = np.maximum(pos_logit, np.maximum.reduce(logits, axis=1))
     logits -= row_max[:, None]
     neg_exp = np.exp(logits, out=logits)
-    pos_exp = np.exp(pos_logit - row_max)
-    total = pos_exp + neg_exp.sum(axis=1)
-    loss = float(np.mean(row_max - pos_logit + np.log(total)))
+    pos_exp = pos_logit - row_max
+    np.exp(pos_exp, out=pos_exp)
+    total = np.add.reduce(neg_exp, axis=1)
+    total += pos_exp
+    per_row = row_max - pos_logit
+    per_row += np.log(total)
+    loss = float(np.add.reduce(per_row) / n)
 
-    d_pos = (pos_exp / total - 1.0)[:, None] * batch.positives
-    d_queries = (d_pos + (neg_exp @ negs) / total[:, None]) / (tau * n)
+    d_pos = pos_exp / total
+    d_pos -= 1.0
+    d_queries = neg_exp @ negs
+    d_queries /= total[:, None]
+    d_queries += d_pos[:, None] * batch.positives
+    d_queries /= tau * n
     return loss, d_queries
 
 

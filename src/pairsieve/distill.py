@@ -9,11 +9,13 @@ geometry rather than copy weights. The teacher is frozen, so
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .encoder import EncoderParams, cosine_warmup_lr, encode_backward, encode_batch, sgd_step
 from .errors import DimMismatch, EmptyBatch, NonFiniteLoss
-from .rng import substream
+from .rng import Substreams
 
 # Share of the distillation steps spent ramping the lr up from zero.
 WARMUP_FRAC = 0.05
@@ -21,14 +23,16 @@ WARMUP_FRAC = 0.05
 
 def distill_loss(targets: np.ndarray, student: EncoderParams, x_student: np.ndarray) -> tuple[float, EncoderParams]:
     """Mean squared embedding distance over the batch; grads for the student only."""
-    targets = np.atleast_2d(targets)
+    if targets.ndim != 2:
+        targets = np.atleast_2d(targets)
     if targets.shape[0] == 0:
         raise EmptyBatch("distillation batch is empty")
     outputs, cache = encode_batch(student, x_student)
     diff = outputs - targets
     n = diff.shape[0]
-    loss = float(np.sum(diff * diff) / n)
-    grads = encode_backward(student, cache, (2.0 / n) * diff)
+    loss = float(np.add.reduce(diff * diff, axis=None) / n)
+    diff *= 2.0 / n  # the upstream gradient
+    grads = encode_backward(student, cache, diff)
     return loss, grads
 
 
@@ -57,13 +61,14 @@ def run_distillation(
     warmup = int(round(WARMUP_FRAC * steps))
     losses: list[float] = []
     full_batch = batch_size >= n
+    streams = Substreams(seed, "distill")
     for step in range(steps):
         if full_batch:
             pick = np.arange(n)
         else:
-            pick = substream(seed, "distill", step).integers(0, n, size=batch_size)
+            pick = streams.at(step).integers(0, n, size=batch_size)
         loss, grads = distill_loss(targets[pick], student, x_student[pick])
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NonFiniteLoss(f"distillation loss non-finite at step {step}")
         lr = cosine_warmup_lr(step, warmup, steps, base_lr)
         if lr > 0:

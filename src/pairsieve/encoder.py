@@ -117,37 +117,57 @@ def init_mlm_head(seed: int, vocab: int, d_in: int, embed_dim: int) -> MlmHead:
 
 
 def encode_batch(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCache]:
-    """Encode rows of ``x`` to unit-norm embeddings."""
-    x = np.atleast_2d(x)
+    """Encode rows of ``x`` to unit-norm embeddings.
+
+    The returned embeddings are the cache's ``emb`` array, so a caller
+    that keeps the cache for ``encode_backward`` must not write into them.
+    Neither ``x`` nor the parameters are written.
+    """
+    if x.ndim != 2:
+        x = np.atleast_2d(x)
     if x.shape[1] != p.d_in:
         raise DimMismatch(f"input dim {x.shape[1]}, encoder expects {p.d_in}")
-    h = np.tanh(x @ p.w1 + p.b1)
-    raw = h @ p.w2 + p.b2
-    norm = np.linalg.norm(raw, axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise NonFiniteLoss("encoder produced a non-finite embedding norm")
-    if np.any(norm == 0.0):
+    h = x @ p.w1
+    h += p.b1
+    np.tanh(h, out=h)
+    raw = h @ p.w2
+    raw += p.b2
+    # What np.linalg.norm(raw, axis=1) computes, without its wrapper.
+    norm = np.sqrt(np.add.reduce(raw * raw, axis=1))
+    # One min/max pass; only a failing batch runs the checks that pick the error (non-finite before zero).
+    if norm.size and not (norm.min() > 0.0 and norm.max() < np.inf):
+        if not np.all(np.isfinite(norm)):
+            raise NonFiniteLoss("encoder produced a non-finite embedding norm")
         raise ZeroNorm("encoder produced a zero embedding before normalization")
-    emb = raw / norm[:, None]
-    return emb, BatchCache(id(p), x, h, emb, norm)
+    raw /= norm[:, None]
+    return raw, BatchCache(id(p), x, h, raw, norm)
 
 
 def encode_backward(p: EncoderParams, cache: BatchCache, upstream: np.ndarray) -> EncoderParams:
-    """Accumulate parameter gradients for upstream d(loss)/d(embedding)."""
+    """Accumulate parameter gradients for upstream d(loss)/d(embedding).
+
+    Writes only into arrays it builds; ``upstream``, the cache and ``p`` are read.
+    """
     if cache.params_id != id(p):
         raise CacheMismatch("cache was produced by a different parameter set")
-    upstream = np.atleast_2d(upstream)
-    if upstream.shape != cache.emb.shape:
-        raise DimMismatch(f"upstream shape {upstream.shape} vs {cache.emb.shape}")
+    if upstream.ndim != 2:
+        upstream = np.atleast_2d(upstream)
+    emb, h = cache.emb, cache.h
+    if upstream.shape != emb.shape:
+        raise DimMismatch(f"upstream shape {upstream.shape} vs {emb.shape}")
     # Normalization Jacobian: d_raw = (g - (g.e)e)/|raw|.
-    proj = np.sum(upstream * cache.emb, axis=1, keepdims=True)
-    d_raw = (upstream - proj * cache.emb) / cache.norm[:, None]
-    d_w2 = cache.h.T @ d_raw
-    d_b2 = d_raw.sum(axis=0)
-    d_h = d_raw @ p.w2.T
-    d_pre = d_h * (1.0 - cache.h**2)
+    proj = np.add.reduce(upstream * emb, axis=1, keepdims=True)
+    d_raw = proj * emb
+    np.subtract(upstream, d_raw, out=d_raw)
+    d_raw /= cache.norm[:, None]
+    d_w2 = h.T @ d_raw
+    d_b2 = np.add.reduce(d_raw, axis=0)
+    d_pre = d_raw @ p.w2.T  # d(loss)/dh, then times tanh' = 1 - h^2
+    gate = h * h
+    np.subtract(1.0, gate, out=gate)
+    d_pre *= gate
     d_w1 = cache.x.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
+    d_b1 = np.add.reduce(d_pre, axis=0)
     return EncoderParams(d_w1, d_b1, d_w2, d_b2)
 
 
@@ -158,11 +178,22 @@ def sgd_step(
     if lr <= 0:
         raise ValueError("lr must be positive")
     return EncoderParams(
-        w1=p.w1 - lr * (g.w1 + weight_decay * p.w1),
-        b1=p.b1 - lr * g.b1,
-        w2=p.w2 - lr * (g.w2 + weight_decay * p.w2),
-        b2=p.b2 - lr * g.b2,
+        w1=_descend(p.w1, g.w1, lr, weight_decay),
+        b1=_descend(p.b1, g.b1, lr),
+        w2=_descend(p.w2, g.w2, lr, weight_decay),
+        b2=_descend(p.b2, g.b2, lr),
     )
+
+
+def _descend(w: np.ndarray, gw: np.ndarray, lr: float, weight_decay: float | None = None) -> np.ndarray:
+    """w - lr * (gw + weight_decay * w), or w - lr * gw without decay, in one new array."""
+    if weight_decay is None:
+        step = lr * gw
+    else:
+        step = weight_decay * w
+        step += gw
+        step *= lr
+    return np.subtract(w, step, out=step)
 
 
 def cosine_warmup_lr(step: int, warmup_steps: int, total_steps: int, base_lr: float) -> float:

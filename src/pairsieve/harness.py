@@ -74,7 +74,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .mlm import combined_step, mask_batch
-from .rng import substream
+from .rng import Substreams, substream
 from .store import StoreHandle, appending_store, atomic_open, write_store
 
 # Stage tags for deriving per-component seeds from the master seed.
@@ -172,9 +172,10 @@ def train_teacher(inputs: StageInputs) -> TeacherBundle:
     steps = tc.steps
     warmup = int(round(inputs.warmup_frac * steps))
     n = len(ds)
+    streams = Substreams(seed, "teacher")
     for step in range(steps):
         # Clean-pair ids are their rows (arange), so the picked rows name the pairs.
-        pick = substream(seed, "teacher", step).integers(0, n, size=tc.batch_size)
+        pick = streams.at(step).integers(0, n, size=tc.batch_size)
         lr = cosine_warmup_lr(step, warmup, steps, inputs.base_lr)
         emb_a, cache_a = encode_batch(enc_a, ds.x_a[pick])
         emb_b, cache_b = encode_batch(enc_b, x_view[pick])
@@ -408,13 +409,14 @@ class PretrainRun:
         loss_c_sum, loss_m_sum, mlm_steps = 0.0, 0.0, 0
         t_start = time.perf_counter()
         start_step = self.state.step
+        mask_streams = Substreams(cfg.seed, "mask")
         for rows in _epoch_batches(self.retained, cfg.train.batch_pairs, cfg.seed, epoch):
             if self.out_of_steps():
                 break
             pair_batch = PairBatch(ids=rows, x_a=train.x_a[rows], x_b=train.x_b[rows])
             lr = cosine_warmup_lr(self.state.step, self.warmup, self.plan_steps, cfg.train.base_lr)
             if self.filtering_active and cfg.train.batch_text > 0:
-                text_rng = substream(cfg.seed, "mask", self.state.step)
+                text_rng = mask_streams.at(self.state.step)
                 pick = text_rng.integers(0, len(train), size=cfg.train.batch_text)
                 masked = mask_batch(
                     train.tokens[pick],

@@ -92,18 +92,22 @@ def mlm_loss(query_encoder, head: MlmHead, batch: MaskedBatch) -> tuple[float, M
         raise EmptyMask("batch has no masked positions")
     inputs = _position_inputs(head, batch)
     emb, cache = encode_batch(query_encoder, inputs)
-    logits = emb @ head.w + head.b  # (m, vocab)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    picked = shifted[np.arange(m), batch.targets] - np.log(exp.sum(axis=1))
-    loss = float(-picked.mean())
+    rows = np.arange(m)
+    shifted = emb @ head.w  # (m, vocab) logits, shifted below by each row's max
+    shifted += head.b
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+    picked = shifted[rows, batch.targets]
+    exp = np.exp(shifted, out=shifted)
+    total = np.add.reduce(exp, axis=1)
+    picked -= np.log(total)
+    loss = float(-(np.add.reduce(picked) / m))
 
-    d_logits = probs.copy()
-    d_logits[np.arange(m), batch.targets] -= 1.0
+    d_logits = exp  # the softmax, then minus the one-hot targets, over m
+    d_logits /= total[:, None]
+    d_logits[rows, batch.targets] -= 1.0
     d_logits /= m
     head_w_grad = emb.T @ d_logits
-    head_b_grad = d_logits.sum(axis=0)
+    head_b_grad = np.add.reduce(d_logits, axis=0)
     d_emb = d_logits @ head.w.T
     enc_grads = encode_backward(query_encoder, cache, d_emb)
     return loss, MlmGrads(enc_grads, head_w_grad, head_b_grad)

@@ -15,7 +15,7 @@ from pairsieve.encoder import (
     save_params,
     sgd_step,
 )
-from pairsieve.errors import CacheMismatch, DimMismatch, FormatError, ZeroNorm
+from pairsieve.errors import CacheMismatch, DimMismatch, FormatError, NonFiniteLoss, ZeroNorm
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
 
@@ -64,12 +64,60 @@ def test_encode_zero_params_raises():
     p = EncoderParams(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ZeroNorm):
         encode_batch(p, np.ones(4))
+    with pytest.raises(ZeroNorm):
+        encode_batch(p, substream(3, "init", 6).standard_normal((5, 4)))
 
 
 def test_encode_dim_mismatch():
     p = init_params(1, 4, 3, 2)
     with pytest.raises(DimMismatch):
         encode_batch(p, np.ones(5))
+
+
+@pytest.mark.parametrize(
+    "w2_scale, bad, fine, error",
+    [
+        (1.0, {2: "nan"}, [0, 1, 3], NonFiniteLoss),
+        # tanh bounds the hidden layer, so a huge w2 overflows every squared norm but the tiny row's.
+        (1e200, {0: "tiny"}, [0], NonFiniteLoss),
+        (1.0, {3: "zero"}, [0, 1, 2], ZeroNorm),
+        # The non-finite check comes first, whichever row comes first.
+        (1.0, {0: "zero", 3: "nan"}, [1, 2], NonFiniteLoss),
+    ],
+)
+def test_encode_bad_rows_pick_the_error(w2_scale, bad, fine, error):
+    w = init_params(3, 6, 5, 3)
+    p = EncoderParams(w.w1, w.b1, w.w2 * w2_scale, w.b2)  # zero biases: a zero row embeds to zero
+    x = substream(3, "init", 4).standard_normal((4, 6))
+    for row, kind in bad.items():
+        x[row] *= {"nan": np.nan, "zero": 0.0, "tiny": 1e-250}[kind]
+    with np.errstate(over="ignore"), pytest.raises(error):
+        encode_batch(p, x)
+    encode_batch(p, x[fine])
+
+
+def test_encode_and_backward_read_only_inputs_untouched():
+    p = init_params(6, 6, 5, 3)
+    rng = substream(6, "init", 9)
+    x = rng.standard_normal((4, 6))
+    upstream = rng.standard_normal((4, 3))
+    want_emb, want_cache = encode_batch(p, x.copy())
+    want_grads = encode_backward(p, want_cache, upstream.copy())
+    for a in (x, upstream, *p.arrays()):
+        a.flags.writeable = False
+    before = [a.copy() for a in (x, upstream, *p.arrays())]
+
+    emb, cache = encode_batch(p, x)
+    grads = encode_backward(p, cache, upstream)
+
+    for a, b in zip((x, upstream, *p.arrays()), before):
+        assert a.tobytes() == b.tobytes()
+    assert emb.tobytes() == want_emb.tobytes()
+    for a, b in zip(grads.arrays(), want_grads.arrays()):
+        assert a.tobytes() == b.tobytes()
+    stepped = sgd_step(p, grads, lr=0.1, weight_decay=1e-3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(p.arrays(), before[2:]))
+    assert not any(np.shares_memory(a, b) for a in stepped.arrays() for b in (*p.arrays(), *grads.arrays()))
 
 
 def test_backward_zero_upstream():

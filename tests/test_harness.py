@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -1018,3 +1019,39 @@ def test_pretrain_names_pairs_by_training_row(monkeypatch):
     for batch_ids, queue_ids in seen:
         assert 0 <= batch_ids.min() and batch_ids.max() < n_train
         assert 0 <= queue_ids.min() and queue_ids.max() < n_train
+
+
+# sha256 of metrics.csv from acceptance criterion 15's config, and the platform it was
+# recorded on: float bits depend on the numpy and BLAS builds and on the SIMD code numpy
+# dispatches exp and tanh to, so on another platform the digest says nothing. It was
+# equal in three runs at one BLAS thread and three at the default count. A change that
+# moves float bits on purpose records the new digest here and says so in CHANGES.md.
+_C15_METRICS_SHA256 = "832f331451a3777aaaf6276de3d743bdac45d5b2cfa54a5f77bb9067ddd3d17b"
+_C15_PLATFORM = {"numpy": "2.4.6", "blas": "0.3.31.188.0", "exp": "X86_V4", "tanh": "X86_V4"}
+
+
+def _float_platform() -> dict[str, str]:
+    simd = np.lib.introspect.opt_func_info(func_name="^(exp|tanh)$", signature="float64")
+    return {
+        "numpy": np.__version__,
+        "blas": np.__config__.CONFIG["Build Dependencies"]["blas"].get("version", "unknown"),
+        **{f: simd[f]["dd"]["current"] for f in ("exp", "tanh")},
+    }
+
+
+def test_criterion_15_metrics_digest_is_pinned(tmp_path):
+    platform = _float_platform()
+    if platform != _C15_PLATFORM:
+        pytest.skip(f"digest recorded on {_C15_PLATFORM}; this host is {platform}")
+    cfg = RunConfig(data=GenConfig(n_pairs=600, seed=8), seed=8)
+    cfg.n_val = 100
+    cfg.teacher.n_pairs = 400
+    cfg.teacher.steps = 150
+    cfg.distill.corpus_size = 512
+    cfg.distill.held_out = 128
+    cfg.distill.steps = 300
+    cfg.train.epochs = 3
+    cfg.train.batch_pairs = 64
+    pretrain(cfg, out_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == _C15_METRICS_SHA256, "float bits of a training run moved; see the comment on _C15_METRICS_SHA256"

@@ -35,3 +35,24 @@ def test_substreams_reject_what_substream_rejects():
             with pytest.raises(ValueError, match=f"stream index out of range: {index}"):
                 make()
     assert streams.at(5).standard_normal() == substream(0, "record", 5).standard_normal()
+
+
+def _mask_draws(rng):
+    # PretrainRun's masked-token step: rows to mask, then mask_batch on a 2-D token block.
+    shape = (40, 16)
+    return [rng.integers(0, 9500, size=40), rng.random(shape), rng.random(shape), rng.integers(0, 63, size=shape)]
+
+
+@pytest.mark.parametrize(
+    "stream, draws",
+    [
+        ("teacher", lambda rng: [rng.integers(0, 2000, size=128)]),
+        ("distill", lambda rng: [rng.integers(0, 4096, size=256)]),
+        ("mask", _mask_draws),
+    ],
+)
+def test_per_step_streams_match_fresh_substreams(stream, draws):
+    streams = Substreams(11, stream)
+    for step in (5, 0, 1999, 3, 5, 1, 2**48 - 1):
+        for got, want in zip(draws(streams.at(step)), draws(substream(11, stream, step)), strict=True):
+            np.testing.assert_array_equal(got, want)
