@@ -52,6 +52,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("dis", ["distill", "--seed", "0", "--out-dir", "dis"]),
     ("gen", ["gen-data", "--seed", "0", "--out-dir", "gen"]),
     ("ev", ["eval", "--seed", "0", "--checkpoint", "pre/checkpoints", "--data-dir", "gen", "--out-dir", "ev"]),
+    # eval without --data-dir regenerates gen's data, so its eval.csv equals ev's
+    ("evr", ["eval", "--seed", "0", "--checkpoint", "pre/checkpoints", "--out-dir", "evr"]),
     # gen_eval's size: recall over 5000 validation pairs scores many blocks
     ("gen50k", ["gen-data", "--seed", "7", "--set", "data.n_pairs=50000", "--out-dir", "gen50k"]),
     ("ev50k", ["eval", "--seed", "7", "--checkpoint", "pre/checkpoints", "--data-dir", "gen50k",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,10 +149,12 @@ def _leaf_types(annotation) -> tuple:
 
 
 def _check_leaf(value, annotation, where: str) -> None:
-    """A bool only in a bool field, an int in an int or float field, a float in a float field, None where admitted."""
+    """A bool only in a bool field, an int in an int or float field, a finite float in a float field, None where admitted."""
     kinds = _leaf_types(annotation)
     if not (type(value) in kinds or (type(value) is int and float in kinds)):
         raise ConfigError(f"{where}: expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite float, got {value!r}")
 
 
 def _construct(cls, payload, where: str):

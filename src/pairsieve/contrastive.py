@@ -43,18 +43,17 @@ class MemoryQueue:
     def __len__(self) -> int:
         return self._ids.shape[0]
 
-    def push(self, keys: np.ndarray, ids: Sequence[int]) -> "MemoryQueue":
+    def push(self, keys: np.ndarray, ids: Sequence[int]) -> None:
         """Append keys in order, evicting oldest entries past capacity."""
         keys = np.atleast_2d(keys)
         if keys.shape[0] == 0:
-            return self
+            return
         if keys.shape[1] != self.dim:
             raise DimMismatch(f"key dim {keys.shape[1]}, queue dim {self.dim}")
         if keys.shape[0] != len(ids):
             raise DimMismatch("one id required per key")
         ids = np.asarray(ids, dtype=np.int64)
         self._keep(np.concatenate([self._emb, keys]), np.concatenate([self._ids, ids]))
-        return self
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Current entries oldest-first: (embeddings, source ids), read-only."""
@@ -173,8 +172,8 @@ def training_step(
     lr: float,
     weight_decay: float,
     key_lookup: KeyLookup,
-) -> tuple[EncoderPairState, MemoryQueue, float]:
-    """One contrastive update of the query encoder.
+) -> float:
+    """One contrastive update of ``state``'s query encoder and of ``queue``; returns the loss.
 
     The batch's keys are pushed only after the loss, so a pair never
     serves as its own negative within the step.
@@ -185,4 +184,4 @@ def training_step(
         state.query_encoder = sgd_step(state.query_encoder, grads, lr, weight_decay)
     state.step += 1
     queue.push(keys, batch.ids)
-    return state, queue, loss
+    return loss

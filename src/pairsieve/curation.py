@@ -61,8 +61,8 @@ def score_pairs(keys: np.ndarray, query_encoder: EncoderParams, x_b: np.ndarray)
 
 def update_total_scores(
     ledger: ScoreLedger, rows: np.ndarray, scores: np.ndarray, alpha: float
-) -> ScoreLedger:
-    """Apply total <- alpha * total + score for every scored row."""
+) -> None:
+    """Apply total <- alpha * total + score for every scored row, in place."""
     rows = np.asarray(rows, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     # Check everything before the ledger changes: a NaN total would make the rank order input-dependent.
@@ -74,7 +74,6 @@ def update_total_scores(
         raise NonFiniteLoss(f"score {scores[bad][0]} for row {rows[bad][0]} is not finite")
     ledger.totals[rows] = alpha * ledger.totals[rows] + scores
     ledger.last[rows] = scores
-    return ledger
 
 
 def rank_and_filter(ledger: ScoreLedger, rows: np.ndarray, keep_fraction: float) -> np.ndarray:

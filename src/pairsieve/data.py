@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, count, islice
 from pathlib import Path
@@ -108,15 +108,13 @@ class Dataset:
     x_b: np.ndarray  # (n, d_b)
     tokens: np.ndarray  # (n, seq_len) int64
     config: GenConfig
-    _row_of: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def rows_for_ids(self, ids: Sequence[int]) -> np.ndarray:
-        if not self._row_of:
-            self._row_of.update({int(v): i for i, v in enumerate(self.ids)})
-        return np.array([self._row_of[int(v)] for v in ids], dtype=np.int64)
+        row_of = {v: i for i, v in enumerate(self.ids.tolist())}
+        return np.array([row_of[int(v)] for v in ids], dtype=np.int64)
 
     def take_rows(self, rows: np.ndarray) -> "Dataset":
         return Dataset(

@@ -85,7 +85,6 @@ _STAGE = {
     "student_init": 4,
     "distill_data": 5,
     "head_init": 6,
-    "eval_data": 7,
 }
 
 
@@ -425,7 +424,7 @@ class PretrainRun:
                     text_rng,
                     cfg.data.vocab,
                 )
-                self.state, self.queue, (loss_c, loss_m) = combined_step(
+                loss_c, loss_m = combined_step(
                     self.state, self.queue, pair_batch, masked, cfg.train.batch_text / cfg.train.batch_pairs,
                     cfg.train.tau, lr, cfg.train.weight_decay, self.key_lookup,
                 )
@@ -433,7 +432,7 @@ class PretrainRun:
                 mlm_steps += 1
                 counters["mlm_steps"] += 1
             else:
-                self.state, self.queue, loss_c = training_step(
+                loss_c = training_step(
                     self.state, self.queue, pair_batch, cfg.train.tau, lr,
                     cfg.train.weight_decay, self.key_lookup,
                 )
@@ -721,7 +720,7 @@ def benchmark_step_time(
             for s, batch in enumerate(batches):
                 if s == 1:  # step 0 is the untimed one
                     t0 = time.thread_time()
-                state, queue, _ = training_step(
+                training_step(
                     state, queue, batch, cfg.train.tau, cfg.train.base_lr, cfg.train.weight_decay,
                     lambda ids: keys[ids % n],
                 )

@@ -123,12 +123,12 @@ def combined_step(
     lr: float,
     weight_decay: float,
     key_lookup: KeyLookup,
-) -> tuple[EncoderPairState, MemoryQueue, tuple[float, float]]:
-    """One update combining the contrastive and masked-token objectives.
+) -> tuple[float, float]:
+    """One update of ``state`` and ``queue`` combining the contrastive and masked-token objectives.
 
-    The masked-token gradient enters scaled by ``text_weight`` (the run
-    passes batch_text/batch_pairs); at weight zero the update is exactly
-    the contrastive-only step.
+    Returns (loss_c, loss_mlm). The masked-token gradient enters scaled by
+    ``text_weight`` (the run passes batch_text/batch_pairs); at weight
+    zero the update is exactly the contrastive-only step.
     """
     keys, cache, loss_c, d_queries = contrastive_forward(state, queue, pair_batch, tau, key_lookup)
     w = text_weight
@@ -147,4 +147,4 @@ def combined_step(
         state.query_encoder = sgd_step(state.query_encoder, grads, lr, weight_decay)
     state.step += 1
     queue.push(keys, pair_batch.ids)
-    return state, queue, (loss_c, loss_mlm)
+    return loss_c, loss_mlm

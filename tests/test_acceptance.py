@@ -307,7 +307,7 @@ def test_criterion_09_frozen_key_consistency():
             ids = order[start : start + 50]
             rows = [row_of[int(i)] for i in ids]
             batch = PairBatch(ids=ids, x_a=train.x_a[rows], x_b=train.x_b[rows])
-            state, queue, _ = training_step(
+            training_step(
                 state, queue, batch, tau=0.07, lr=5e-3, weight_decay=0.0,
                 key_lookup=lambda i: keys[[row_of[int(j)] for j in i]],
             )
@@ -371,12 +371,13 @@ def test_criterion_11_mlm_contract():
         )
 
     keys, _ = encode_batch(fresh_state().key_encoder, pair_batch.x_a)
-    sa, qa, _ = combined_step(
-        fresh_state(), MemoryQueue(8, 4), pair_batch, text, 0.0, tau=0.07, lr=1e-2, weight_decay=0.0,
+    sa, qa, sb, qb = fresh_state(), MemoryQueue(8, 4), fresh_state(), MemoryQueue(8, 4)
+    combined_step(
+        sa, qa, pair_batch, text, 0.0, tau=0.07, lr=1e-2, weight_decay=0.0,
         key_lookup=lambda ids: keys[ids],
     )
-    sb, qb, _ = training_step(
-        fresh_state(), MemoryQueue(8, 4), pair_batch, tau=0.07, lr=1e-2, weight_decay=0.0,
+    training_step(
+        sb, qb, pair_batch, tau=0.07, lr=1e-2, weight_decay=0.0,
         key_lookup=lambda ids: keys[ids],
     )
     identical = all(

@@ -159,10 +159,12 @@ def test_loss_permutation_invariant_over_queue_order():
     batch = ContrastiveBatch(
         queries=unit_rows(rng, 4, 4), positives=unit_rows(rng, 4, 4), ids=np.arange(4)
     )
-    q1 = MemoryQueue(12, 4).push(negs, ids)
+    q1 = MemoryQueue(12, 4)
+    q1.push(negs, ids)
     loss1, _ = contrastive_loss(batch, q1, tau=0.07)
     perm = rng.permutation(12)
-    q2 = MemoryQueue(12, 4).push(negs[perm], ids[perm])
+    q2 = MemoryQueue(12, 4)
+    q2.push(negs[perm], ids[perm])
     loss2, _ = contrastive_loss(batch, q2, tau=0.07)
     assert abs(loss1 - loss2) <= 1e-12
 
@@ -174,8 +176,9 @@ def test_self_exclusion():
         queries=unit_rows(rng, 1, 4), positives=unit_rows(rng, 1, 4), ids=np.array([7])
     )
     # A queue entry carrying the query's own id must behave as if absent.
-    q_with = MemoryQueue(8, 4).push(negs, np.array([7, 30, 31, 32, 33]))
-    q_without = MemoryQueue(8, 4).push(negs[1:], np.array([30, 31, 32, 33]))
+    q_with, q_without = MemoryQueue(8, 4), MemoryQueue(8, 4)
+    q_with.push(negs, np.array([7, 30, 31, 32, 33]))
+    q_without.push(negs[1:], np.array([30, 31, 32, 33]))
     loss_with, g_with = contrastive_loss(batch, q_with, tau=0.07)
     loss_without, g_without = contrastive_loss(batch, q_without, tau=0.07)
     assert loss_with == pytest.approx(loss_without, abs=1e-12)
@@ -234,7 +237,8 @@ def test_loss_matches_reference_formula(batch_ids, queue_ids, tau, seed):
         x[scaled] *= rng.uniform(0.5, 3.0, (int(scaled.sum()), 1))
         return x
 
-    queue = MemoryQueue(max(m, 1), d).push(rows(m), queue_ids)
+    queue = MemoryQueue(max(m, 1), d)
+    queue.push(rows(m), queue_ids)
     batch = ContrastiveBatch(queries=rows(n), positives=rows(n), ids=np.array(batch_ids))
     _assert_matches_reference(batch, queue, tau)
 
@@ -282,7 +286,7 @@ def test_training_step_lr_zero_only_grows_queue():
     before = [a.copy() for a in state.query_encoder.arrays()]
     queue = MemoryQueue(16, 4)
     keys, _ = encode_batch(state.key_encoder, batch.x_a)
-    state, queue, loss = training_step(
+    training_step(
         state, queue, batch, tau=0.07, lr=0.0, weight_decay=0.0, key_lookup=lambda ids: keys[ids]
     )
     for a, b in zip(state.query_encoder.arrays(), before):
@@ -306,7 +310,7 @@ def test_training_step_push_after_loss():
         MemoryQueue(16, 4),
         tau=0.07,
     )
-    _, queue, loss = training_step(
+    loss = training_step(
         state, queue, batch, tau=0.07, lr=1e-3, weight_decay=0.0, key_lookup=lambda ids: keys[ids]
     )
     assert loss == pytest.approx(expected, abs=1e-12)
@@ -333,7 +337,7 @@ def test_training_convergence_on_clean_toy_set():
         for step in range(200):
             pick = substream(seed, "batch", step).integers(0, 64, size=32)
             batch = PairBatch(ids=ds.ids[pick], x_a=ds.x_a[pick], x_b=ds.x_b[pick])
-            state, queue, loss = training_step(
+            loss = training_step(
                 state, queue, batch, tau=0.07, lr=5e-3, weight_decay=0.0,
                 key_lookup=lambda ids: keys[ds.rows_for_ids(ids)],
             )

@@ -166,6 +166,30 @@ def test_mistyped_config_exits_2_before_any_output(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, payload",
+    [
+        ("data.f_good=nan", {}),
+        ("train.tau=nan", {}),
+        (None, {"train": {"tau": float("nan")}}),
+        ("stop.min_improvement=nan", {}),
+        ("train.tau=inf", {}),
+    ],
+    ids=["set-f_good-nan", "set-tau-nan", "json-tau-nan", "set-min_improvement-nan", "set-tau-inf"],
+)
+def test_non_finite_config_float_exits_2_before_any_output(tmp_path, capsys, override, payload):
+    # No float field takes NaN or infinity, from --set or from a config file's JSON NaN.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "p"
+    argv = ["pretrain", "--config", str(cfg_path), "--set", "data.n_pairs=300", "--set", "n_val=50"]
+    argv += ["--set", override] if override else []
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "finite" in err["message"]
+    assert not out.exists()
+
+
 def test_override_parses_by_annotation_and_ints_stay_in_float_fields():
     payload = to_dict(tiny_config())
     payload["train"]["base_lr"] = 1
@@ -1008,7 +1032,7 @@ def test_pretrain_names_pairs_by_training_row(monkeypatch):
 
         def spy(state, queue, batch, *args, real=real):
             out = real(state, queue, batch, *args)
-            seen.append((batch.ids, out[1].snapshot()[1]))
+            seen.append((batch.ids, queue.snapshot()[1]))
             return out
 
         monkeypatch.setattr(harness, name, spy)

@@ -17,7 +17,7 @@ from pairsieve.encoder import (
     sgd_step,
 )
 from pairsieve.errors import ConfigError, EmptyBatch, EmptyMask
-from pairsieve.mlm import _position_inputs, combined_step, mask_batch, mlm_loss
+from pairsieve.mlm import MaskedBatch, _position_inputs, combined_step, mask_batch, mlm_loss
 from pairsieve.numerics import finite_diff_check
 from pairsieve.rng import substream
 
@@ -98,8 +98,6 @@ def test_mlm_loss_uniform_head():
 
 
 def test_mlm_loss_empty_mask():
-    from pairsieve.mlm import MaskedBatch
-
     head = _toy_head()
     enc = init_params(6, 6, 5, 4)
     empty = MaskedBatch(
@@ -148,6 +146,23 @@ def test_unmasked_positions_do_not_contribute():
     assert loss_a == loss_b
     for x, y in zip(grads_a.encoder.arrays(), grads_b.encoder.arrays()):
         np.testing.assert_array_equal(x, y)
+
+
+def test_context_pools_every_position():
+    # Two batches that differ only at the unmasked position 0: its token is part of the pooled context.
+    head = _toy_head()
+    enc = init_params(8, 6, 5, 4)
+
+    def loss_with_first_token(first):
+        batch = MaskedBatch(
+            tokens=np.array([[first, 3, VOCAB, 5, 1, 2]]),
+            mask_rows=np.array([0]),
+            mask_cols=np.array([2]),
+            targets=np.array([4]),
+        )
+        return mlm_loss(enc, head, batch)[0]
+
+    assert abs(loss_with_first_token(0) - loss_with_first_token(6)) > 1e-6
 
 
 def test_mlm_training_beats_constant_baseline():
@@ -202,11 +217,11 @@ def test_combined_step_weight_zero_bit_identical():
     queue_a = MemoryQueue(8, 4)
     queue_b = MemoryQueue(8, 4)
     keys, _ = encode_batch(state_a.key_encoder, pair_batch.x_a)
-    state_a, queue_a, (loss_c, loss_m) = combined_step(
+    loss_c, loss_m = combined_step(
         state_a, queue_a, pair_batch, masked, 0.0, tau=0.07, lr=1e-2, weight_decay=0.0,
         key_lookup=lambda ids: keys[ids],
     )
-    state_b, queue_b, loss_plain = training_step(
+    loss_plain = training_step(
         state_b, queue_b, pair_batch, tau=0.07, lr=1e-2, weight_decay=0.0, key_lookup=lambda ids: keys[ids]
     )
     assert loss_c == loss_plain
@@ -229,7 +244,7 @@ def test_combined_step_updates_head_and_encoder():
     key_before = [a.copy() for a in state.key_encoder.arrays()]
     queue = MemoryQueue(8, 4)
     keys, _ = encode_batch(state.key_encoder, pair_batch.x_a)
-    state, queue, (loss_c, loss_m) = combined_step(
+    loss_c, loss_m = combined_step(
         state, queue, pair_batch, masked, 0.5, tau=0.07, lr=1e-2, weight_decay=0.0,
         key_lookup=lambda ids: keys[ids],
     )
