@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -301,13 +302,15 @@ def write_manifest_lines(f: IO[str], ds: Dataset) -> None:
     """Write one JSON object per row of ``ds`` to ``f``: {id, oracle_label, tokens}.
 
     Each line has the bytes of ``json.dumps(row, sort_keys=True)``, built
-    directly from the columns, one block of rows at a time.
+    directly from the columns, one string per block of rows: ``str`` of a
+    list of Python ints is the ``[a, b, ...]`` that ``json.dumps`` writes.
     """
     for start in range(0, len(ds), _BLOCK):
         block = slice(start, start + _BLOCK)
-        for rid, lab, row in zip(ds.ids[block].tolist(), ds.labels[block].tolist(), ds.tokens[block].tolist()):
-            toks = ", ".join(map(str, row))
-            f.write(f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": [{toks}]}}\n')
+        rows = zip(ds.ids[block].tolist(), ds.labels[block].tolist(), ds.tokens[block].tolist())
+        f.write("".join(
+            f'{{"id": {rid}, "oracle_label": "{LABEL_TAGS[lab]}", "tokens": {toks}}}\n' for rid, lab, toks in rows
+        ))
 
 
 def write_manifest(path: str | Path, ds: Dataset) -> None:
@@ -316,12 +319,74 @@ def write_manifest(path: str | Path, ds: Dataset) -> None:
         write_manifest_lines(f, ds)
 
 
-def _manifest_blocks(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _integer_arrays(ids: Sequence, tokens: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` and ``tokens`` as 1-D and 2-D arrays; a ValueError says why they are not integer arrays."""
+    id_col, token_rows = np.array(ids), np.array(tokens)  # ragged tokens raise ValueError
+    for name, col, ndim in (("ids", id_col, 1), ("tokens", token_rows, 2)):
+        if col.ndim != ndim or not np.issubdtype(col.dtype, np.signedinteger):
+            raise ValueError(f"{name} read as {col.ndim}-D {col.dtype}")
+    return id_col, token_rows
+
+
+def _parsed_block(lines: list[str]) -> _Block | None:
+    """(ids, labels, tokens) of a block of manifest lines from one ``json.loads``; None where a check fails.
+
+    It never raises, and what it returns is exactly what ``_checked_block``
+    returns. Each row needs four strings (three keys and a label), so
+    8 quotes a line leave room for no other key or string, and none of
+    those holds a brace or a newline. Ids and tokens that read as integer
+    arrays hold no object, so every ``}`` closes a row. A ``}`` and the
+    newline before every joining comma put each comma between rows; with
+    as many rows as lines, each line holds the one row that parsing it
+    alone gives. With no ``true`` or ``false``, no boolean reads as 1 or 0.
+    """
+    text = "[" + ",".join(lines) + "]"
+    if (text.count('"') != 8 * len(lines) or text.count("}\n,{") != len(lines) - 1
+            or "true" in text or "false" in text):
+        return None
+    try:
+        rows = json.loads(text)
+        ids, tags, tokens = zip(*map(itemgetter("id", "oracle_label", "tokens"), rows))
+        labels = np.array([LABEL_TAGS.index(tag) for tag in tags], dtype=np.int8)
+        id_col, token_rows = _integer_arrays(ids, tokens)
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return None
+    return (id_col, labels, token_rows) if len(rows) == len(lines) else None
+
+
+def _checked_block(path: str | Path, first: int, lines: list[str]) -> _Block:
+    """(ids, labels, tokens) of a block of manifest lines, parsed one by one; the error names the bad line."""
+    ids, labels, tokens = [], [], []
+    for lineno, line in enumerate(lines, start=first):
+        try:
+            row = json.loads(line)
+            if isinstance(row["id"], bool):  # numpy would read true as 1
+                raise TypeError("id is a JSON boolean")
+            ids.append(row["id"])
+            labels.append(LABEL_TAGS.index(row["oracle_label"]))
+            tokens.append(row["tokens"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
+    try:
+        id_col, token_rows = _integer_arrays(ids, tokens)
+    except ValueError as e:
+        raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({e})") from e
+    if bool in set(map(type, chain.from_iterable(tokens))):  # numpy reads false beside ints as 0
+        raise FormatError(f"{path}: manifest ids or tokens are not integer arrays (tokens hold JSON booleans)")
+    return id_col, np.array(labels, dtype=np.int8), token_rows
+
+
+def _manifest_blocks(path: str | Path) -> Iterator[_Block]:
     """(ids, labels, tokens) arrays of each block of ``_BLOCK`` manifest lines.
 
     Every block passes the checks a whole manifest must pass: labels are
     ``LABEL_TAGS`` exactly, ids and tokens read as 1-D and 2-D integer
-    arrays. Across blocks the tokens must keep one width.
+    arrays. Across blocks the tokens must keep one width. A block is
+    parsed at once; one that fails any check there is parsed again line
+    by line, so the error names the line.
     """
     width = None
     with open(path, encoding="utf-8") as f:
@@ -329,34 +394,15 @@ def _manifest_blocks(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray,
             lines = list(islice(f, _BLOCK))
             if not lines:
                 return
-            ids, labels, tokens = [], [], []
-            for lineno, line in enumerate(lines, start=first):
-                try:
-                    row = json.loads(line)
-                    if isinstance(row["id"], bool):  # numpy would read true as 1
-                        raise TypeError("id is a JSON boolean")
-                    ids.append(row["id"])
-                    labels.append(LABEL_TAGS.index(row["oracle_label"]))
-                    tokens.append(row["tokens"])
-                except (ValueError, KeyError, TypeError) as e:
-                    raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
-            try:
-                id_col, token_rows = np.array(ids), np.array(tokens)
-            except ValueError as e:
-                raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({e})") from e
-            for name, col, ndim in (("ids", id_col, 1), ("tokens", token_rows, 2)):
-                if col.ndim != ndim or not np.issubdtype(col.dtype, np.signedinteger):
-                    raise FormatError(f"{path}: manifest ids or tokens are not integer arrays ({name} read as {col.ndim}-D {col.dtype})")
-            if bool in set(map(type, chain.from_iterable(tokens))):  # numpy reads false beside ints as 0
-                raise FormatError(f"{path}: manifest ids or tokens are not integer arrays (tokens hold JSON booleans)")
+            ids, labels, tokens = _parsed_block(lines) or _checked_block(path, first, lines)
             if width is None:
-                width = token_rows.shape[1]
-            elif token_rows.shape[1] != width:
+                width = tokens.shape[1]
+            elif tokens.shape[1] != width:
                 raise FormatError(
                     f"{path}:{first}: manifest ids or tokens are not integer arrays"
-                    f" (tokens {token_rows.shape[1]} wide from this line, {width} before)"
+                    f" (tokens {tokens.shape[1]} wide from this line, {width} before)"
                 )
-            yield id_col.astype(np.int64, copy=False), np.array(labels, dtype=np.int8), token_rows.astype(np.int64, copy=False)
+            yield ids.astype(np.int64, copy=False), labels, tokens.astype(np.int64, copy=False)
 
 
 def read_manifest(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

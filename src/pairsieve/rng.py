@@ -57,8 +57,12 @@ class Substreams:
         self._seed, self._stream = seed, stream
         self._bits = np.random.Philox(key=_key(seed, stream, 0))
         self._generator = np.random.Generator(self._bits)
-        # A fresh generator's state: counter zero, buffer empty, no cached half.
-        self._fresh = self._bits.state
+        # A fresh generator's state: counter zero, buffer empty, no cached
+        # half. Held as Python ints, which the state setter reads faster
+        # than numpy arrays; each instance owns its dicts.
+        fresh = self._bits.state
+        self._fresh = {**fresh, "state": {k: v.tolist() for k, v in fresh["state"].items()},
+                       "buffer": fresh["buffer"].tolist()}
 
     def at(self, index: int) -> np.random.Generator:
         """Return the shared Generator, restarted at substream ``index``.
@@ -66,6 +70,6 @@ class Substreams:
         A generator returned earlier is the same object, so its old stream ends here.
         """
         key = _key(self._seed, self._stream, index)
-        self._fresh["state"]["key"][:] = (key & _WORD, key >> 64)
+        self._fresh["state"]["key"] = (key & _WORD, key >> 64)
         self._bits.state = self._fresh
         return self._generator

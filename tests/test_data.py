@@ -336,6 +336,50 @@ def test_manifest_blocks_read_as_one_file(tmp_path):
             read(path)
 
 
+def _row(rid, tokens="[1, 2]"):
+    return f'{{"id": {rid}, "oracle_label": "good", "tokens": {tokens}}}'
+
+
+# Manifests whose lines join into a JSON list of good rows, though line 1 is not
+# JSON alone. In the first three a row runs on into line 2 and line 3 holds two
+# rows, so there are as many rows as lines; in the last, two lines hold one row.
+_TORN = {
+    "list-across-lines": ['{"id": 0, "oracle_label": "good", "tokens": [1, 2], "x": [{}', "{}]}", _row(1) + ", " + _row(2)],
+    "tokens-across-lines": ['{"id": 0, "oracle_label": "good", "tokens": [1', "2]}", _row(1) + ", " + _row(2)],
+    "object-in-tokens": ['{"id": 0, "oracle_label": "good", "tokens": [{}', "{}]}", _row(1) + ", " + _row(2)],
+    "one-row-on-two-lines": ['{"id": 0, "oracle_label": "good", "tokens": [1, 2], "x": [{}', '{"a": 1, "b": 2, "c": 3}]}'],
+}
+
+
+@pytest.mark.parametrize("lines", _TORN.values(), ids=_TORN.keys())
+def test_read_manifest_refuses_a_row_torn_across_lines(tmp_path, lines):
+    json.loads("[" + ",".join(lines) + "]")  # joined as a block is, the lines parse
+    with pytest.raises(ValueError) as parse:
+        json.loads(lines[0] + "\n")  # as the file holds it
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    for read in (read_manifest, read_manifest_labels):
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:1: malformed manifest line ({parse.value!r})"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ['"x": 0', '"note": "a } and a {"', '"x": [{"y": "]"}, {}]', '"id": 3', '"tokens": "[1]"'],
+    ids=["number", "braces-in-string", "objects", "repeated-id", "repeated-tokens"],
+)
+def test_read_manifest_reads_lines_with_one_extra_key(tmp_path, extra):
+    # json.loads keeps the last of repeated keys, so the key goes in front of the row's own.
+    ds = generate_dataset(small_cfg(n_pairs=589, seed=5))
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, ds)
+    path.write_text(path.read_text().replace("{", "{" + extra + ", "))  # each line's one brace
+    ids, labels, tokens = read_manifest(path)
+    assert ids.tobytes() == ds.ids.tobytes() and tokens.tobytes() == ds.tokens.tobytes()
+    assert labels.tobytes() == read_manifest_labels(path).tobytes() == ds.labels.tobytes()
+
+
 def _manifest_by_json_dumps(ds):
     rows = (
         {"id": int(i), "oracle_label": Label(int(lab)).tag, "tokens": [int(t) for t in toks]}
@@ -348,8 +392,10 @@ def test_manifest_bytes_equal_json_dumps(tmp_path):
     sub = generate_dataset(small_cfg(n_pairs=6, seed=2, vocab=100, seq_len=5))
     ids = np.array([-7, -(10**12) - 3, 0, 10**12 - 1, 10**12, 2**62], dtype=np.int64)
     labels = np.array([Label.NOISY, Label.GOOD, Label.CLEAN, Label.GOOD, Label.NOISY, Label.CLEAN], dtype=np.int8)
+    big = np.array([-1, 0, -(2**63), 2**63 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 10**17, 7, -64], dtype=np.int64)
     for ds in (
         Dataset(ids, labels, sub.x_a, sub.x_b, sub.tokens, sub.config),
+        Dataset(ids, labels, sub.x_a, sub.x_b, np.resize(big, (6, 5)), sub.config),
         sub.take_rows(np.array([], dtype=np.int64)),
         generate_dataset(small_cfg(n_pairs=589, seed=5)),  # two full blocks of lines and a partial one
     ):

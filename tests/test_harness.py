@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -255,6 +256,22 @@ def _manifest_line(rid="599", label='"good"', tokens="[" + "1, " * 11 + "1]") ->
     return f'{{"id": {rid}, "oracle_label": {label}, "tokens": {tokens}}}\n'
 
 
+# Three lines that join into three 12-token rows, though the first is not JSON alone:
+# a list in an extra key, or the tokens list, runs on into the second, and the third holds two rows.
+_TORN_LIST = ['{"id": 0, "oracle_label": "good", "tokens": [' + "1, " * 11 + '1], "x": [{}\n', "{}]}\n",
+              _manifest_line(rid="1")[:-1] + ", " + _manifest_line(rid="2")]
+_TORN_TOKENS = ['{"id": 0, "oracle_label": "good", "tokens": [' + "1, " * 5 + "1\n", "1, " * 5 + "1]}\n", _TORN_LIST[2]]
+
+
+def _malformed_first_line(lines) -> str:
+    """The reader's message for a manifest whose first line, ``lines[0]``, is not JSON alone."""
+    try:
+        json.loads(lines[0])
+    except ValueError as e:
+        return f"manifest.jsonl:1: malformed manifest line ({e!r})"
+    raise AssertionError("the first line parses")
+
+
 def _untrained_checkpoints(ck, cfg):
     ck.mkdir()
     for name, d_in in (("key", cfg.data.d_a), ("query", cfg.data.d_b)):
@@ -279,9 +296,12 @@ def _untrained_checkpoints(ck, cfg):
         (599, [_manifest_line(tokens="[" + "1.5, " * 11 + "1.5]")], "tokens read as 2-D float64"),
         (599, [_manifest_line(rid="true")], "manifest.jsonl:600: malformed"),
         (599, [_manifest_line(tokens="[" + "1, " * 11 + "false]")], "tokens hold JSON booleans"),
+        (0, _TORN_LIST, _malformed_first_line(_TORN_LIST)),
+        (0, _TORN_TOKENS, _malformed_first_line(_TORN_TOKENS)),
     ],
     ids=["truncated", "torn", "ragged", "code-label", "case-label", "digit-label", "huge-id", "half-id",
-         "float-id", "string-id", "scalar-tokens", "float-tokens", "bool-id", "bool-token"],
+         "float-id", "string-id", "scalar-tokens", "float-tokens", "bool-id", "bool-token", "list-across-lines",
+         "tokens-across-lines"],
 )
 def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep, tail, message):
     # A damaged manifest is a format error (exit 4): never scored against stores it does not describe.
@@ -292,7 +312,7 @@ def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep
     manifest = tmp_path / "d/manifest.jsonl"
     lines = manifest.read_text().splitlines(keepends=True)
     manifest.write_text("".join(lines[:keep] + tail))
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_dataset_dir(tmp_path / "d", cfg.data)
 
     ck = _untrained_checkpoints(tmp_path / "ck", cfg)
@@ -388,8 +408,11 @@ def test_gen_data_failure_leaves_earlier_output_and_no_partial_file(tmp_path, mo
             f"manifest.jsonl:{_BLOCK + 1}: manifest ids or tokens",
         ),
         ("x_b.ecst", "header implies"),
+        (dict(enumerate(_TORN_LIST)), _malformed_first_line(_TORN_LIST)),
+        (dict(enumerate(_TORN_TOKENS)), _malformed_first_line(_TORN_TOKENS)),
     ],
-    ids=["torn", "code-label", "ragged", "half-id", "huge-id", "bool-token", "width-at-block-boundary", "x_b-size"],
+    ids=["torn", "code-label", "ragged", "half-id", "huge-id", "bool-token", "width-at-block-boundary", "x_b-size",
+         "list-across-lines", "tokens-across-lines"],
 )
 def test_eval_checks_every_manifest_block_before_scoring(tmp_path, capsys, monkeypatch, damage, message):
     # Line 300 of 600 lies in the middle block of lines; the width change starts the second block.

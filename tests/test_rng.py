@@ -25,6 +25,19 @@ def test_substreams_match_fresh_substreams(seed):
     )
 
 
+def test_live_substreams_on_two_streams_keep_their_own_state():
+    # Re-keying one instance leaves the other's generator and fresh state alone,
+    # also right after a draw that left a cached 32-bit half behind.
+    record, mask = Substreams(3, "record"), Substreams(5, "mask")
+    for r, m in ((7, 2), (0, 7), (2**48 - 1, 0), (7, 7), (1, 2**48 - 1), (2, 1)):
+        record.at(r).integers(0, 100, size=3)
+        mask.at(m).integers(0, 100, size=1)
+        rec, msk = record.at(r), mask.at(m)
+        fresh_rec, fresh_msk = substream(3, "record", r), substream(5, "mask", m)
+        for got, want in ((msk, fresh_msk), (rec, fresh_rec), (msk, fresh_msk), (rec, fresh_rec)):
+            np.testing.assert_array_equal(_draws(got), _draws(want))
+
+
 def test_substreams_reject_what_substream_rejects():
     for make in (lambda: substream(0, "recrod", 1), lambda: Substreams(0, "recrod")):
         with pytest.raises(KeyError, match="unknown rng stream 'recrod'"):
