@@ -119,11 +119,11 @@ class Dataset:
 
     def take_rows(self, rows: np.ndarray) -> "Dataset":
         return Dataset(
-            ids=self.ids[rows].copy(),
-            labels=self.labels[rows].copy(),
-            x_a=self.x_a[rows].copy(),
-            x_b=self.x_b[rows].copy(),
-            tokens=self.tokens[rows].copy(),
+            ids=self.ids[rows],
+            labels=self.labels[rows],
+            x_a=self.x_a[rows],
+            x_b=self.x_b[rows],
+            tokens=self.tokens[rows],
             config=self.config,
         )
 
@@ -152,7 +152,8 @@ def mixing_matrices(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
     return a_mix, orthonormal_columns(rng, cfg.d_b, cfg.latent_dim)
 
 
-def _label_plan(cfg: GenConfig) -> np.ndarray:
+def label_plan(cfg: GenConfig) -> np.ndarray:
+    """The label code of every row, fixed before any record is drawn."""
     counts = largest_remainder_counts(cfg.n_pairs, (cfg.f_good, cfg.f_clean, cfg.f_noisy))
     plan = np.repeat(
         np.array([Label.GOOD, Label.CLEAN, Label.NOISY], dtype=np.int8), counts
@@ -173,7 +174,7 @@ def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
     whole block. Each block is a fresh ``Dataset`` whose ids are its rows.
     """
     a_mix, b_mix = mixing_matrices(cfg)
-    labels = _label_plan(cfg)
+    labels = label_plan(cfg)
     k, d_a, tc = cfg.latent_dim, cfg.d_a, cfg.token_coords
     noise = np.array([cfg.sigma_good, cfg.sigma_clean, cfg.sigma_clean]) * math.sqrt(k)
     b_head = b_mix[:tc]
@@ -230,8 +231,11 @@ def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
         )
 
 
-def _generated_parts(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> list[Dataset]:
-    """One ``Dataset`` per array of sorted rows, holding those generated rows, all filled block by block from one pass."""
+def generate_rows(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> list[Dataset]:
+    """One ``Dataset`` per array of sorted rows: those rows of ``generate_dataset(cfg)``, filled from one pass.
+
+    Only the requested rows and one generated block are held, never the whole dataset.
+    """
     parts = [
         Dataset(
             ids=np.asarray(rows, dtype=np.int64),
@@ -254,48 +258,26 @@ def _generated_parts(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> list[Dat
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
     """Deterministically generate ``cfg.n_pairs`` labeled pairs: the blocks of ``generate_blocks``, joined."""
-    (ds,) = _generated_parts(cfg, [np.arange(cfg.n_pairs)])
-    return ds
+    return generate_rows(cfg, [np.arange(cfg.n_pairs)])[0]
 
 
-def generated_rows(cfg: GenConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x_a`` and ``x_b`` of ``generate_dataset(cfg)`` at the sorted ``rows``, kept block by block from one pass."""
-    (part,) = _generated_parts(cfg, [rows])
-    return part.x_a, part.x_b
-
-
-def generate_split(cfg: GenConfig, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
-    """``split_validation(generate_dataset(cfg), n_val, seed)`` from one generation pass.
-
-    The label plan picks the validation rows before any record is drawn,
-    so the whole dataset is never held beside the two parts.
-    """
-    val_rows = validation_rows(_label_plan(cfg), n_val, seed)
-    mask = np.ones(cfg.n_pairs, dtype=bool)
-    mask[val_rows] = False
-    train, val = _generated_parts(cfg, (np.flatnonzero(mask), val_rows))
-    return train, val
-
-
-def validation_rows(labels: np.ndarray, n_val: int, seed: int) -> np.ndarray:
-    """The sorted rows of the validation set: ``n_val`` of the good-labeled pairs, drawn by ``seed``."""
+def split_rows(labels: np.ndarray, n_val: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (training, validation) rows: ``n_val`` good-labeled rows drawn by ``seed`` validate, the rest train."""
     good_rows = np.flatnonzero(labels == Label.GOOD)
     if n_val > good_rows.size:
         raise ConfigError(
             f"requested {n_val} validation pairs, only {good_rows.size} good pairs available"
         )
-    perm = substream(seed, "split").permutation(good_rows)
-    return np.sort(perm[:n_val])
+    val_rows = np.sort(substream(seed, "split").permutation(good_rows)[:n_val])
+    train = np.ones(len(labels), dtype=bool)
+    train[val_rows] = False
+    return np.flatnonzero(train), val_rows
 
 
 def split_validation(ds: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
     """Carve a validation set out of the good-labeled pairs only."""
-    val_rows = validation_rows(ds.labels, n_val, seed)
-    mask = np.ones(len(ds), dtype=bool)
-    mask[val_rows] = False
-    train = ds.take_rows(np.flatnonzero(mask))
-    val = ds.take_rows(val_rows)
-    return train, val
+    train_rows, val_rows = split_rows(ds.labels, n_val, seed)
+    return ds.take_rows(train_rows), ds.take_rows(val_rows)
 
 
 def write_manifest_lines(f: IO[str], ds: Dataset) -> None:
@@ -368,7 +350,7 @@ def _checked_block(path: str | Path, first: int, lines: list[str]) -> _Block:
             ids.append(row["id"])
             labels.append(LABEL_TAGS.index(row["oracle_label"]))
             tokens.append(row["tokens"])
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
             raise FormatError(f"{path}:{lineno}: malformed manifest line ({e!r})") from e
     try:
         id_col, token_rows = _integer_arrays(ids, tokens)
@@ -386,12 +368,17 @@ def _manifest_blocks(path: str | Path) -> Iterator[_Block]:
     ``LABEL_TAGS`` exactly, ids and tokens read as 1-D and 2-D integer
     arrays. Across blocks the tokens must keep one width. A block is
     parsed at once; one that fails any check there is parsed again line
-    by line, so the error names the line.
+    by line, so the error names the line. Bytes that are not UTF-8 are
+    refused with the file's name alone: the text decoder reads ahead of
+    the lines.
     """
     width = None
     with open(path, encoding="utf-8") as f:
         for first in count(1, _BLOCK):
-            lines = list(islice(f, _BLOCK))
+            try:
+                lines = list(islice(f, _BLOCK))
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: manifest is not UTF-8 ({e})") from e
             if not lines:
                 return
             ids, labels, tokens = _parsed_block(lines) or _checked_block(path, first, lines)

@@ -40,16 +40,15 @@ from .data import (
     Dataset,
     GenConfig,
     Label,
-    _label_plan,
     generate_blocks,
     generate_dataset,
-    generate_split,
-    generated_rows,
+    generate_rows,
+    label_plan,
     largest_remainder_counts,
     orthonormal_columns,
     read_manifest,
     read_manifest_labels,
-    validation_rows,
+    split_rows,
     write_csv,
     write_manifest_lines,
 )
@@ -62,6 +61,7 @@ from .encoder import (
     encode_batch,
     init_mlm_head,
     init_params,
+    load_params,
     save_params,
     sgd_step,
 )
@@ -330,7 +330,7 @@ class PretrainRun:
             "mlm_steps": 0,
         }
 
-        self.train, self.val = generate_split(cfg.data, cfg.n_val, cfg.seed)
+        self.train, self.val = generate_rows(cfg.data, split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed))
 
         teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
         self.report.log(0, "distill_held_mse", held_mse)
@@ -556,8 +556,6 @@ def cmd_eval(
     it, the labels come from the label plan and the rows are kept from one
     generation pass, block by block.
     """
-    from .encoder import load_params
-
     ck = Path(checkpoint_dir)
     try:
         key_enc = load_params(ck / "key.ecpm")
@@ -565,10 +563,8 @@ def cmd_eval(
         if data_dir is not None:
             labels, x_a, x_b = _read_eval_rows(Path(data_dir), cfg)
         else:
-            labels = _label_plan(cfg.data)
-            rows = _eval_rows(labels, cfg)
-            labels = labels[rows]
-            x_a, x_b = generated_rows(cfg.data, rows)
+            (part,) = generate_rows(cfg.data, [_eval_rows(label_plan(cfg.data), cfg)])
+            labels, x_a, x_b = part.labels, part.x_a, part.x_b
     except FileNotFoundError as e:
         raise FormatError(f"{e.filename}: no such file") from e
     if not len(labels):
@@ -587,7 +583,7 @@ def cmd_eval(
 
 def _eval_rows(labels: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """The sorted rows eval scores: the validation rows, or every row when ``n_val`` is 0."""
-    return validation_rows(labels, cfg.n_val, cfg.seed) if cfg.n_val else np.arange(len(labels))
+    return split_rows(labels, cfg.n_val, cfg.seed)[1] if cfg.n_val else np.arange(len(labels))
 
 
 def _check_row_counts(d: Path, n_rows: int, sa: StoreHandle, sb: StoreHandle) -> None:
@@ -610,7 +606,8 @@ def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:
     ids, labels, tokens = read_manifest(d / "manifest.jsonl")
     with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:
         _check_row_counts(d, len(ids), sa, sb)
-        return Dataset(ids=ids, labels=labels, x_a=sa.read_all(), x_b=sb.read_all(), tokens=tokens, config=cfg)
+        rows = np.arange(len(ids))
+        return Dataset(ids, labels, sa.read_rows(rows), sb.read_rows(rows), tokens, cfg)
 
 
 SWEEP_AXES = {

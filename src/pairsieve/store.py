@@ -98,22 +98,22 @@ class StoreHandle:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._f = open(self.path, "rb")
-        blob = self._f.read(HEADER_SIZE)
-        if len(blob) != HEADER_SIZE:
+        try:
+            blob = self._f.read(HEADER_SIZE)
+            if len(blob) != HEADER_SIZE:
+                raise FormatError(f"{path}: truncated header")
+            magic, version, dim, count = _HEADER.unpack(blob)
+            if magic != STORE_MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}")
+            if version != STORE_VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            size = self.path.stat().st_size
+            expected = HEADER_SIZE + count * dim * 8
+            if size != expected:
+                raise FormatError(f"{path}: size {size}, header implies {expected}")
+        except BaseException:
             self._f.close()
-            raise FormatError(f"{path}: truncated header")
-        magic, version, dim, count = _HEADER.unpack(blob)
-        if magic != STORE_MAGIC:
-            self._f.close()
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != STORE_VERSION:
-            self._f.close()
-            raise FormatError(f"{path}: unsupported version {version}")
-        size = self.path.stat().st_size
-        expected = HEADER_SIZE + count * dim * 8
-        if size != expected:
-            self._f.close()
-            raise FormatError(f"{path}: size {size}, header implies {expected}")
+            raise
         self.header = StoreHeader(version, dim, count)
 
     def __enter__(self) -> "StoreHandle":
@@ -128,10 +128,6 @@ class StoreHandle:
 
     def __len__(self) -> int:
         return self.header.count
-
-    @property
-    def dim(self) -> int:
-        return self.header.dim
 
     def read_at(self, index: int) -> np.ndarray:
         """Return row ``index`` exactly as written."""
@@ -167,12 +163,4 @@ class StoreHandle:
                 raise FormatError(f"{self.path}: short read at row {lo}")
             out[i:j] = buf[rows[i:j] - lo]
             i = j
-        return out
-
-    def read_all(self) -> np.ndarray:
-        """Return every row, read with one call into a preallocated array."""
-        out = np.empty((self.header.count, self.header.dim), dtype="<f8")
-        self._f.seek(HEADER_SIZE)
-        if self._f.readinto(out) != out.nbytes:
-            raise FormatError(f"{self.path}: short read")
         return out

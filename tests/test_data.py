@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,14 @@ from pairsieve.data import (
     GenConfig,
     Label,
     _BLOCK,
-    _label_plan,
     generate_dataset,
-    generate_split,
-    generated_rows,
+    generate_rows,
+    label_plan,
     largest_remainder_counts,
     mixing_matrices,
     read_manifest,
     read_manifest_labels,
+    split_rows,
     split_validation,
     write_csv,
     write_manifest,
@@ -90,7 +91,7 @@ def _quantize_tokens(coords, row_scale, vocab):
 def _reference_generate(cfg):
     """The generator as a loop over records, one fresh substream each."""
     a_mix, b_mix = mixing_matrices(cfg)
-    labels = _label_plan(cfg)
+    labels = label_plan(cfg)
     k = cfg.latent_dim
     noise = {
         Label.GOOD: cfg.sigma_good * math.sqrt(k),
@@ -173,13 +174,13 @@ def test_generation_matches_per_record_reference_across_blocks(cfg):
     _assert_matches_reference(cfg)
 
 
-def test_generated_rows_are_the_dataset_rows():
+def test_generate_rows_are_the_dataset_rows():
     cfg = small_cfg(n_pairs=600, seed=4)
     ds = generate_dataset(cfg)
     for rows in (np.arange(600), np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 599]), np.arange(0)):
-        x_a, x_b = generated_rows(cfg, rows)
-        assert x_a.tobytes() == ds.x_a[rows].tobytes()
-        assert x_b.tobytes() == ds.x_b[rows].tobytes()
+        (part,) = generate_rows(cfg, [rows])
+        assert part.x_a.tobytes() == ds.x_a[rows].tobytes()
+        assert part.x_b.tobytes() == ds.x_b[rows].tobytes()
 
 
 def test_rows_for_ids_matches_positions_and_rejects_unknown_ids():
@@ -258,28 +259,47 @@ def test_split_validation_all_good_boundary():
         split_validation(ds, n_good + 1, seed=1)
 
 
-def test_generate_split_is_the_split_of_the_dataset():
+@given(st.lists(st.sampled_from(list(Label)), max_size=80), st.data(), st.integers(0, 2**63 - 1))
+@settings(max_examples=60)
+def test_split_rows_partitions_the_rows_and_draws_good_ones(codes, data, seed):
+    labels = np.array(codes, dtype=np.int8)
+    n_good = int(np.sum(labels == Label.GOOD))
+    n_val = data.draw(st.integers(0, n_good), label="n_val")
+    train, val = split_rows(labels, n_val, seed)
+    for rows in (train, val):
+        assert np.all(np.diff(rows) > 0)
+    assert np.intersect1d(train, val).size == 0
+    assert np.array_equal(np.sort(np.concatenate([train, val])), np.arange(len(labels)))
+    assert len(val) == n_val
+    assert np.all(labels[val] == Label.GOOD)
+    with pytest.raises(ConfigError):
+        split_rows(labels, n_good + data.draw(st.integers(1, 5), label="excess"), seed)
+
+
+def test_generate_rows_of_split_rows_is_the_split_of_the_dataset():
     # One generation pass over several blocks gives the parts split_validation cuts from the whole dataset.
     cfg = small_cfg(n_pairs=2 * _BLOCK + 88, seed=4)
     ds = generate_dataset(cfg)
     for n_val in (0, 50, int(np.sum(ds.labels == Label.GOOD))):
-        for got, want in zip(generate_split(cfg, n_val, seed=5), split_validation(ds, n_val, seed=5)):
+        got_parts = generate_rows(cfg, split_rows(label_plan(cfg), n_val, seed=5))
+        for got, want in zip(got_parts, split_validation(ds, n_val, seed=5), strict=True):
             for name in ("ids", "labels", "x_a", "x_b", "tokens"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (n_val, name)
             assert got.config == want.config
     with pytest.raises(ConfigError):
-        generate_split(cfg, int(np.sum(ds.labels == Label.GOOD)) + 1, seed=5)
+        split_rows(label_plan(cfg), int(np.sum(ds.labels == Label.GOOD)) + 1, seed=5)
 
 
-def test_generate_split_holds_the_parts_and_a_block():
+def test_generate_rows_holds_the_parts_and_a_block():
     # At 10000 pairs the two parts are 10.0 MB of arrays. Measured traced peaks: 11.8 MB for
-    # generate_split on a first call, against 21.7 MB for split_validation(generate_dataset(...)),
-    # which holds the whole dataset beside its copy. The bound leaves 1.2 MB of headroom.
+    # generate_rows of the split rows on a first call, against 21.7 MB for
+    # split_validation(generate_dataset(...)), which holds the whole dataset beside its copy.
+    # The bound leaves 1.2 MB of headroom.
     cfg = GenConfig(n_pairs=10000, seed=3)
     tracemalloc.start()
     try:
-        generate_split(cfg, 1000, seed=5)
+        generate_rows(cfg, split_rows(label_plan(cfg), 1000, seed=5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,6 +382,23 @@ def test_read_manifest_refuses_a_row_torn_across_lines(tmp_path, lines):
         with pytest.raises(FormatError) as err:
             read(path)
         assert str(err.value) == f"{path}:1: malformed manifest line ({parse.value!r})"
+
+
+# Line 1 of a manifest that no reader can take in: its tokens nest deeper than
+# json.loads recurses, or it holds a byte that is not UTF-8.
+_UNREADABLE = {
+    "deep-nesting": ('{"id": 0, "oracle_label": "good", "tokens": ' + "[" * 100_000 + "]" * 100_000 + "}\n").encode(),
+    "not-utf-8": b'{"id": 0, "oracle_label": "good", "tokens": [1, 2]}\xff\n',
+}
+
+
+@pytest.mark.parametrize("first", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_read_manifest_refuses_an_unreadable_line_as_a_format_error(tmp_path, first):
+    path = tmp_path / "manifest.jsonl"
+    path.write_bytes(first + (_row(1) + "\n").encode())
+    for read in (read_manifest, read_manifest_labels):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            read(path)
 
 
 @pytest.mark.parametrize(

@@ -225,8 +225,8 @@ def test_gen_data_outputs_consistent(tmp_path):
     manifest_lines = open(paths["manifest"]).read().strip().splitlines()
     with StoreHandle(paths["x_a"]) as sa, StoreHandle(paths["x_b"]) as sb:
         assert len(sa) == len(manifest_lines) == cfg.data.n_pairs
-        assert sa.dim == cfg.data.d_a
-        assert sb.dim == cfg.data.d_b
+        assert sa.header.dim == cfg.data.d_a
+        assert sb.header.dim == cfg.data.d_b
     # Idempotent: regenerating writes identical bytes.
     again = cmd_gen_data(cfg, tmp_path / "data2")
     assert open(paths["manifest"], "rb").read() == open(again["manifest"], "rb").read()
@@ -261,13 +261,17 @@ def _manifest_line(rid="599", label='"good"', tokens="[" + "1, " * 11 + "1]") ->
 _TORN_LIST = ['{"id": 0, "oracle_label": "good", "tokens": [' + "1, " * 11 + '1], "x": [{}\n', "{}]}\n",
               _manifest_line(rid="1")[:-1] + ", " + _manifest_line(rid="2")]
 _TORN_TOKENS = ['{"id": 0, "oracle_label": "good", "tokens": [' + "1, " * 5 + "1\n", "1, " * 5 + "1]}\n", _TORN_LIST[2]]
+# A first line whose tokens nest deeper than json.loads recurses, and one holding the byte 0xff
+# (written through surrogateescape), which is not UTF-8.
+_DEEP = _manifest_line(rid="0", tokens="[" * 100_000 + "]" * 100_000)
+_NOT_UTF8 = _manifest_line(rid="0", label='"good\udcff"')
 
 
 def _malformed_first_line(lines) -> str:
     """The reader's message for a manifest whose first line, ``lines[0]``, is not JSON alone."""
     try:
         json.loads(lines[0])
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         return f"manifest.jsonl:1: malformed manifest line ({e!r})"
     raise AssertionError("the first line parses")
 
@@ -298,10 +302,12 @@ def _untrained_checkpoints(ck, cfg):
         (599, [_manifest_line(tokens="[" + "1, " * 11 + "false]")], "tokens hold JSON booleans"),
         (0, _TORN_LIST, _malformed_first_line(_TORN_LIST)),
         (0, _TORN_TOKENS, _malformed_first_line(_TORN_TOKENS)),
+        (0, [_DEEP], _malformed_first_line([_DEEP])),
+        (0, [_NOT_UTF8], "manifest.jsonl: manifest is not UTF-8"),
     ],
     ids=["truncated", "torn", "ragged", "code-label", "case-label", "digit-label", "huge-id", "half-id",
          "float-id", "string-id", "scalar-tokens", "float-tokens", "bool-id", "bool-token", "list-across-lines",
-         "tokens-across-lines"],
+         "tokens-across-lines", "deep-nesting", "not-utf-8"],
 )
 def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep, tail, message):
     # A damaged manifest is a format error (exit 4): never scored against stores it does not describe.
@@ -311,7 +317,7 @@ def test_eval_rejects_manifest_that_disagrees_with_stores(tmp_path, capsys, keep
     cmd_gen_data(cfg, tmp_path / "d")
     manifest = tmp_path / "d/manifest.jsonl"
     lines = manifest.read_text().splitlines(keepends=True)
-    manifest.write_text("".join(lines[:keep] + tail))
+    manifest.write_text("".join(lines[:keep] + tail), encoding="utf-8", errors="surrogateescape")
     with pytest.raises(FormatError, match=re.escape(message)):
         load_dataset_dir(tmp_path / "d", cfg.data)
 
@@ -410,9 +416,11 @@ def test_gen_data_failure_leaves_earlier_output_and_no_partial_file(tmp_path, mo
         ("x_b.ecst", "header implies"),
         (dict(enumerate(_TORN_LIST)), _malformed_first_line(_TORN_LIST)),
         (dict(enumerate(_TORN_TOKENS)), _malformed_first_line(_TORN_TOKENS)),
+        ({0: _DEEP}, _malformed_first_line([_DEEP])),
+        ({0: _NOT_UTF8}, "manifest.jsonl: manifest is not UTF-8"),
     ],
     ids=["torn", "code-label", "ragged", "half-id", "huge-id", "bool-token", "width-at-block-boundary", "x_b-size",
-         "list-across-lines", "tokens-across-lines"],
+         "list-across-lines", "tokens-across-lines", "deep-nesting", "not-utf-8"],
 )
 def test_eval_checks_every_manifest_block_before_scoring(tmp_path, capsys, monkeypatch, damage, message):
     # Line 300 of 600 lies in the middle block of lines; the width change starts the second block.
@@ -428,7 +436,7 @@ def test_eval_checks_every_manifest_block_before_scoring(tmp_path, capsys, monke
         lines = manifest.read_text().splitlines(keepends=True)
         for i, line in damage.items():
             lines[i] = line
-        manifest.write_text("".join(lines))
+        manifest.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
     encoded = count_calls(monkeypatch, "encode_batch")
     read = []
     monkeypatch.setattr(StoreHandle, "read_rows", lambda self, rows: read.append(rows))
@@ -863,7 +871,7 @@ def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
         raise AssertionError("training started")
 
     monkeypatch.setattr("pairsieve.harness.generate_dataset", no_training)
-    monkeypatch.setattr("pairsieve.harness.generate_split", no_training)
+    monkeypatch.setattr("pairsieve.harness.generate_rows", no_training)
     monkeypatch.setattr("pairsieve.harness.train_teacher", no_training)
     out = str(tmp_path / "out")
     # n_val above the good-pair count (240 of 600) is refused before data generation too.

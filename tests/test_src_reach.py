@@ -60,3 +60,17 @@ def unreached_names() -> list[str]:
 
 def test_every_src_name_is_reached_outside_the_tests():
     assert unreached_names() == []
+
+
+def private_imports() -> list[str]:
+    """``module: name`` for each underscore name a module of src/pairsieve imports from another pairsieve module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("pairsieve")):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_src_module_imports_another_modules_private_name():
+    assert private_imports() == []

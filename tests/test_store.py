@@ -79,6 +79,33 @@ def test_payload_size_mismatch_detected(tmp_path):
         StoreHandle(truncated)
 
 
+# Each turns one store of 3 rows of 2 values into a file that StoreHandle refuses, with its message.
+_DAMAGE = {
+    "truncated-header": (lambda blob: blob[: HEADER_SIZE - 1], "truncated header"),
+    "bad-magic": (lambda blob: b"NOPE" + blob[4:], "bad magic"),
+    "bad-version": (lambda blob: blob[:4] + (2).to_bytes(4, "little") + blob[8:], "unsupported version 2"),
+    "size-mismatch": (lambda blob: blob[:-8], "header implies"),
+}
+
+
+@pytest.mark.parametrize("damage, message", _DAMAGE.values(), ids=_DAMAGE.keys())
+def test_refused_open_closes_its_file(tmp_path, monkeypatch, damage, message):
+    path = tmp_path / "s.ecst"
+    write_store(path, np.ones((3, 2)))
+    path.write_bytes(damage(path.read_bytes()))
+    opened = []
+
+    def spy(*args, **kwargs):
+        f = open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(store, "open", spy, raising=False)
+    with pytest.raises(FormatError, match=message):
+        StoreHandle(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
 def test_read_all_short_read_detected(tmp_path):
     path = tmp_path / "t.ecst"
     write_store(path, np.ones((2000, 3)))  # larger than one read buffer
@@ -86,7 +113,7 @@ def test_read_all_short_read_detected(tmp_path):
         with open(path, "r+b") as f:
             f.truncate(HEADER_SIZE + 8)  # shrunk after the size check at open
         with pytest.raises(FormatError):
-            h.read_all()
+            h.read_rows(np.arange(len(h)))
 
 
 def test_appended_blocks_equal_one_write(tmp_path):
@@ -151,5 +178,5 @@ def test_round_trip_property(tmp_path_factory, rows):
     assert header.count == rows.shape[0]
     assert header.dim == rows.shape[1]
     with StoreHandle(path) as h:
-        got = h.read_all()
+        got = h.read_rows(np.arange(len(h)))
     assert got.tobytes() == rows.tobytes()
