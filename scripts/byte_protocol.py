@@ -3,9 +3,8 @@
 
 A change that should not alter behaviour must leave every run output
 byte-identical. Run the commands against the parent commit's ``src/`` and
-against the change's, with the same ``OPENBLAS_NUM_THREADS``, then compare:
+against the change's, then compare:
 
-    export OPENBLAS_NUM_THREADS=1
     python3 scripts/byte_protocol.py --src <parent>/src --out <dir>/parent
     python3 scripts/byte_protocol.py --src <change>/src --out <dir>/change
     python3 scripts/byte_protocol.py --compare <dir>/parent <dir>/change

@@ -89,13 +89,30 @@ def contrastive_loss(
     excludes each query's own positive. Returns the loss and
     d(loss)/d(queries); keys and queue entries are constants.
 
+    Each row's softmax is shifted by its positive logit, and the shift
+    happens inside the logits product: ``[q/tau, -pos] @ [negs, 1].T``
+    gives every negative logit less its row's positive one, so no pass
+    over the (n, m) logits looks for a row maximum or subtracts it. The
+    positive then contributes exactly 1, and with ``s`` the row's sum of
+    exponentiated negatives the row's loss is ``log1p(s)``. The same
+    ones column makes the backward product ``exp(logits) @ [negs, 1]``
+    return the gradient's negative term in its first columns and ``s``
+    in its last, so no pass sums the rows either.
+
+    That shift bounds nothing from above: when some negative's logit
+    exceeds its positive's by more than about 709, which needs rows far
+    from unit length or a very small ``tau``, its exponential overflows.
+    If the backward product holds any non-finite value, the whole call
+    falls back to shifting each row by its maximum logit, positive
+    included, as the textbook stabilised softmax does.
+
     Excluded entries are found per column with ``np.isin`` and only
     their (row, column) cells are set to ``-inf``, so they add nothing
     to the softmax. ``isin`` always takes its lookup-table path: every
     caller's ids are row indices, so the table holds one byte per row at
     most, while numpy's default sorts whenever the batch's ids span more
-    than six times the queue plus the batch. The logits are shifted and
-    exponentiated in place, and no probability matrix is built.
+    than six times the queue plus the batch. The logits are exponentiated
+    in place, and no probability matrix is built.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -111,29 +128,44 @@ def contrastive_loss(
             raise NoNegatives("empty queue and batch of one leave nothing to contrast")
         negs, neg_ids = batch.positives, batch.ids
 
-    queries = batch.queries * (1.0 / tau)
+    d = negs.shape[1]
+    ext_queries = np.empty((n, d + 1))  # [q/tau, -pos_logit]
+    queries = np.multiply(batch.queries, 1.0 / tau, out=ext_queries[:, :d])
     pos_logit = np.einsum("ij,ij->i", queries, batch.positives)  # (n,)
-    logits = queries @ negs.T  # (n, m)
+    np.negative(pos_logit, out=ext_queries[:, d])
+    ext_negs = np.empty((negs.shape[0], d + 1))  # [negs, 1]
+    ext_negs[:, :d] = negs
+    ext_negs[:, d] = 1.0
     cols = np.flatnonzero(np.isin(neg_ids, batch.ids, kind="table"))
     rows, hits = np.nonzero(batch.ids[:, None] == neg_ids[cols][None, :])
-    logits[rows, cols[hits]] = -np.inf
+    excluded = rows, cols[hits]
 
-    # Stabilized softmax over [positive, negatives...] per row.
-    row_max = np.maximum(pos_logit, np.maximum.reduce(logits, axis=1))
-    logits -= row_max[:, None]
-    neg_exp = np.exp(logits, out=logits)
-    pos_exp = pos_logit - row_max
-    np.exp(pos_exp, out=pos_exp)
-    total = np.add.reduce(neg_exp, axis=1)
-    total += pos_exp
-    per_row = row_max - pos_logit
-    per_row += np.log(total)
+    logits = ext_queries @ ext_negs.T  # (n, m), each row less its positive logit
+    logits[excluded] = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the fallback
+        back = np.exp(logits, out=logits) @ ext_negs  # (n, d + 1)
+    if np.isfinite(back).all():
+        row_sum = back[:, d]
+        total = row_sum + 1.0
+        per_row = np.log1p(row_sum)
+        d_pos = -row_sum / total
+    else:  # unshifted logits, then the row-max shift
+        ext_queries[:, d] = 0.0
+        logits = ext_queries @ ext_negs.T
+        logits[excluded] = -np.inf
+        row_max = np.maximum(pos_logit, np.maximum.reduce(logits, axis=1))
+        logits -= row_max[:, None]
+        back = np.exp(logits, out=logits) @ ext_negs
+        pos_exp = pos_logit - row_max
+        np.exp(pos_exp, out=pos_exp)
+        total = back[:, d] + pos_exp
+        per_row = row_max - pos_logit
+        per_row += np.log(total)
+        d_pos = pos_exp / total
+        d_pos -= 1.0
     loss = float(np.add.reduce(per_row) / n)
 
-    d_pos = pos_exp / total
-    d_pos -= 1.0
-    d_queries = neg_exp @ negs
-    d_queries /= total[:, None]
+    d_queries = back[:, :d] / total[:, None]
     d_queries += d_pos[:, None] * batch.positives
     d_queries /= tau * n
     return loss, d_queries

@@ -243,6 +243,23 @@ def test_loss_matches_reference_formula(batch_ids, queue_ids, tau, seed):
     _assert_matches_reference(batch, queue, tau)
 
 
+def test_loss_where_a_negative_outranks_its_positive_past_exp_range():
+    # Row 1: a 3x query along a 3x negative, its positive orthogonal, tau 0.01, so a
+    # negative logit exceeds the positive one by 900 and exp overflows unless the row
+    # is shifted by its maximum. Row 0: every queue entry carries its id, so it has
+    # no negatives at all and its loss term and gradient are 0.
+    e = np.eye(4)
+    queue = MemoryQueue(4, 4)
+    queue.push(np.stack([3.0 * e[0], e[1], 3.0 * e[0]]), [5, 5, 5])
+    batch = ContrastiveBatch(
+        queries=np.stack([e[2], 3.0 * e[0]]), positives=np.stack([e[3], e[1]]), ids=np.array([5, 9])
+    )
+    _assert_matches_reference(batch, queue, 0.01)
+    loss, grads = contrastive_loss(batch, queue, 0.01)
+    assert loss == pytest.approx((900.0 + math.log(2.0 + math.exp(-300.0))) / 2, rel=1e-12)
+    np.testing.assert_array_equal(grads[0], 0.0)
+
+
 def test_gradient_matches_finite_differences():
     p = init_params(21, 6, 5, 4)
     rng = substream(21, "init", 5)

@@ -1,9 +1,13 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _load(name):
@@ -54,3 +58,19 @@ def test_byte_protocol_compare_masks_only_the_measured_times(tmp_path, capsys):
     assert "differs: run/timing.csv" in out
     assert f"only in {parent}: commands/run.stdout" in out
     assert f"only in {renamed}: commands/run.exit" in out
+
+
+def test_cli_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At two OpenBLAS threads this pretrain writes another query checkpoint and MLM head
+    # than at one, unless the package pins one thread before numpy loads.
+    protocol = _load("byte_protocol")
+    args = ["pretrain", "--seed", "0", "--set", "data.n_pairs=600", "--set", "n_val=100",
+            "--set", "train.epochs=2", "--out-dir", "run"]
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "pairsieve", *args], cwd=out, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        (out / "stdout").write_bytes(proc.stdout)
+    assert protocol.compare(tmp_path / "1", tmp_path / "2") == []
