@@ -5,7 +5,9 @@ scores every retained pair; totals are exponentially smoothed (total <-
 alpha * total + score); pairs are re-ranked by total and only the top
 keep_fraction survive into the next epoch. Successive epochs thus
 ensemble the judgments of successive model snapshots. Pruned pairs are
-never re-admitted.
+never re-admitted. Between epochs the curation state is one float64 array
+of totals over the training rows; an epoch's scores live only until its
+dump is written.
 
 The key tower is frozen, so the run encodes the keys once
 (``PretrainRun.key_matrix``) and ``score_pairs`` takes their rows.
@@ -24,18 +26,6 @@ from .data import LABEL_TAGS, Label
 from .encoder import EncoderParams, encode_batch
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
 from .store import atomic_open
-
-
-@dataclass
-class ScoreLedger:
-    """Smoothed total and latest epoch score of each training row."""
-
-    totals: np.ndarray  # (n,) float64
-    last: np.ndarray  # (n,) float64
-
-    @classmethod
-    def fresh(cls, n: int) -> "ScoreLedger":
-        return cls(totals=np.zeros(n), last=np.zeros(n))
 
 
 @dataclass
@@ -59,24 +49,21 @@ def score_pairs(keys: np.ndarray, query_encoder: EncoderParams, x_b: np.ndarray)
     return np.sum(keys * queries, axis=1)  # unit rows: dot == cosine
 
 
-def update_total_scores(
-    ledger: ScoreLedger, rows: np.ndarray, scores: np.ndarray, alpha: float
-) -> None:
-    """Apply total <- alpha * total + score for every scored row, in place."""
+def update_total_scores(totals: np.ndarray, rows: np.ndarray, scores: np.ndarray, alpha: float) -> None:
+    """Apply total <- alpha * total + score to ``totals`` for every scored row, in place."""
     rows = np.asarray(rows, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    # Check everything before the ledger changes: a NaN total would make the rank order input-dependent.
-    outside = (rows < 0) | (rows >= len(ledger.totals))
+    # Check everything before the totals change: a NaN total would make the rank order input-dependent.
+    outside = (rows < 0) | (rows >= len(totals))
     if outside.any():
-        raise LedgerMiss(f"row {rows[outside][0]} not tracked by a ledger of {len(ledger.totals)} rows")
+        raise LedgerMiss(f"row {rows[outside][0]} not tracked by a ledger of {len(totals)} rows")
     bad = ~np.isfinite(scores)
     if bad.any():
         raise NonFiniteLoss(f"score {scores[bad][0]} for row {rows[bad][0]} is not finite")
-    ledger.totals[rows] = alpha * ledger.totals[rows] + scores
-    ledger.last[rows] = scores
+    totals[rows] = alpha * totals[rows] + scores
 
 
-def rank_and_filter(ledger: ScoreLedger, rows: np.ndarray, keep_fraction: float) -> np.ndarray:
+def rank_and_filter(totals: np.ndarray, rows: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Keep the ceil(keep_fraction * n) rows with highest totals, best first.
 
     Ties break toward the smaller row, which holds the smaller id, so
@@ -88,7 +75,7 @@ def rank_and_filter(ledger: ScoreLedger, rows: np.ndarray, keep_fraction: float)
     if rows.size == 0:
         raise EmptySet("retained set is empty")
     keep = ceil(keep_fraction * rows.size)
-    return rows[np.lexsort((rows, -ledger.totals[rows]))][:keep]
+    return rows[np.lexsort((rows, -totals[rows]))][:keep]
 
 
 def check_stop(history: Sequence[float], rule: StopRule) -> bool:
@@ -130,19 +117,19 @@ def filtering_ratio_report(
 
 
 def write_ledger_dump(
-    path: str | Path, ledger: ScoreLedger, ids: np.ndarray, retained: np.ndarray, labels: np.ndarray
+    path: str | Path, ids: np.ndarray, scores: np.ndarray, totals: np.ndarray, retained: np.ndarray, labels: np.ndarray
 ) -> None:
-    """Per-pair epoch dump: id, epoch score, total, retained flag, label; one line per row.
+    """Epoch dump of the pairs the epoch scored: id, epoch score, total, retained flag, label; one line each.
 
-    Each line has the bytes that ``csv.writer`` gives the row with the
-    floats as ``repr``, built directly: no field holds a comma, quote or
-    line break, so none is quoted.
+    The arguments are columns of equal length; ``retained`` is a boolean
+    column. Each line has the bytes that ``csv.writer`` gives the row with
+    the floats as ``repr``, built directly: no field holds a comma, quote
+    or line break, so none is quoted.
     """
-    flag = np.zeros(len(ids), dtype=np.int64)
-    flag[retained] = 1
+    flags = np.asarray(retained, dtype=np.int64).tolist()
     with atomic_open(path, "w", newline="") as f:
         f.write("id,epoch_score,total_score,retained,oracle_label\r\n")
         for rid, score, total, kept, lab in zip(
-            ids.tolist(), ledger.last.tolist(), ledger.totals.tolist(), flag.tolist(), labels.tolist()
+            ids.tolist(), scores.tolist(), totals.tolist(), flags, labels.tolist()
         ):
             f.write(f"{rid},{score!r},{total!r},{kept},{LABEL_TAGS[lab]}\r\n")

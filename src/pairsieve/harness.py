@@ -28,7 +28,6 @@ from .config import (
 )
 from .contrastive import ContrastiveBatch, MemoryQueue, PairBatch, contrastive_loss, training_step
 from .curation import (
-    ScoreLedger,
     check_stop,
     filtering_ratio_report,
     rank_and_filter,
@@ -311,7 +310,7 @@ class PretrainRun:
     """One pretraining run; between epochs its whole state is the fields of this object.
 
     The constructor is the set-up: data and split, teacher and student, MLM
-    head, frozen training and validation keys, ledger, queue and lr plan.
+    head, frozen training and validation keys, totals, queue and lr plan.
     Then one ``run_epoch`` per epoch, and ``finish`` writes checkpoints and ``timing.csv``.
     """
 
@@ -348,7 +347,7 @@ class PretrainRun:
         self.val_keys, _ = encode_batch(self.state.key_encoder, self.val.x_a)
 
         # Curation state and step ids are training rows; train.ids (increasing) maps a row to its output id.
-        self.ledger = ScoreLedger.fresh(len(self.train))
+        self.totals = np.zeros(len(self.train))  # smoothed total score of each row
         self.setup_student = student  # read-only; the query tower that scores without refresh
         self.retained = np.arange(len(self.train))  # sorted rows
         self.filtering_active = cfg.filtering_on
@@ -385,9 +384,9 @@ class PretrainRun:
             before = self.retained
             query_encoder = self.state.query_encoder if cfg.shadow_refresh_on else self.setup_student
             scores = score_pairs(self.key_matrix[before], query_encoder, train.x_b[before])
-            update_total_scores(self.ledger, before, scores, cfg.train.alpha)
+            update_total_scores(self.totals, before, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
-            self.retained = np.sort(rank_and_filter(self.ledger, before, cfg.train.keep_fraction))
+            self.retained = np.sort(rank_and_filter(self.totals, before, cfg.train.keep_fraction))
             counters["filter_events"] += 1
             # Label objects, not codes: perfbench/spans.py reads labels[i].tag from these arguments.
             ratio = filtering_ratio_report(before, self.retained, np.array(list(Label), dtype=object)[train.labels])
@@ -398,7 +397,10 @@ class PretrainRun:
             report.log(epoch, "retention_noisy", ratio.noisy_retention)
             report.log(epoch, "regular_term", self.regular_term)
             if out is not None:
-                write_ledger_dump(out / f"ledger_epoch{epoch}.csv", self.ledger, train.ids, self.retained, train.labels)
+                write_ledger_dump(
+                    out / f"ledger_epoch{epoch}.csv", train.ids[before], scores, self.totals[before],
+                    np.isin(before, self.retained), train.labels[before],
+                )
 
         comp = noise_composition(train.labels[self.retained])
         report.log(epoch, "retained_count", len(self.retained))
@@ -467,8 +469,8 @@ class PretrainRun:
             ck.mkdir(exist_ok=True)
             save_params(ck / "key.ecpm", self.state.key_encoder)
             save_params(ck / "query.ecpm", self.state.query_encoder)
+            # The token lift is frozen and not written: init_mlm_head with the run's "head_init" seed rebuilds it.
             write_store(ck / "mlm_head.ecst", np.vstack([self.state.mlm.w, self.state.mlm.b[None, :]]))
-            write_store(ck / "token_lift.ecst", self.state.mlm.lift)
             write_metrics_csv(self.out / "timing.csv", self.report.run_id, self.report.timing_rows)
         return self.report
 

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .curation import ScoreLedger
 from .data import LABEL_TAGS, Label, write_csv
 from .errors import MissingTruth
 
@@ -110,21 +109,21 @@ def noise_composition(codes: np.ndarray) -> dict[str, float]:
     return {lab.tag: (counts[lab] / n if n else 0.0) for lab in Label}
 
 
-# No run writes a distribution dump: it is the retained rows of the ledger dump. These three stay only
-# because perfbench/spans.py TARGETS names the two functions; ROADMAP item 4 deletes them with their targets.
+# No run writes a distribution dump: it is the `retained == 1` rows of the ledger dump. These three stay
+# only because perfbench/spans.py TARGETS names the two functions; ROADMAP item 4 deletes them with their targets.
 DistributionRow = tuple[int, float, float, str]  # (id, epoch score, total, label)
 
 
 def export_distribution(
-    ledger: ScoreLedger, ids: np.ndarray, labels: np.ndarray, retained: np.ndarray
+    ids: np.ndarray, scores: np.ndarray, totals: np.ndarray, labels: np.ndarray
 ) -> list[DistributionRow]:
-    """Score-vs-total rows for the retained pairs, ready for plotting; ``retained`` is a sorted row array."""
+    """Score-vs-total rows, ready for plotting, from equal-length columns of the pairs to plot."""
     return list(
         zip(
-            ids[retained].tolist(),
-            ledger.last[retained].tolist(),
-            ledger.totals[retained].tolist(),
-            map(LABEL_TAGS.__getitem__, labels[retained].tolist()),
+            ids.tolist(),
+            scores.tolist(),
+            totals.tolist(),
+            map(LABEL_TAGS.__getitem__, labels.tolist()),
         )
     )
 

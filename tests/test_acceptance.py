@@ -20,7 +20,7 @@ from pairsieve.contrastive import (
     contrastive_loss,
     training_step,
 )
-from pairsieve.curation import ScoreLedger, rank_and_filter, score_pairs, update_total_scores
+from pairsieve.curation import rank_and_filter, score_pairs, update_total_scores
 from pairsieve.data import GenConfig, Label, generate_dataset, split_validation
 from pairsieve.distill import distill_loss
 from pairsieve.encoder import (
@@ -127,21 +127,21 @@ def test_criterion_02_smoothing_exactness():
     worst = 0.0
     for alpha in (0.0, 0.5, 0.9):
         scores = rng.uniform(-1, 1, size=5)
-        ledger = ScoreLedger.fresh(1)
+        totals = np.zeros(1)
         for s in scores:
-            update_total_scores(ledger, [0], [float(s)], alpha)
+            update_total_scores(totals, [0], [float(s)], alpha)
         closed = sum(alpha ** (4 - j) * s for j, s in enumerate(scores))
-        worst = max(worst, abs(ledger.totals[0] - closed))
+        worst = max(worst, abs(totals[0] - closed))
     ok = worst <= 1e-12
     assert report(2, "smoothing-exactness", ok, f"max_abs_err={worst:.2e}")
 
 
 # ---------------------------------------------------------------- criterion 3
 def test_criterion_03_rank_filter_geometry():
-    ledger = ScoreLedger(totals=np.arange(300.0), last=np.zeros(300))
+    totals = np.arange(300.0)
     retained = np.arange(300)
     for _ in range(9):
-        retained = rank_and_filter(ledger, retained, 0.9)
+        retained = rank_and_filter(totals, retained, 0.9)
     final = len(retained)
     ok = final == 119 and 114 <= final <= 120
     assert report(3, "rank-filter-geometry", ok, f"300 -> {final} after 9 rounds at 0.9")

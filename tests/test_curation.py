@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairsieve.curation import (
-    ScoreLedger,
     StopRule,
     check_stop,
     filtering_ratio_report,
@@ -33,9 +32,8 @@ def _toy_dataset(n=40, seed=3):
     return generate_dataset(GenConfig(n_pairs=n, d_a=8, d_b=6, latent_dim=4, seq_len=4, token_coords=2, seed=seed))
 
 
-def _ledger(totals) -> ScoreLedger:
-    totals = np.array(totals, dtype=np.float64)
-    return ScoreLedger(totals=totals, last=np.zeros_like(totals))
+def _totals(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
 
 
 def test_score_pairs_deterministic_and_empty():
@@ -50,36 +48,35 @@ def test_score_pairs_deterministic_and_empty():
 
 
 def test_update_total_scores_direct():
-    ledger = _ledger([0.0, 1.0])
-    update_total_scores(ledger, [1], [0.5], alpha=0.9)
-    assert ledger.totals[1] == pytest.approx(1.4)
-    assert ledger.last.tolist() == [0.0, 0.5]
+    totals = _totals([0.0, 1.0])
+    update_total_scores(totals, [1], [0.5], alpha=0.9)
+    assert totals[0] == 0.0
+    assert totals[1] == pytest.approx(1.4)
 
 
 def test_update_total_scores_memoryless_at_alpha_zero():
-    ledger = _ledger([0.0, 123.0])
-    update_total_scores(ledger, [1], [0.25], alpha=0.0)
-    assert ledger.totals[1] == 0.25
+    totals = _totals([0.0, 123.0])
+    update_total_scores(totals, [1], [0.25], alpha=0.0)
+    assert totals[1] == 0.25
 
 
 def test_update_total_scores_unknown_id():
     # Rows outside [0, n) are refused before any entry changes, negative ones too, which indexing would wrap.
-    ledger = _ledger([0.0, 0.0, 0.0])
+    totals = _totals([0.0, 0.0, 0.0])
     for row in (-1, 3, 10**6):
         with pytest.raises(LedgerMiss):
-            update_total_scores(ledger, [0, row], [0.5, 0.5], alpha=0.9)
-        assert ledger.totals.tolist() == ledger.last.tolist() == [0.0, 0.0, 0.0], row
+            update_total_scores(totals, [0, row], [0.5, 0.5], alpha=0.9)
+        assert totals.tolist() == [0.0, 0.0, 0.0], row
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_update_total_scores_rejects_non_finite(bad):
     # A NaN total would make rank_and_filter's order depend on input order,
     # so the whole update is refused before any entry changes.
-    ledger = _ledger([0.0, 0.5, 0.25])
+    totals = _totals([0.0, 0.5, 0.25])
     with pytest.raises(NonFiniteLoss):
-        update_total_scores(ledger, [1, 2], [0.1, bad], alpha=0.9)
-    assert ledger.totals.tolist() == [0.0, 0.5, 0.25]
-    assert ledger.last.tolist() == [0.0, 0.0, 0.0]
+        update_total_scores(totals, [1, 2], [0.1, bad], alpha=0.9)
+    assert totals.tolist() == [0.0, 0.5, 0.25]
 
 
 @given(
@@ -88,44 +85,41 @@ def test_update_total_scores_rejects_non_finite(bad):
 )
 def test_smoothing_matches_closed_form(scores, alpha):
     # Oracle: the smoothed total is the geometric sum of past scores.
-    ledger = ScoreLedger.fresh(1)
+    totals = np.zeros(1)
     for s in scores:
-        update_total_scores(ledger, [0], [s], alpha)
+        update_total_scores(totals, [0], [s], alpha)
     k = len(scores)
     expected = sum(alpha ** (k - 1 - j) * s for j, s in enumerate(scores))
-    assert abs(ledger.totals[0] - expected) <= 1e-12
+    assert abs(totals[0] - expected) <= 1e-12
 
 
 def test_rank_and_filter_top_scores():
-    ledger = _ledger(range(10))
-    kept = rank_and_filter(ledger, np.arange(10), keep_fraction=0.7)
+    kept = rank_and_filter(_totals(range(10)), np.arange(10), keep_fraction=0.7)
     assert kept.tolist() == [9, 8, 7, 6, 5, 4, 3]
 
 
 def test_rank_and_filter_identity_at_one():
-    ledger = _ledger([-i for i in range(5)])
-    kept = rank_and_filter(ledger, np.arange(5), keep_fraction=1.0)
+    kept = rank_and_filter(_totals([-i for i in range(5)]), np.arange(5), keep_fraction=1.0)
     assert sorted(kept.tolist()) == list(range(5))
 
 
 def test_rank_and_filter_tie_break_ascending_id():
-    ledger = _ledger([1.0] * 6)
-    kept = rank_and_filter(ledger, np.arange(6), keep_fraction=0.5)
+    kept = rank_and_filter(_totals([1.0] * 6), np.arange(6), keep_fraction=0.5)
     assert kept.tolist() == [0, 1, 2]
 
 
 def test_rank_and_filter_empty():
     with pytest.raises(EmptySet):
-        rank_and_filter(ScoreLedger.fresh(0), np.arange(0), keep_fraction=0.9)
+        rank_and_filter(np.zeros(0), np.arange(0), keep_fraction=0.9)
 
 
 def test_geometric_shrink_nine_rounds():
     # ceil rounding applied nine times from 300 at keep fraction 0.9.
     sizes = [300]
-    ledger = _ledger(range(300))
+    totals = _totals(range(300))
     retained = np.arange(300)
     for _ in range(9):
-        retained = rank_and_filter(ledger, retained, 0.9)
+        retained = rank_and_filter(totals, retained, 0.9)
         sizes.append(len(retained))
     assert sizes == [300, 270, 243, 219, 198, 179, 162, 146, 132, 119]
     assert 114 <= sizes[-1] <= 120
@@ -139,20 +133,20 @@ def test_geometric_shrink_nine_rounds():
 )
 @settings(max_examples=50)
 def test_monotone_shrink(total_of, rnd):
-    # Sparse, unsorted rows of a 1001-row ledger; totals have ties, and +0.0 beside -0.0.
+    # Sparse, unsorted rows of 1001 tracked rows; totals have ties, and +0.0 beside -0.0.
     ids = list(total_of)
-    ledger = ScoreLedger.fresh(1001)
-    ledger.totals[ids] = list(total_of.values())
-    totals = ledger.totals.tolist()
-    kept = rank_and_filter(ledger, ids, keep_fraction=0.8).tolist()
+    column = np.zeros(1001)
+    column[ids] = list(total_of.values())
+    totals = column.tolist()
+    kept = rank_and_filter(column, ids, keep_fraction=0.8).tolist()
     assert len(kept) <= len(ids)
     assert set(kept) <= set(ids)
-    again = rank_and_filter(ledger, ids, keep_fraction=0.8).tolist()
+    again = rank_and_filter(column, ids, keep_fraction=0.8).tolist()
     assert kept == again  # deterministic, ties included
     # A total order: input order does not matter, and ties go to the smaller id.
     shuffled = list(ids)
     rnd.shuffle(shuffled)
-    assert rank_and_filter(ledger, shuffled, keep_fraction=0.8).tolist() == kept
+    assert rank_and_filter(column, shuffled, keep_fraction=0.8).tolist() == kept
     assert kept == sorted(ids, key=lambda i: (-totals[i], i))[: math.ceil(0.8 * len(ids))]
 
 
@@ -190,11 +184,12 @@ def test_filtering_ratio_report_boundaries():
 
 
 def test_ledger_dump_format(tmp_path):
-    ledger = ScoreLedger.fresh(3)
-    update_total_scores(ledger, [0, 1, 2], [0.5, 0.2, -0.1], alpha=0.9)
+    scores = np.array([0.5, 0.2, -0.1])
+    totals = np.zeros(3)
+    update_total_scores(totals, [0, 1, 2], scores, alpha=0.9)
     labels = np.array([Label.GOOD, Label.CLEAN, Label.NOISY], dtype=np.int8)
     path = tmp_path / "ledger.csv"
-    write_ledger_dump(path, ledger, np.array([4, 10, 11]), np.array([0, 1]), labels)
+    write_ledger_dump(path, np.array([4, 10, 11]), scores, totals, np.array([True, True, False]), labels)
     lines = path.read_text().strip().splitlines()
     assert lines == [
         "id,epoch_score,total_score,retained,oracle_label",
@@ -204,13 +199,11 @@ def test_ledger_dump_format(tmp_path):
     ]
 
 
-def _ledger_dump_by_csv_writer(ledger, ids, retained, labels):
-    flag = np.zeros(len(ids), dtype=np.int64)
-    flag[retained] = 1
+def _ledger_dump_by_csv_writer(ids, scores, totals, retained, labels):
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(["id", "epoch_score", "total_score", "retained", "oracle_label"])
-    for rid, score, total, kept, lab in zip(ids, ledger.last, ledger.totals, flag, labels):
+    for rid, score, total, kept, lab in zip(ids, scores, totals, retained, labels):
         w.writerow([int(rid), repr(float(score)), repr(float(total)), int(kept), Label(int(lab)).tag])
     return out.getvalue().encode("utf-8")
 
@@ -233,12 +226,10 @@ _LEDGER_ROWS = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_ledger_dump_bytes_equal_csv_writer(tmp_path_factory, rows):
     ids = np.array([r[0] for r in rows], dtype=np.int64)
-    ledger = ScoreLedger(
-        totals=np.array([r[2] for r in rows], dtype=np.float64),
-        last=np.array([r[1] for r in rows], dtype=np.float64),
-    )
-    retained = np.flatnonzero([r[3] for r in rows])
+    scores = np.array([r[1] for r in rows], dtype=np.float64)
+    totals = np.array([r[2] for r in rows], dtype=np.float64)
+    retained = np.array([r[3] for r in rows], dtype=bool)
     labels = np.array([r[4] for r in rows], dtype=np.int8)
     path = tmp_path_factory.mktemp("dump") / "ledger.csv"
-    write_ledger_dump(path, ledger, ids, retained, labels)
-    assert path.read_bytes() == _ledger_dump_by_csv_writer(ledger, ids, retained, labels)
+    write_ledger_dump(path, ids, scores, totals, retained, labels)
+    assert path.read_bytes() == _ledger_dump_by_csv_writer(ids, scores, totals, retained, labels)

@@ -21,7 +21,7 @@ from pairsieve.config import (
 )
 from pairsieve.curation import score_pairs
 from pairsieve.data import _BLOCK, Dataset, GenConfig, generate_dataset, split_validation
-from pairsieve.encoder import encode_batch, init_params, load_params, save_params
+from pairsieve.encoder import encode_batch, init_mlm_head, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import contrastive, harness
 from pairsieve.harness import (
@@ -34,6 +34,7 @@ from pairsieve.harness import (
     cmd_sweep,
     load_dataset_dir,
     pretrain,
+    stage_seed,
     teacher_and_student,
     train_teacher,
 )
@@ -484,9 +485,23 @@ def test_pretrain_writes_provenance_and_checkpoints(tmp_path):
         "metrics.csv",
         "timing.csv",
         *(f"ledger_epoch{epoch}.csv" for epoch in (1, 2, 3)),
-        *(f"checkpoints/{name}" for name in ("key.ecpm", "query.ecpm", "mlm_head.ecst", "token_lift.ecst")),
+        *(f"checkpoints/{name}" for name in ("key.ecpm", "query.ecpm", "mlm_head.ecst")),
     }
     assert report.total_steps > 0
+
+
+def test_token_lift_is_rebuilt_from_the_head_init_seed():
+    # No checkpoint holds the token lift: the masked-token steps train the head's w and b but never
+    # the lift, so the set-up rule rebuilds a finished run's lift byte for byte.
+    cfg = tiny_config(5)
+    run = PretrainRun(cfg)
+    for epoch in range(1, cfg.train.epochs + 1):
+        run.run_epoch(epoch)
+    report = run.finish()
+    head = init_mlm_head(stage_seed(cfg.seed, "head_init"), cfg.data.vocab, cfg.data.d_b, cfg.encoder.embed_dim)
+    assert report.counters["mlm_steps"] > 0 and not np.array_equal(run.state.mlm.w, head.w)
+    assert head.lift.dtype == run.state.mlm.lift.dtype and head.lift.shape == run.state.mlm.lift.shape
+    assert head.lift.tobytes() == run.state.mlm.lift.tobytes()
 
 
 def test_metrics_csv_keeps_finished_epochs_of_a_failed_run(tmp_path, monkeypatch):
@@ -599,24 +614,31 @@ def _read_rows(path) -> list[dict]:
 
 
 def test_dumps_agree_with_metrics_csv(tmp_path):
-    # Each ledger dump reproduces its epoch's retained-set rows of metrics.csv.
+    # Each ledger dump holds exactly the pairs its epoch scored, in id order: dump 1 every training
+    # pair, dump k the pairs retained by dump k-1. Its retained rows reproduce the epoch's rows of metrics.csv.
     cfg = tiny_config(23)
-    pretrain(cfg, out_dir=tmp_path)
+    report = pretrain(cfg, out_dir=tmp_path)
     metric = {(int(r["epoch"]), r["metric"]): float(r["value"]) for r in _read_rows(tmp_path / "metrics.csv")}
-    prior = _read_rows(tmp_path / "ledger_epoch1.csv")  # epoch 1 filters every training pair
+    train, _ = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
+    scored = train.ids.tolist()
+    dumped = 0
     for epoch in range(1, cfg.train.epochs + 1):
         ledger = _read_rows(tmp_path / f"ledger_epoch{epoch}.csv")
+        ids = [int(r["id"]) for r in ledger]
+        assert ids == scored and ids == sorted(set(ids)), epoch
+        dumped += len(ledger)
         kept = [r for r in ledger if r["retained"] == "1"]
         assert metric[(epoch, "retained_count")] == len(kept)
         for tag in ("good", "clean", "noisy"):
             assert metric[(epoch, f"frac_{tag}")] == sum(r["oracle_label"] == tag for r in kept) / len(kept)
         kept_ids = {r["id"] for r in kept}
         for name, members in (
-            ("retention_noisy", [r for r in prior if r["oracle_label"] == "noisy"]),
-            ("retention_good", [r for r in prior if r["oracle_label"] != "noisy"]),
+            ("retention_noisy", [r for r in ledger if r["oracle_label"] == "noisy"]),
+            ("retention_good", [r for r in ledger if r["oracle_label"] != "noisy"]),
         ):
             assert metric[(epoch, name)] == sum(r["id"] in kept_ids for r in members) / len(members)
-        prior = kept
+        scored = [int(r["id"]) for r in kept]
+    assert report.counters["pairs_scored"] == dumped
 
 
 def test_epoch_batches_reshuffle_every_epoch():
@@ -1098,15 +1120,6 @@ def test_criterion_15_metrics_digest_is_pinned(tmp_path):
     platform = _float_platform()
     if platform != _C15_PLATFORM:
         pytest.skip(f"digest recorded on {_C15_PLATFORM}; this host is {platform}")
-    cfg = RunConfig(data=GenConfig(n_pairs=600, seed=8), seed=8)
-    cfg.n_val = 100
-    cfg.teacher.n_pairs = 400
-    cfg.teacher.steps = 150
-    cfg.distill.corpus_size = 512
-    cfg.distill.held_out = 128
-    cfg.distill.steps = 300
-    cfg.train.epochs = 3
-    cfg.train.batch_pairs = 64
-    pretrain(cfg, out_dir=tmp_path)
+    pretrain(determinism_config(), out_dir=tmp_path)
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == _C15_METRICS_SHA256, "float bits of a training run moved; see the comment on _C15_METRICS_SHA256"

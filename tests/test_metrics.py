@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsieve.curation import ScoreLedger, update_total_scores
+from pairsieve.curation import update_total_scores
 from pairsieve.data import Label
 from pairsieve import metrics
 from pairsieve.errors import MissingTruth
@@ -237,12 +237,13 @@ def test_noise_composition_exact():
 
 
 def test_export_distribution_epoch_one_totals_equal_scores(tmp_path):
-    ledger = ScoreLedger.fresh(4)
-    scores = [0.4, -0.2, 0.9]
-    update_total_scores(ledger, [0, 1, 3], scores, alpha=0.9)  # first epoch: total == score
+    totals = np.zeros(4)
+    scored = np.array([0, 1, 3])
+    scores = np.array([0.4, -0.2, 0.9])
+    update_total_scores(totals, scored, scores, alpha=0.9)  # first epoch: total == score
     ids = np.array([5, 6, 8, 9])
     labels = np.array([Label.GOOD, Label.NOISY, Label.GOOD, Label.CLEAN], dtype=np.int8)
-    rows = export_distribution(ledger, ids, labels, np.array([0, 1, 3]))
+    rows = export_distribution(ids[scored], scores, totals[scored], labels[scored])
     assert rows == [(5, 0.4, 0.4, "good"), (6, -0.2, -0.2, "noisy"), (9, 0.9, 0.9, "clean")]
     path = tmp_path / "dist.csv"
     write_distribution(path, rows)
