@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Peak and current resident memory of one ``pretrain``, stage by stage.
+
+Runs ``pairsieve pretrain`` in this process with the given arguments and
+prints one line after each stage: the teacher, the distillation, the
+training and validation rows, the set-up's end (the frozen keys are its
+last large step) and each epoch. Each line gives ``VmHWM`` (the process's
+peak resident memory so far, which perfbench reports as ``peak_rss_mb``)
+and ``VmRSS`` (resident now), in MiB, as Linux reports them in
+``/proc/self/status``. It only reads that file and changes nothing the run
+computes, so its outputs are the CLI's. The arguments after the script
+name are the CLI's ``pretrain`` arguments, for example noise_removal's job:
+
+    PYTHONPATH=src python scripts/rss_stages.py --out-dir /tmp/rss --seed 7 \\
+        --set stop.enabled=false --set train.filter_epochs_max=11 --set train.epochs=12
+"""
+
+import sys
+from contextlib import ExitStack, contextmanager
+from functools import wraps
+from unittest.mock import patch
+
+from pairsieve import cli, harness
+
+# (owner, function, stage name from the call's arguments): a line is printed when the function returns.
+STAGES = [
+    (harness, "train_teacher", lambda *args: "teacher"),
+    (harness, "distill_student", lambda *args: "distillation"),
+    (harness, "generate_rows", lambda *args: "rows"),
+    (harness.PretrainRun, "__init__", lambda *args: "keys"),
+    (harness.PretrainRun, "run_epoch", lambda run, epoch: f"epoch {epoch}"),
+]
+
+
+def memory_mib() -> tuple[float, float]:
+    """(VmHWM, VmRSS) of this process in MiB."""
+    fields = {}
+    with open("/proc/self/status", encoding="ascii") as f:
+        for line in f:
+            name, _, value = line.partition(":")
+            fields[name] = value
+    return tuple(int(fields[name].split()[0]) / 1024 for name in ("VmHWM", "VmRSS"))
+
+
+def report(stage: str) -> None:
+    hwm, rss = memory_mib()
+    print(f"{stage:<13} VmHWM {hwm:8.2f} MiB  VmRSS {rss:8.2f} MiB", flush=True)
+
+
+def reporting(fn, stage_name):
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        report(stage_name(*args))
+        return out
+
+    return wrapper
+
+
+@contextmanager
+def stage_reports():
+    """Report after each stage; the original functions are back on exit."""
+    with ExitStack() as patches:
+        for owner, attr, stage_name in STAGES:
+            patches.enter_context(patch.object(owner, attr, reporting(getattr(owner, attr), stage_name)))
+        yield
+
+
+def main(argv: list[str] | None = None) -> int:
+    report("start")
+    with stage_reports():
+        return cli.main(["pretrain", *(sys.argv[1:] if argv is None else argv)])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

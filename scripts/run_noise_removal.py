@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Noise-removal experiment: filter a 10k noisy set for 11 epochs and
 print the retained-set composition at full, two-thirds and one-third
-retention, per seed."""
+retention, per seed. Full retention is the unpruned training set (epoch
+0): epoch 1 already reports the set after its first prune."""
 
 import argparse
 from pathlib import Path
 
 from pairsieve.config import noise_removal_config
-from pairsieve.data import write_csv
+from pairsieve.data import label_plan, split_rows, write_csv
 from pairsieve.harness import pretrain
+from pairsieve.metrics import noise_composition
 
 
 def seed_list(text: str) -> list[int]:
@@ -28,24 +30,17 @@ def main(argv: list[str] | None = None) -> None:
     for seed in args.seeds:
         cfg = noise_removal_config(seed, args.n_pairs)
         report = pretrain(cfg, out_dir=out / f"seed{seed}")
-        train_n = args.n_pairs - cfg.n_val
-        snapshots = {}
+        labels = label_plan(cfg.data)
+        train_labels = labels[split_rows(labels, cfg.n_val, cfg.seed)[0]]
+        snapshots = {"100%": (0, len(train_labels), noise_composition(train_labels))}
         for epoch, count in report.series("retained_count"):
-            frac = count / train_n
-            for name, cut in (("100%", 1.01), ("66%", 0.66), ("33%", 0.33)):
-                if name not in snapshots and frac <= cut:
-                    snapshots[name] = epoch
+            for name, cut in (("66%", 0.66), ("33%", 0.33)):
+                if name not in snapshots and count / len(train_labels) <= cut:
+                    comp = {tag: report.metric(epoch, f"frac_{tag}") for tag in ("good", "clean", "noisy")}
+                    snapshots[name] = (epoch, int(count), comp)
         print(f"seed {seed}:")
-        for name, epoch in snapshots.items():
-            row = {
-                "seed": seed,
-                "snapshot": name,
-                "epoch": epoch,
-                "retained": int(report.metric(epoch, "retained_count")),
-                "good": report.metric(epoch, "frac_good"),
-                "clean": report.metric(epoch, "frac_clean"),
-                "noisy": report.metric(epoch, "frac_noisy"),
-            }
+        for name, (epoch, retained, comp) in snapshots.items():
+            row = {"seed": seed, "snapshot": name, "epoch": epoch, "retained": retained, **comp}
             rows.append(row)
             print(
                 f"  {name:>4} retention (epoch {epoch:2d}): "

@@ -7,7 +7,7 @@ encodings at any capacity, and gradients flow only to the query tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,11 +71,15 @@ class ContrastiveBatch:
 
 @dataclass
 class PairBatch:
-    """Raw minibatch slice: inputs for both towers plus pair ids."""
+    """Raw minibatch slice: pair ids and the query tower's inputs.
+
+    A step reads its keys through ``key_lookup(ids)``, never the key
+    tower's raw inputs, so ``x_a`` is optional and no step reads it.
+    """
 
     ids: np.ndarray
-    x_a: np.ndarray
     x_b: np.ndarray
+    x_a: np.ndarray | None = field(default=None, kw_only=True)
 
 
 def contrastive_loss(

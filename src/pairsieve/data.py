@@ -105,7 +105,7 @@ class Dataset:
 
     ids: np.ndarray  # (n,) int64
     labels: np.ndarray  # (n,) int8, Label codes
-    x_a: np.ndarray  # (n, d_a)
+    x_a: np.ndarray | None  # (n, d_a); None in a pretraining run once its frozen keys are encoded
     x_b: np.ndarray  # (n, d_b)
     tokens: np.ndarray  # (n, seq_len) int64
     config: GenConfig

@@ -116,6 +116,20 @@ def init_mlm_head(seed: int, vocab: int, d_in: int, embed_dim: int) -> MlmHead:
     return MlmHead(lift=lift, w=w, b=np.zeros(vocab))
 
 
+def row_blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of ``size`` rows that cover ``range(n)``, for ``size`` of 2 or more.
+
+    A lone last row joins the block before it: a one-row product takes
+    numpy's matrix-vector path, which rounds differently from the same row
+    inside a larger product. So a result built block by block from row-wise
+    products equals the whole-set one bit for bit.
+    """
+    edges = [*range(0, n, size), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(s, e) for s, e in zip(edges, edges[1:])]
+
+
 def encode_batch(p: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, BatchCache]:
     """Encode rows of ``x`` to unit-norm embeddings.
 

@@ -61,6 +61,7 @@ from .encoder import (
     init_mlm_head,
     init_params,
     load_params,
+    row_blocks,
     save_params,
     sgd_step,
 )
@@ -85,6 +86,11 @@ _STAGE = {
     "distill_data": 5,
     "head_init": 6,
 }
+
+
+# Rows per encode in each full-set pass of a pretraining run: the frozen keys at set-up, and each
+# epoch's scoring and validation. It bounds those passes' temporaries whatever the set size.
+_ROW_BLOCK = 1024
 
 
 def stage_seed(master: int, tag: str) -> int:
@@ -231,6 +237,14 @@ def teacher_and_student(
     return teacher, student, held
 
 
+def _encode_in_blocks(p: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """The embeddings ``encode_batch(p, x)`` gives, bit for bit, encoded ``_ROW_BLOCK`` rows at a time."""
+    out = np.empty((len(x), p.embed_dim))
+    for block in row_blocks(len(x), _ROW_BLOCK):
+        out[block] = encode_batch(p, x[block])[0]
+    return out
+
+
 def validation_metrics(keys: np.ndarray, queries: np.ndarray) -> dict[str, float]:
     """Retrieval recalls plus match f1 on the validation pairs, given their embeddings row by row.
 
@@ -309,9 +323,11 @@ def _require_validation_pairs(cfg: RunConfig) -> None:
 class PretrainRun:
     """One pretraining run; between epochs its whole state is the fields of this object.
 
-    The constructor is the set-up: data and split, teacher and student, MLM
+    The constructor is the set-up: teacher and student, data and split, MLM
     head, frozen training and validation keys, totals, queue and lr plan.
     Then one ``run_epoch`` per epoch, and ``finish`` writes checkpoints and ``timing.csv``.
+    Once the keys are encoded the run lets the raw key-side inputs go:
+    ``train.x_a`` and ``val.x_a`` are None.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None):
@@ -329,10 +345,11 @@ class PretrainRun:
             "mlm_steps": 0,
         }
 
-        self.train, self.val = generate_rows(cfg.data, split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed))
-
+        # The teacher and student come first, so distillation's arrays are gone before the rows exist.
         teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
         self.report.log(0, "distill_held_mse", held_mse)
+
+        train, val = generate_rows(cfg.data, split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed))
 
         self.state = EncoderPairState(
             key_encoder=teacher.key_encoder,
@@ -342,9 +359,10 @@ class PretrainRun:
             ),
         )
 
-        # Key embeddings are computed once with the frozen tower and reused all run.
-        self.key_matrix, _ = encode_batch(self.state.key_encoder, self.train.x_a)
-        self.val_keys, _ = encode_batch(self.state.key_encoder, self.val.x_a)
+        # Key embeddings are computed once with the frozen tower and reused all run; no epoch reads x_a.
+        self.key_matrix = _encode_in_blocks(self.state.key_encoder, train.x_a)
+        self.val_keys = _encode_in_blocks(self.state.key_encoder, val.x_a)
+        self.train, self.val = replace(train, x_a=None), replace(val, x_a=None)
 
         # Curation state and step ids are training rows; train.ids (increasing) maps a row to its output id.
         self.totals = np.zeros(len(self.train))  # smoothed total score of each row
@@ -383,7 +401,10 @@ class PretrainRun:
             # Scoring precedes training, so the live pair is the shadow refreshed at the epoch boundary.
             before = self.retained
             query_encoder = self.state.query_encoder if cfg.shadow_refresh_on else self.setup_student
-            scores = score_pairs(self.key_matrix[before], query_encoder, train.x_b[before])
+            scores = np.empty(len(before))
+            for block in row_blocks(len(before), _ROW_BLOCK):
+                rows = before[block]
+                scores[block] = score_pairs(self.key_matrix[rows], query_encoder, train.x_b[rows])
             update_total_scores(self.totals, before, scores, cfg.train.alpha)
             counters["pairs_scored"] += len(scores)
             self.retained = np.sort(rank_and_filter(self.totals, before, cfg.train.keep_fraction))
@@ -414,7 +435,7 @@ class PretrainRun:
         for rows in _epoch_batches(self.retained, cfg.train.batch_pairs, cfg.seed, epoch):
             if self.out_of_steps():
                 break
-            pair_batch = PairBatch(ids=rows, x_a=train.x_a[rows], x_b=train.x_b[rows])
+            pair_batch = PairBatch(ids=rows, x_b=train.x_b[rows])
             lr = cosine_warmup_lr(self.state.step, self.warmup, self.plan_steps, cfg.train.base_lr)
             if self.filtering_active and cfg.train.batch_text > 0:
                 text_rng = mask_streams.at(self.state.step)
@@ -449,8 +470,7 @@ class PretrainRun:
             report.timing_rows.append((epoch, "step_time_mean_s", elapsed / epoch_steps))
         report.log(epoch, "steps_cum", report.total_steps)
 
-        val_queries, _ = encode_batch(self.state.query_encoder, self.val.x_b)
-        vm = validation_metrics(self.val_keys, val_queries)
+        vm = validation_metrics(self.val_keys, _encode_in_blocks(self.state.query_encoder, self.val.x_b))
         for name, value in vm.items():
             report.log(epoch, name, value)
 
@@ -709,7 +729,7 @@ def benchmark_step_time(
     fill /= np.linalg.norm(fill, axis=1, keepdims=True)
     keys, _ = encode_batch(key_enc, x_a)
     # Step s takes ids s*n onwards and the fill's ids are negative, so no queue entry shares a batch id.
-    batches = [PairBatch(ids=np.arange(s * n, (s + 1) * n), x_a=x_a, x_b=x_b) for s in range(steps + 1)]
+    batches = [PairBatch(ids=np.arange(s * n, (s + 1) * n), x_b=x_b) for s in range(steps + 1)]
     best = [float("inf")] * len(capacities)
     for _ in range(reps):
         for i, capacity in enumerate(capacities):

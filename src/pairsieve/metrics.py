@@ -14,11 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .data import LABEL_TAGS, Label, write_csv
+from .encoder import row_blocks
 from .errors import MissingTruth
 
-# Similarity cells that recall_at_k scores at once (8 MB of float64), whatever the set size. A block of
-# two or more query rows gives the same products as the full matrix, so the recalls do not depend on it.
-_CELL_BUDGET = 1 << 20
+# Similarity cells that recall_at_k scores at once (1 MB of float64), whatever the set size: a block and its
+# comparison masks stay within a 2 MB L2 cache. A block of two or more query rows gives the same products as
+# the full matrix, so the recalls do not depend on it.
+_CELL_BUDGET = 1 << 17
 
 
 def recall_at_k(
@@ -43,21 +45,15 @@ def recall_at_k(
         raise MissingTruth("ground-truth index out of key range")
     key_index = np.arange(n_keys)
     rank = np.empty(n, dtype=np.int64)  # 0-based
-    step = max(1, _CELL_BUDGET // max(n_keys, 1))
-    s = 0
-    while s < n:
-        # A lone last row joins the block before it: a one-row product takes numpy's
-        # matrix-vector path, which rounds differently from the full product.
-        e = n if n - s <= step + 1 else s + step
-        sims = queries[s:e] @ keys.T
-        t = truth[s:e]
-        true_scores = sims[np.arange(e - s), t][:, None]
+    for block in row_blocks(n, max(2, _CELL_BUDGET // max(n_keys, 1))):
+        sims = queries[block] @ keys.T
+        t = truth[block]
+        true_scores = sims[np.arange(len(t)), t][:, None]
         # Rank = number of keys strictly better, plus equal-scored keys with smaller index.
-        rank[s:e] = np.count_nonzero(sims > true_scores, axis=1) + np.count_nonzero(
+        rank[block] = np.count_nonzero(sims > true_scores, axis=1) + np.count_nonzero(
             (sims == true_scores) & (key_index < t[:, None]), axis=1
         )
         del sims  # before the next block's product exists
-        s = e
     return {int(k): float(np.mean(rank < k)) for k in ks}
 
 

@@ -12,6 +12,7 @@ from pairsieve.encoder import (
     encode_batch,
     init_params,
     load_params,
+    row_blocks,
     save_params,
     sgd_step,
 )
@@ -249,3 +250,12 @@ def test_checkpoint_header_validation(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         load_params(truncated)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(0, []), (1, [(0, 1)]), (4, [(0, 4)]), (5, [(0, 5)]), (6, [(0, 4), (4, 6)]), (9, [(0, 4), (4, 9)])],
+)
+def test_row_blocks_cover_the_rows_and_never_end_in_a_lone_row(n, edges):
+    assert [(b.start, b.stop) for b in row_blocks(n, 4)] == edges
+

@@ -1,10 +1,12 @@
 import copy
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -343,9 +345,10 @@ def test_cli_eval_of_a_dataset_with_no_pairs_is_an_empty_set_error(tmp_path, cap
 
 def test_eval_memory_is_the_dataset_and_a_block(tmp_path):
     # 2000 validation pairs: their dense similarity matrix alone is 32 MB. Measured traced
-    # peaks: 13.5 MB reading only the validation rows and scoring them in blocks of about
-    # 2^20 cells (8.4 MB), 13.8 MB reading the whole dataset first, 49.3 MB with the dense
-    # matrix and the training split held. The bound is the measured peak plus 1.5 MB.
+    # peaks: 4.4 MB reading only the validation rows and scoring them in blocks of about
+    # 2^17 cells (1 MB), 13.5 MB with blocks of about 2^20 cells (8.4 MB), 13.8 MB reading
+    # the whole dataset first as well, 49.3 MB with the dense matrix and the training split
+    # held. The bound was set at 2^20 cells, as the measured peak plus 1.5 MB.
     cfg = tiny_config(3, n_pairs=6000)
     cfg.n_val = 2000
     cmd_gen_data(cfg, tmp_path / "d")
@@ -562,6 +565,66 @@ def test_frozen_key_tower_and_store_consistency(tmp_path):
     train, _ = split_validation(full, cfg.n_val, cfg.seed)
     fresh, _ = encode_batch(key_enc, train.x_a)
     assert PretrainRun(cfg, stages=stages).key_matrix.tobytes() == fresh.tobytes()
+
+
+def test_blocked_passes_equal_the_whole_set_encode_and_score(tmp_path, monkeypatch):
+    # 499 training rows in blocks of 6 end in a lone row, which joins the block before it; the
+    # 101 validation rows leave 5. The keys, epoch 1's ledger scores and its validation metrics
+    # equal those of one whole-set encode_batch and score_pairs, byte for byte.
+    monkeypatch.setattr(harness, "_ROW_BLOCK", 6)
+    scored = count_calls(monkeypatch, "score_pairs")
+    cfg = tiny_config(24)
+    cfg.n_val = 101
+    stages = {}
+    run = PretrainRun(cfg, tmp_path, stages)
+    run.run_epoch(1)
+    assert len(scored) == 499 // 6
+    ((teacher, student, _),) = stages.values()
+    train, val = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
+    keys, val_keys = (encode_batch(teacher.key_encoder, part.x_a)[0] for part in (train, val))
+    assert run.key_matrix.tobytes() == keys.tobytes()
+    assert run.val_keys.tobytes() == val_keys.tobytes()
+    with open(tmp_path / "ledger_epoch1.csv", newline="") as f:
+        ledger = np.array([float(r["epoch_score"]) for r in csv.DictReader(f)])
+    assert ledger.tobytes() == score_pairs(keys, student, train.x_b).tobytes()
+    whole = harness.validation_metrics(val_keys, encode_batch(run.state.query_encoder, val.x_b)[0])
+    assert {name: run.report.metric(1, name) for name in whole} == whole
+
+
+def _reachable_arrays(root) -> list[np.ndarray]:
+    """Every numpy array reachable from ``root`` through fields, containers and array bases; classes,
+    modules and functions are not followed."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_pretrain_set_up_and_an_epoch_hold_no_raw_keys_and_a_block():
+    # At 6000 pairs the training rows' x_a and x_b are 5.3 MB. Once the frozen keys are encoded
+    # the run holds no x_a, and the keys and each epoch's scoring are encoded a block of rows at
+    # a time. Measured traced peaks for set-up plus one filtering epoch: 7.4 MB, or 8.1 MB as the
+    # first test of a process, against 13.1 and 13.8 MB when the run kept x_a and encoded every
+    # retained row in one batch. The bound leaves 1.4 MB of headroom.
+    cfg = tiny_config(4, n_pairs=6000)
+    tracemalloc.start()
+    try:
+        run = PretrainRun(cfg)
+        run.run_epoch(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6
+    raw = {(len(run.train), cfg.data.d_a), (len(run.val), cfg.data.d_a)}
+    assert [a.shape for a in _reachable_arrays(run) if a.shape in raw] == []
 
 
 def test_mode_lattice_counters():

@@ -1,10 +1,18 @@
+import csv
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pairsieve import harness
+from pairsieve.config import noise_removal_config
+from pairsieve.data import label_plan, split_rows
+from pairsieve.metrics import noise_composition
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -23,6 +31,39 @@ def test_noise_removal_bad_seed_list_is_a_usage_error_before_any_run(tmp_path):
         script.main(["--seeds", "0,x", "--out-dir", str(tmp_path / "out")])
     assert exit_info.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_noise_removal_full_retention_row_is_the_unpruned_training_set(tmp_path, capsys):
+    # Epoch 1's retained_count is taken after its prune, so the 100% row comes from the label
+    # plan's training rows, as epoch 0 of the run: all 800 of them, with their exact composition.
+    script = _load("run_noise_removal")
+    script.main(["--seeds", "0", "--n-pairs", "1300", "--out-dir", str(tmp_path)])
+    cfg = noise_removal_config(0, 1300)
+    labels = label_plan(cfg.data)
+    train_labels = labels[split_rows(labels, cfg.n_val, cfg.seed)[0]]
+    with open(tmp_path / "composition.csv", newline="") as f:
+        full = next(row for row in csv.DictReader(f) if row["snapshot"] == "100%")
+    expected = {tag: repr(v) for tag, v in noise_composition(train_labels).items()}
+    assert full == {"seed": "0", "snapshot": "100%", "epoch": "0", "retained": "800", **expected}
+    assert "100% retention (epoch  0)" in capsys.readouterr().out
+
+
+def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsys):
+    script = _load("rss_stages")
+    originals = (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch)
+    args = ["--seed", "3", "--out-dir", str(tmp_path), "--set", "data.n_pairs=600", "--set", "n_val=100",
+            "--set", "teacher.n_pairs=400", "--set", "teacher.steps=50", "--set", "distill.corpus_size=256",
+            "--set", "distill.held_out=64", "--set", "distill.steps=50", "--set", "train.epochs=2"]
+    assert script.main(args) == 0
+    assert (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch) == originals
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("VmHWM")[0].strip() for line in lines[:-1]] == [
+        "start", "teacher", "distillation", "rows", "keys", "epoch 1", "epoch 2",
+    ]
+    for line in lines[:-1]:
+        hwm, rss = (float(v) for v in re.findall(r"([\d.]+) MiB", line))
+        assert 0 < rss <= hwm
+    assert json.loads(lines[-1])["total_steps"] > 0
 
 
 def _protocol_output(root, timing_value="0.012", step_time="0.0031", metric="0.5"):
