@@ -26,7 +26,8 @@ class MemoryQueue:
     """Fixed-capacity FIFO of (key embedding, source id) entries, oldest first.
 
     Every push builds new read-only arrays, so a snapshot never changes
-    after it is taken and needs no copy.
+    after it is taken and needs no copy. The queue also owns the work
+    array that ``contrastive_loss`` writes its logits into (``scratch``).
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -35,6 +36,20 @@ class MemoryQueue:
         self.capacity = capacity
         self.dim = dim
         self._keep(np.empty((0, dim)), np.empty(0, dtype=np.int64))
+        self._scratch = np.empty(0)
+
+    def scratch(self, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) work array over storage that later calls reuse; its contents are left over.
+
+        The storage holds ``rows * max(cols, capacity)`` cells and is replaced
+        only when a call needs more, so a step loop allocates it once, not a
+        new logits matrix per step while the queue fills. Pages never written
+        take no memory.
+        """
+        need = rows * max(cols, self.capacity)
+        if self._scratch.size < need:
+            self._scratch = np.empty(need)
+        return self._scratch[: rows * cols].reshape(rows, cols)
 
     def _keep(self, emb: np.ndarray, ids: np.ndarray) -> None:
         self._emb, self._ids = emb[-self.capacity :], ids[-self.capacity :]
@@ -115,8 +130,11 @@ def contrastive_loss(
     to the softmax. ``isin`` always takes its lookup-table path: every
     caller's ids are row indices, so the table holds one byte per row at
     most, while numpy's default sorts whenever the batch's ids span more
-    than six times the queue plus the batch. The logits are exponentiated
-    in place, and no probability matrix is built.
+    than six times the queue plus the batch. The logits are written into
+    ``queue.scratch`` and exponentiated in place, and no probability
+    matrix is built. So a step allocates no (n, m) matrix, and a run's
+    peak memory does not hang on where the allocator would place a fresh
+    one each step.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -144,7 +162,8 @@ def contrastive_loss(
     rows, hits = np.nonzero(batch.ids[:, None] == neg_ids[cols][None, :])
     excluded = rows, cols[hits]
 
-    logits = ext_queries @ ext_negs.T  # (n, m), each row less its positive logit
+    logits = queue.scratch(n, len(ext_negs))  # (n, m), each row less its positive logit
+    np.matmul(ext_queries, ext_negs.T, out=logits)
     logits[excluded] = -np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the fallback
         back = np.exp(logits, out=logits) @ ext_negs  # (n, d + 1)
@@ -155,7 +174,7 @@ def contrastive_loss(
         d_pos = -row_sum / total
     else:  # unshifted logits, then the row-max shift
         ext_queries[:, d] = 0.0
-        logits = ext_queries @ ext_negs.T
+        np.matmul(ext_queries, ext_negs.T, out=logits)
         logits[excluded] = -np.inf
         row_max = np.maximum(pos_logit, np.maximum.reduce(logits, axis=1))
         logits -= row_max[:, None]
