@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Peak and current resident memory of one ``pretrain``, stage by stage.
+"""Peak and current resident memory of one CLI command, stage by stage.
 
-Runs ``pairsieve pretrain`` in this process with the given arguments and
-prints one line after each stage: the teacher, the distillation, the
-training and validation rows, the set-up's end (the frozen keys are its
-last large step) and each epoch. Each line gives ``VmHWM`` (the process's
-peak resident memory so far, which perfbench reports as ``peak_rss_mb``)
-and ``VmRSS`` (resident now), in MiB, as Linux reports them in
-``/proc/self/status``. It only reads that file and changes nothing the run
-computes, so its outputs are the CLI's. The arguments after the script
-name are the CLI's ``pretrain`` arguments, for example noise_removal's job:
+Runs ``pairsieve <command>`` in this process with the given arguments and
+prints one line at the start and one after each stage of the command:
 
-    PYTHONPATH=src python scripts/rss_stages.py --out-dir /tmp/rss --seed 7 \\
+- ``pretrain``: the teacher, the distillation, the training and validation
+  rows, the set-up's end (the frozen keys are its last large step) and
+  each epoch.
+- ``eval``: the manifest labels (with ``--data-dir`` only), the blocked
+  read and encode of both towers, and the validation metrics.
+
+Other commands print the start line only. Each line gives ``VmHWM`` (the
+process's peak resident memory so far, which perfbench reports as
+``peak_rss_mb``) and ``VmRSS`` (resident now), in MiB, as Linux reports
+them in ``/proc/self/status``. It only reads that file and changes nothing
+the run computes, so its outputs are the CLI's. The arguments after the
+script name are the CLI's, for example noise_removal's job:
+
+    PYTHONPATH=src python scripts/rss_stages.py pretrain --out-dir /tmp/rss --seed 7 \\
         --set stop.enabled=false --set train.filter_epochs_max=11 --set train.epochs=12
 """
 
@@ -22,14 +28,22 @@ from unittest.mock import patch
 
 from pairsieve import cli, harness
 
-# (owner, function, stage name from the call's arguments): a line is printed when the function returns.
-STAGES = [
-    (harness, "train_teacher", lambda *args: "teacher"),
-    (harness, "distill_student", lambda *args: "distillation"),
-    (harness, "generate_rows", lambda *args: "rows"),
-    (harness.PretrainRun, "__init__", lambda *args: "keys"),
-    (harness.PretrainRun, "run_epoch", lambda run, epoch: f"epoch {epoch}"),
-]
+# Per command, (owner, function, stage name from the call's arguments): a line is printed when the
+# function returns.
+STAGES = {
+    "pretrain": [
+        (harness, "train_teacher", lambda *args: "teacher"),
+        (harness, "distill_student", lambda *args: "distillation"),
+        (harness, "generate_rows", lambda *args: "rows"),
+        (harness.PretrainRun, "__init__", lambda *args: "keys"),
+        (harness.PretrainRun, "run_epoch", lambda run, epoch: f"epoch {epoch}"),
+    ],
+    "eval": [
+        (harness, "read_manifest_labels", lambda *args: "labels"),
+        (harness, "_eval_embeddings", lambda *args: "encode"),
+        (harness, "validation_metrics", lambda *args: "metrics"),
+    ],
+}
 
 
 def memory_mib() -> tuple[float, float]:
@@ -58,18 +72,19 @@ def reporting(fn, stage_name):
 
 
 @contextmanager
-def stage_reports():
-    """Report after each stage; the original functions are back on exit."""
+def stage_reports(command: str):
+    """Report after each stage of ``command``; the original functions are back on exit."""
     with ExitStack() as patches:
-        for owner, attr, stage_name in STAGES:
+        for owner, attr, stage_name in STAGES.get(command, []):
             patches.enter_context(patch.object(owner, attr, reporting(getattr(owner, attr), stage_name)))
         yield
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     report("start")
-    with stage_reports():
-        return cli.main(["pretrain", *(sys.argv[1:] if argv is None else argv)])
+    with stage_reports(argv[0] if argv else ""):
+        return cli.main(argv)
 
 
 if __name__ == "__main__":

@@ -88,8 +88,9 @@ _STAGE = {
 }
 
 
-# Rows per encode in each full-set pass of a pretraining run: the frozen keys at set-up, and each
-# epoch's scoring and validation. It bounds those passes' temporaries whatever the set size.
+# Rows per encode in each full-set pass: a pretraining run's frozen keys at set-up and each epoch's
+# scoring and validation, and eval's read and encode. It bounds those passes' temporaries whatever
+# the set size.
 _ROW_BLOCK = 1024
 
 
@@ -573,26 +574,21 @@ def cmd_eval(
     """Evaluate a saved encoder pair; writes one metrics CSV.
 
     It scores the validation pairs, or every pair when ``n_val`` is 0, and
-    holds only those rows. With ``data_dir`` one pass over the manifest
-    keeps the labels, and the rows are then read from the stores; without
-    it, the labels come from the label plan and the rows are kept from one
-    generation pass, block by block.
+    holds their labels and the two towers' embeddings, plus one block of
+    raw rows while it encodes. With ``data_dir`` one pass over the
+    manifest keeps the labels, and the rows are then read from the stores
+    a block at a time; without it, the labels come from the label plan and
+    the rows are kept from one generation pass, block by block.
     """
     ck = Path(checkpoint_dir)
     try:
         key_enc = load_params(ck / "key.ecpm")
         query_enc = load_params(ck / "query.ecpm")
-        if data_dir is not None:
-            labels, x_a, x_b = _read_eval_rows(Path(data_dir), cfg)
-        else:
-            (part,) = generate_rows(cfg.data, [_eval_rows(label_plan(cfg.data), cfg)])
-            labels, x_a, x_b = part.labels, part.x_a, part.x_b
+        labels, keys, queries = _eval_embeddings(cfg, data_dir, key_enc, query_enc)
     except FileNotFoundError as e:
         raise FormatError(f"{e.filename}: no such file") from e
     if not len(labels):
         raise EmptySet("no pairs to evaluate")
-    keys, _ = encode_batch(key_enc, x_a)
-    queries, _ = encode_batch(query_enc, x_b)
     metrics = validation_metrics(keys, queries)
     comp = noise_composition(labels)
     for tag, v in comp.items():
@@ -613,13 +609,28 @@ def _check_row_counts(d: Path, n_rows: int, sa: StoreHandle, sb: StoreHandle) ->
         raise FormatError(f"{d}: manifest has {n_rows} rows, x_a.ecst {len(sa)}, x_b.ecst {len(sb)}")
 
 
-def _read_eval_rows(d: Path, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, ``x_a`` and ``x_b`` of the rows eval scores, read from a gen-data output directory."""
+def _eval_embeddings(
+    cfg: RunConfig, data_dir: str | Path | None, key_enc: EncoderParams, query_enc: EncoderParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, keys and queries of the rows eval scores; no raw rows outlive the call.
+
+    From ``data_dir`` the whole manifest is checked before any store row is
+    read, and the rows are then read and encoded ``_ROW_BLOCK`` at a time.
+    """
+    if data_dir is None:
+        (part,) = generate_rows(cfg.data, [_eval_rows(label_plan(cfg.data), cfg)])
+        return part.labels, _encode_in_blocks(key_enc, part.x_a), _encode_in_blocks(query_enc, part.x_b)
+    d = Path(data_dir)
     labels = read_manifest_labels(d / "manifest.jsonl")
     with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:
         _check_row_counts(d, len(labels), sa, sb)
         rows = _eval_rows(labels, cfg)
-        return labels[rows], sa.read_rows(rows), sb.read_rows(rows)
+        keys = np.empty((len(rows), key_enc.embed_dim))
+        queries = np.empty((len(rows), query_enc.embed_dim))
+        for block in row_blocks(len(rows), _ROW_BLOCK):
+            keys[block] = encode_batch(key_enc, sa.read_rows(rows[block]))[0]
+            queries[block] = encode_batch(query_enc, sb.read_rows(rows[block]))[0]
+    return labels[rows], keys, queries
 
 
 def load_dataset_dir(data_dir: str | Path, cfg: GenConfig) -> Dataset:

@@ -22,8 +22,9 @@ STORE_MAGIC = b"ECST"
 STORE_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 HEADER_SIZE = _HEADER.size  # 20 bytes
-# Rows per read of ``StoreHandle.read_rows``: bounds its window buffer.
-_READ_BLOCK = 4096
+# Rows per read of ``StoreHandle.read_rows``: bounds its window buffer. At gen_eval's 50k/5000
+# eval, 1024 gave the lowest peak RSS; 4096 and 2048 read 1.6 and 0.5 MiB higher, 512 and 256 no lower.
+_READ_BLOCK = 1024
 
 
 @contextmanager
@@ -144,7 +145,8 @@ class StoreHandle:
         """Return the strictly increasing ``rows``, reading one window of at most ``_READ_BLOCK`` rows at a time.
 
         Each read starts at the next wanted row and covers every wanted row
-        within the window, so only those windows of the file are read.
+        within the window, so only those windows of the file are read. The
+        window is no wider than the span of ``rows``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if np.any(np.diff(rows) <= 0):
@@ -152,7 +154,9 @@ class StoreHandle:
         if rows.size and (rows[0] < 0 or rows[-1] >= self.header.count):
             raise IndexError(f"rows {rows[0]}..{rows[-1]} out of range ({self.header.count} rows)")
         out = np.empty((rows.size, self.header.dim), dtype="<f8")
-        window = np.empty((min(_READ_BLOCK, self.header.count), self.header.dim), dtype="<f8")
+        if not rows.size:
+            return out
+        window = np.empty((min(_READ_BLOCK, int(rows[-1] - rows[0]) + 1), self.header.dim), dtype="<f8")
         i = 0
         while i < rows.size:
             lo = int(rows[i])

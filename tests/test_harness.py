@@ -374,13 +374,46 @@ def _traced_peak(fn, *args) -> int:
 def test_gen_data_and_eval_hold_a_block_not_the_dataset(tmp_path):
     # 10000 pairs are 10 MB of arrays; gen-data writes them one generated block at a time,
     # and eval reads the labels and then only the 200 rows it scores. Measured traced
-    # peaks: 1.7 MB for gen-data and 2.3 MB for eval (its 2.1 MB read window), against
-    # 11.1 and 10.3 MB holding the whole dataset. The bound leaves 0.7 MB of headroom.
+    # peaks: 1.7 MB for gen-data and 1.4 MB for eval (0.8 MB for a second eval in the same
+    # process; its read window is 0.5 MB), against 11.1 and 10.3 MB holding the whole
+    # dataset. The bound leaves 1.6 MB of headroom.
     cfg = tiny_config(5, n_pairs=10000)
     cfg.n_val = 200
     assert _traced_peak(cmd_gen_data, cfg, tmp_path / "d") < 3e6
     ck = _untrained_checkpoints(tmp_path / "ck", cfg)
     assert _traced_peak(cmd_eval, ck, cfg, tmp_path / "ev", tmp_path / "d") < 3e6
+
+
+def test_eval_holds_its_embeddings_and_one_block_of_rows(tmp_path):
+    # 4000 eval rows of 20000: their x_a and x_b are 3.6 MB, their keys and queries 1 MB. Eval reads
+    # and encodes them one block of rows at a time and keeps only the embeddings. Measured traced
+    # peaks: 2.6 MB, against 7.3 MB reading every eval row before encoding them in one batch.
+    # The bound leaves 1.4 MB of headroom.
+    cfg = tiny_config(5, n_pairs=20000)
+    cfg.n_val = 4000
+    cmd_gen_data(cfg, tmp_path / "d")
+    ck = _untrained_checkpoints(tmp_path / "ck", cfg)
+    assert _traced_peak(cmd_eval, ck, cfg, tmp_path / "ev", tmp_path / "d") < 4e6
+
+
+def test_blocked_eval_equals_the_whole_set_eval(tmp_path, monkeypatch):
+    # 97 eval rows in blocks of 6 end in a lone row, which joins the block before it. Both paths,
+    # from the stores and regenerated, give the embeddings and eval.csv of one whole-set encode
+    # (the default block holds all 97 rows), byte for byte.
+    cfg = tiny_config(25)
+    cfg.n_val = 97
+    cmd_gen_data(cfg, tmp_path / "d")
+    ck = _untrained_checkpoints(tmp_path / "ck", cfg)
+    scored = count_calls(monkeypatch, "validation_metrics")
+    csvs = []
+    for block in (6, harness._ROW_BLOCK):
+        monkeypatch.setattr(harness, "_ROW_BLOCK", block)
+        for data_dir in (tmp_path / "d", None):
+            out = tmp_path / f"ev{len(csvs)}"
+            cmd_eval(ck, cfg, out, data_dir)
+            csvs.append((out / "eval.csv").read_bytes())
+    assert len(set(csvs)) == 1
+    assert len({(keys.tobytes(), queries.tobytes()) for keys, queries in scored}) == 1
 
 
 def test_gen_data_failure_leaves_earlier_output_and_no_partial_file(tmp_path, monkeypatch):

@@ -48,22 +48,37 @@ def test_noise_removal_full_retention_row_is_the_unpruned_training_set(tmp_path,
     assert "100% retention (epoch  0)" in capsys.readouterr().out
 
 
-def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsys):
-    script = _load("rss_stages")
-    originals = (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch)
-    args = ["--seed", "3", "--out-dir", str(tmp_path), "--set", "data.n_pairs=600", "--set", "n_val=100",
-            "--set", "teacher.n_pairs=400", "--set", "teacher.steps=50", "--set", "distill.corpus_size=256",
-            "--set", "distill.held_out=64", "--set", "distill.steps=50", "--set", "train.epochs=2"]
-    assert script.main(args) == 0
-    assert (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch) == originals
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split("VmHWM")[0].strip() for line in lines[:-1]] == [
-        "start", "teacher", "distillation", "rows", "keys", "epoch 1", "epoch 2",
-    ]
-    for line in lines[:-1]:
+def _stage_names(lines) -> list[str]:
+    """The stage of each report line, checking that its resident memory is at most its peak."""
+    for line in lines:
         hwm, rss = (float(v) for v in re.findall(r"([\d.]+) MiB", line))
         assert 0 < rss <= hwm
+    return [line.split("VmHWM")[0].strip() for line in lines]
+
+
+def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsys):
+    script = _load("rss_stages")
+    originals = (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch,
+                 harness.read_manifest_labels, harness._eval_embeddings, harness.validation_metrics)
+    data = ["--seed", "3", "--set", "data.n_pairs=600", "--set", "n_val=100"]
+    args = ["pretrain", *data, "--out-dir", str(tmp_path / "run"), "--set", "teacher.n_pairs=400",
+            "--set", "teacher.steps=50", "--set", "distill.corpus_size=256", "--set", "distill.held_out=64",
+            "--set", "distill.steps=50", "--set", "train.epochs=2"]
+    assert script.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _stage_names(lines[:-1]) == ["start", "teacher", "distillation", "rows", "keys", "epoch 1", "epoch 2"]
     assert json.loads(lines[-1])["total_steps"] > 0
+
+    assert script.main(["gen-data", *data, "--out-dir", str(tmp_path / "d")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _stage_names(lines[:-1]) == ["start"]
+    eval_args = ["eval", *data, "--checkpoint", str(tmp_path / "run/checkpoints"), "--out-dir", str(tmp_path / "ev")]
+    assert script.main([*eval_args, "--data-dir", str(tmp_path / "d")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _stage_names(lines[:-1]) == ["start", "labels", "encode", "metrics"]
+    assert 0 <= json.loads(lines[-1])["val_f1"] <= 1
+    assert (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch,
+            harness.read_manifest_labels, harness._eval_embeddings, harness.validation_metrics) == originals
 
 
 def _protocol_output(root, timing_value="0.012", step_time="0.0031", metric="0.5"):

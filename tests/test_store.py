@@ -138,7 +138,7 @@ def test_appending_other_than_the_header_count_keeps_the_old_file(tmp_path, bloc
     assert [p.name for p in tmp_path.iterdir()] == ["s.ecst"]
 
 
-@pytest.mark.parametrize("window", [1, 3, 7, 4096])
+@pytest.mark.parametrize("window", [1, 3, 7, 39, 40, 1024, 4096])
 def test_read_rows_equals_read_all_at_rows(tmp_path, monkeypatch, window):
     monkeypatch.setattr(store, "_READ_BLOCK", window)
     rng = np.random.default_rng(window)
