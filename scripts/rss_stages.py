@@ -7,6 +7,10 @@ prints one line at the start and one after each stage of the command:
 - ``pretrain``: the teacher, the distillation, the training and validation
   rows, the set-up's end (the frozen keys are its last large step) and
   each epoch.
+- ``sweep``: the same stages for each grid point, then a line named after
+  the point's output directory (``queue_4096_seed7``) when it ends. The
+  points of one seed share their teacher and distillation, so only the
+  first point of each seed reports those two.
 - ``eval``: the manifest labels (with ``--data-dir`` only), the blocked
   read and encode of both towers, and the validation metrics.
 
@@ -19,25 +23,33 @@ script name are the CLI's, for example noise_removal's job:
 
     PYTHONPATH=src python scripts/rss_stages.py pretrain --out-dir /tmp/rss --seed 7 \\
         --set stop.enabled=false --set train.filter_epochs_max=11 --set train.epochs=12
+
+or queue_sweep's:
+
+    PYTHONPATH=src python scripts/rss_stages.py sweep --axis queue --values 512,4096 --seeds 7 \\
+        --seed 7 --out-dir /tmp/rss --set filtering_on=false --set train.epochs=5
 """
 
 import sys
 from contextlib import ExitStack, contextmanager
 from functools import wraps
+from pathlib import Path
 from unittest.mock import patch
 
 from pairsieve import cli, harness
 
 # Per command, (owner, function, stage name from the call's arguments): a line is printed when the
 # function returns.
+PRETRAIN_STAGES = [
+    (harness, "train_teacher", lambda *args: "teacher"),
+    (harness, "distill_student", lambda *args: "distillation"),
+    (harness, "generate_rows", lambda *args: "rows"),
+    (harness.PretrainRun, "__init__", lambda *args: "keys"),
+    (harness.PretrainRun, "run_epoch", lambda run, epoch: f"epoch {epoch}"),
+]
 STAGES = {
-    "pretrain": [
-        (harness, "train_teacher", lambda *args: "teacher"),
-        (harness, "distill_student", lambda *args: "distillation"),
-        (harness, "generate_rows", lambda *args: "rows"),
-        (harness.PretrainRun, "__init__", lambda *args: "keys"),
-        (harness.PretrainRun, "run_epoch", lambda run, epoch: f"epoch {epoch}"),
-    ],
+    "pretrain": PRETRAIN_STAGES,
+    "sweep": [*PRETRAIN_STAGES, (harness, "pretrain", lambda cfg, out_dir, stages: Path(out_dir).name)],
     "eval": [
         (harness, "read_manifest_labels", lambda *args: "labels"),
         (harness, "_eval_embeddings", lambda *args: "encode"),
@@ -58,14 +70,14 @@ def memory_mib() -> tuple[float, float]:
 
 def report(stage: str) -> None:
     hwm, rss = memory_mib()
-    print(f"{stage:<13} VmHWM {hwm:8.2f} MiB  VmRSS {rss:8.2f} MiB", flush=True)
+    print(f"{stage:<17} VmHWM {hwm:8.2f} MiB  VmRSS {rss:8.2f} MiB", flush=True)
 
 
 def reporting(fn, stage_name):
     @wraps(fn)
     def wrapper(*args, **kwargs):
         out = fn(*args, **kwargs)
-        report(stage_name(*args))
+        report(stage_name(*args, **kwargs))
         return out
 
     return wrapper

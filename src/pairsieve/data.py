@@ -236,24 +236,50 @@ def generate_rows(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> list[Datase
 
     Only the requested rows and one generated block are held, never the whole dataset.
     """
-    parts = [
-        Dataset(
-            ids=np.asarray(rows, dtype=np.int64),
-            labels=np.empty(len(rows), dtype=np.int8),
-            x_a=np.empty((len(rows), cfg.d_a)),
-            x_b=np.empty((len(rows), cfg.d_b)),
-            tokens=np.empty((len(rows), cfg.seq_len), dtype=np.int64),
-            config=cfg,
-        )
-        for rows in row_sets
-    ]
+    parts = [_unfilled(cfg, rows) for rows in row_sets]
     for block in generate_blocks(cfg):
         for part in parts:
-            lo, hi = np.searchsorted(part.ids, (block.ids[0], block.ids[-1] + 1))
-            picked = part.ids[lo:hi] - block.ids[0]
-            part.labels[lo:hi], part.tokens[lo:hi] = block.labels[picked], block.tokens[picked]
-            part.x_a[lo:hi], part.x_b[lo:hi] = block.x_a[picked], block.x_b[picked]
+            _fill(part, block)
     return parts
+
+
+def generate_row_blocks(cfg: GenConfig, rows: np.ndarray, blocks: Sequence[slice]) -> Iterator[Dataset]:
+    """For each slice of ``blocks`` in turn, a ``Dataset`` of those entries of ``rows``, from one generation pass.
+
+    ``rows`` is sorted and ``blocks`` cover it in order, as ``row_blocks``
+    gives them. One block of the requested rows and one generated block
+    are held at a time.
+    """
+    generated, block = generate_blocks(cfg), None
+    for entries in blocks:
+        part = _unfilled(cfg, rows[entries])
+        if block is not None:
+            _fill(part, block)
+        while block is None or block.ids[-1] < part.ids[-1]:
+            block = next(generated)
+            _fill(part, block)
+        yield part
+        del part  # before the next block of rows exists
+
+
+def _unfilled(cfg: GenConfig, rows: np.ndarray) -> Dataset:
+    """A ``Dataset`` with the ids ``rows`` and every other column left to ``_fill``."""
+    return Dataset(
+        ids=np.asarray(rows, dtype=np.int64),
+        labels=np.empty(len(rows), dtype=np.int8),
+        x_a=np.empty((len(rows), cfg.d_a)),
+        x_b=np.empty((len(rows), cfg.d_b)),
+        tokens=np.empty((len(rows), cfg.seq_len), dtype=np.int64),
+        config=cfg,
+    )
+
+
+def _fill(part: Dataset, block: Dataset) -> None:
+    """Copy the rows of the generated ``block`` that ``part`` holds into ``part``."""
+    lo, hi = np.searchsorted(part.ids, (block.ids[0], block.ids[-1] + 1))
+    picked = part.ids[lo:hi] - block.ids[0]
+    part.labels[lo:hi], part.tokens[lo:hi] = block.labels[picked], block.tokens[picked]
+    part.x_a[lo:hi], part.x_b[lo:hi] = block.x_a[picked], block.x_b[picked]
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:

@@ -116,6 +116,11 @@ def init_mlm_head(seed: int, vocab: int, d_in: int, embed_dim: int) -> MlmHead:
     return MlmHead(lift=lift, w=w, b=np.zeros(vocab))
 
 
+# Cells a row-blocked product writes at once (1 MB of float64), whatever the set size: a block and its
+# temporaries stay within a 2 MB L2 cache. Callers take blocks of ``max(2, CELL_BUDGET // width)`` rows.
+CELL_BUDGET = 1 << 17
+
+
 def row_blocks(n: int, size: int) -> list[slice]:
     """Consecutive slices of ``size`` rows that cover ``range(n)``, for ``size`` of 2 or more.
 

@@ -41,6 +41,7 @@ from .data import (
     Label,
     generate_blocks,
     generate_dataset,
+    generate_row_blocks,
     generate_rows,
     label_plan,
     largest_remainder_counts,
@@ -612,14 +613,24 @@ def _check_row_counts(d: Path, n_rows: int, sa: StoreHandle, sb: StoreHandle) ->
 def _eval_embeddings(
     cfg: RunConfig, data_dir: str | Path | None, key_enc: EncoderParams, query_enc: EncoderParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, keys and queries of the rows eval scores; no raw rows outlive the call.
+    """Labels, keys and queries of the rows eval scores, encoded ``_ROW_BLOCK`` rows at a time.
 
     From ``data_dir`` the whole manifest is checked before any store row is
-    read, and the rows are then read and encoded ``_ROW_BLOCK`` at a time.
+    read, and each block of rows is then read and encoded in turn. Without
+    it, each block is kept from the generation pass as it goes and encoded
+    once it is whole. Either way one block of raw rows is held at a time.
     """
     if data_dir is None:
-        (part,) = generate_rows(cfg.data, [_eval_rows(label_plan(cfg.data), cfg)])
-        return part.labels, _encode_in_blocks(key_enc, part.x_a), _encode_in_blocks(query_enc, part.x_b)
+        labels = label_plan(cfg.data)
+        rows = _eval_rows(labels, cfg)
+        blocks = row_blocks(len(rows), _ROW_BLOCK)
+        keys = np.empty((len(rows), key_enc.embed_dim))
+        queries = np.empty((len(rows), query_enc.embed_dim))
+        for block, part in zip(blocks, generate_row_blocks(cfg.data, rows, blocks)):
+            keys[block] = encode_batch(key_enc, part.x_a)[0]
+            queries[block] = encode_batch(query_enc, part.x_b)[0]
+            del part  # before the next block of rows exists
+        return labels[rows], keys, queries
     d = Path(data_dir)
     labels = read_manifest_labels(d / "manifest.jsonl")
     with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:

@@ -14,13 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import LABEL_TAGS, Label, write_csv
-from .encoder import row_blocks
+from .encoder import CELL_BUDGET, row_blocks
 from .errors import MissingTruth
-
-# Similarity cells that recall_at_k scores at once (1 MB of float64), whatever the set size: a block and its
-# comparison masks stay within a 2 MB L2 cache. A block of two or more query rows gives the same products as
-# the full matrix, so the recalls do not depend on it.
-_CELL_BUDGET = 1 << 17
 
 
 def recall_at_k(
@@ -34,7 +29,9 @@ def recall_at_k(
     ``truth[i]`` is the key row for query row i. Rows must be unit-norm
     (dot == cosine). Score ties break toward the smaller key index. The
     similarities are scored in blocks of query rows of about
-    ``_CELL_BUDGET`` cells, never the whole matrix at once.
+    ``CELL_BUDGET`` cells, never the whole matrix at once. A block of two
+    or more rows gives the same products as the whole matrix, so the
+    recalls do not depend on the blocks.
     """
     n = queries.shape[0]
     if len(truth) != n:
@@ -45,7 +42,7 @@ def recall_at_k(
         raise MissingTruth("ground-truth index out of key range")
     key_index = np.arange(n_keys)
     rank = np.empty(n, dtype=np.int64)  # 0-based
-    for block in row_blocks(n, max(2, _CELL_BUDGET // max(n_keys, 1))):
+    for block in row_blocks(n, max(2, CELL_BUDGET // max(n_keys, 1))):
         sims = queries[block] @ keys.T
         t = truth[block]
         true_scores = sims[np.arange(len(t)), t][:, None]

@@ -4,9 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pairsieve import contrastive
 from pairsieve.contrastive import (
     ContrastiveBatch,
     MemoryQueue,
@@ -222,11 +223,17 @@ def _assert_matches_reference(batch, queue, tau):
     st.lists(st.integers(0, 15), max_size=40),
     st.floats(0.01, 1.0),
     st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
 )
+@example([0, 1, 2, 3, 4], [4, 9, 0], 0.1, 3, 2)  # blocks of rows 0-1 and 2-4, an exclusion in each
+@example([3, 3, 5, 6, 7, 8, 9], [], 0.5, 4, 3)  # in-batch negatives, blocks of rows 0-2 and 3-6
 @settings(max_examples=150, deadline=None)
-def test_loss_matches_reference_formula(batch_ids, queue_ids, tau, seed):
+def test_loss_matches_reference_formula(batch_ids, queue_ids, tau, seed, block_rows):
     # Ids from a small range give batch duplicates and batch/queue collisions;
     # an empty queue gives the in-batch warm start. Some rows are not unit.
+    # A cell budget of block_rows rows of logits scores most batches in several
+    # row blocks, with exclusions in more than one and a lone last row joined
+    # to the block before it.
     if not queue_ids and len(batch_ids) == 1:
         queue_ids = [16]  # a batch of one on an empty queue raises NoNegatives
     n, m, d = len(batch_ids), len(queue_ids), 4
@@ -241,7 +248,9 @@ def test_loss_matches_reference_formula(batch_ids, queue_ids, tau, seed):
     queue = MemoryQueue(max(m, 1), d)
     queue.push(rows(m), queue_ids)
     batch = ContrastiveBatch(queries=rows(n), positives=rows(n), ids=np.array(batch_ids))
-    _assert_matches_reference(batch, queue, tau)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contrastive, "CELL_BUDGET", block_rows * (m or n))
+        _assert_matches_reference(batch, queue, tau)
 
 
 def test_loss_where_a_negative_outranks_its_positive_past_exp_range():
@@ -293,20 +302,29 @@ def _loss_on(queue, batch):
     return np.float64(loss).tobytes() + grads.tobytes()
 
 
-def test_loss_is_unchanged_by_what_earlier_calls_left_in_the_scratch():
+def test_loss_is_unchanged_by_what_earlier_calls_left_in_the_scratch(monkeypatch):
     # Calls of every kind on one queue, each against the same call on a fresh queue with the same
     # entries: the in-batch fallback, then with more rows than the capacity (the storage grows), a
     # partly filled queue, a full one, a smaller batch, and an overflow that takes the fallback.
+    # Then again with a budget of 4 cells, which scores each call in 2-row blocks (3 rows where a
+    # lone row joins): big's 7 rows in three blocks, and far's overflow and an exclusion in its
+    # second block, so both blocks are redone. Each call must also match the reference formula.
+    for cell_budget in (contrastive.CELL_BUDGET, 4):
+        monkeypatch.setattr(contrastive, "CELL_BUDGET", cell_budget)
+        _check_calls_against_fresh_queues()
+
+
+def _check_calls_against_fresh_queues():
     rng = substream(9, "init", 9)
     big = ContrastiveBatch(queries=unit_rows(rng, 7, 4), positives=unit_rows(rng, 7, 4), ids=np.arange(7))
     small = ContrastiveBatch(queries=unit_rows(rng, 2, 4), positives=unit_rows(rng, 2, 4), ids=np.arange(2))
     far = ContrastiveBatch(
-        queries=np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
-        positives=np.array([[-1.0, 0, 0, 0], [0, -1.0, 0, 0]]),
-        ids=np.arange(2),
+        queries=np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0], [1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
+        positives=np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0], [-1.0, 0, 0, 0], [0, -1.0, 0, 0]]),
+        ids=np.array([0, 1, 2, 104]),
     )
     negs = unit_rows(rng, 5, 4)
-    negs[-1] = [90.0, 90.0, 0, 0]  # exp overflows at tau 0.07 in far's rows
+    negs[-1] = [90.0, 90.0, 0, 0]  # id 104: exp overflows at tau 0.07 in far's row 2; row 3 excludes it
     q = MemoryQueue(5, 4)
     steps = [(small, 0), (big, 0), (small, 3), (big, 4), (small, 4), (far, 5), (big, 5)]
     for batch, filled in steps:
@@ -316,25 +334,34 @@ def test_loss_is_unchanged_by_what_earlier_calls_left_in_the_scratch():
         if filled:
             fresh.push(negs[:filled], np.arange(100, 100 + filled))
         assert _loss_on(q, batch) == _loss_on(fresh, batch)
+        _assert_matches_reference(batch, q, 0.07)
 
 
 def test_loss_writes_its_logits_into_the_queues_scratch():
     # A call after the first allocates no (n, m) logits matrix. Traced peaks of the second call at
     # n = 64, m = 1024, d = 8: 0.62 MB with a fresh logits matrix per call (its 0.52 MB included),
     # 0.10 MB with the scratch. The bound sits halfway between the two.
+    assert _traced_call_peak(64, 1024, 8, warm=True) < 0.36e6
+    # The scratch holds one row block of logits (about 1 MB), not the (n, m) matrix: traced peaks
+    # of a first call at n = 180, m = 4096, d = 16 are 1.77 MB, and 6.58 MB with the whole 5.9 MB
+    # matrix in the scratch. The bound sits between the two.
+    assert _traced_call_peak(180, 4096, 16, warm=False) < 3.5e6
+
+
+def _traced_call_peak(n, m, d, warm):
+    """Traced peak of one call on a full queue, after one untraced call if ``warm``."""
     rng = substream(10, "init", 10)
-    n, m, d = 64, 1024, 8
     q = MemoryQueue(m, d)
     q.push(unit_rows(rng, m, d), np.arange(1000, 1000 + m))
     batch = ContrastiveBatch(queries=unit_rows(rng, n, d), positives=unit_rows(rng, n, d), ids=np.arange(n))
-    contrastive_loss(batch, q, tau=0.07)
+    if warm:
+        contrastive_loss(batch, q, tau=0.07)
     tracemalloc.start()
     try:
         contrastive_loss(batch, q, tau=0.07)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.36e6
 
 
 def _toy_state(seed=0, d_a=8, d_b=6, d_e=4):

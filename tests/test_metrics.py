@@ -117,7 +117,7 @@ def test_blocked_recall_matches_dense_reference(n, extra_keys, dim, rows_per_blo
     truth = rng.permutation(n + extra_keys)[:n]
     ks = (1, 2, 3, 5, 10)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_CELL_BUDGET", rows_per_block * (n + extra_keys))
+        mp.setattr(metrics, "CELL_BUDGET", rows_per_block * (n + extra_keys))
         assert recall_at_k(queries, keys, truth, ks) == _reference_recall(queries, keys, truth, ks)
 
 

@@ -58,16 +58,24 @@ def _stage_names(lines) -> list[str]:
 
 def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsys):
     script = _load("rss_stages")
-    originals = (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch,
+    originals = (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch, harness.pretrain,
                  harness.read_manifest_labels, harness._eval_embeddings, harness.validation_metrics)
     data = ["--seed", "3", "--set", "data.n_pairs=600", "--set", "n_val=100"]
-    args = ["pretrain", *data, "--out-dir", str(tmp_path / "run"), "--set", "teacher.n_pairs=400",
-            "--set", "teacher.steps=50", "--set", "distill.corpus_size=256", "--set", "distill.held_out=64",
-            "--set", "distill.steps=50", "--set", "train.epochs=2"]
-    assert script.main(args) == 0
+    small = ["--set", "teacher.n_pairs=400", "--set", "teacher.steps=50", "--set", "distill.corpus_size=256",
+             "--set", "distill.held_out=64", "--set", "distill.steps=50", "--set", "train.epochs=2"]
+    assert script.main(["pretrain", *data, *small, "--out-dir", str(tmp_path / "run")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert _stage_names(lines[:-1]) == ["start", "teacher", "distillation", "rows", "keys", "epoch 1", "epoch 2"]
     assert json.loads(lines[-1])["total_steps"] > 0
+
+    # The two points share one teacher and student, so only the first reports them.
+    sweep = ["sweep", "--axis", "queue", "--values", "64,128", "--seeds", "3", "--out-dir", str(tmp_path / "sw")]
+    assert script.main([*sweep, *data, *small]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    point = ["rows", "keys", "epoch 1", "epoch 2"]
+    assert _stage_names(lines[:-1]) == [
+        "start", "teacher", "distillation", *point, "queue_64_seed3", *point, "queue_128_seed3"
+    ]
 
     assert script.main(["gen-data", *data, "--out-dir", str(tmp_path / "d")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -77,7 +85,7 @@ def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsy
     lines = capsys.readouterr().out.splitlines()
     assert _stage_names(lines[:-1]) == ["start", "labels", "encode", "metrics"]
     assert 0 <= json.loads(lines[-1])["val_f1"] <= 1
-    assert (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch,
+    assert (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch, harness.pretrain,
             harness.read_manifest_labels, harness._eval_embeddings, harness.validation_metrics) == originals
 
 
