@@ -9,8 +9,9 @@ prints one line at the start and one after each stage of the command:
   each epoch.
 - ``sweep``: the same stages for each grid point, then a line named after
   the point's output directory (``queue_4096_seed7``) when it ends. The
-  points of one seed share their teacher and distillation, so only the
-  first point of each seed reports those two.
+  points of one seed share their teacher, distillation, rows and frozen
+  keys, so only the first point of each seed reports the teacher, the
+  distillation and the rows; every point reports its set-up's end.
 - ``eval``: the manifest labels (with ``--data-dir`` only), the blocked
   read and encode of both towers, and the validation metrics.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import ceil
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +119,8 @@ class StageInputs:
     """Everything the teacher and distillation stages read, and nothing else.
 
     Both stages are pure functions of this value, so ``to_json`` of it is
-    the key under which a ``StageCache`` keeps their outputs.
+    the key under which a ``StageCache`` keeps their outputs. With ``n_val``
+    it also fixes a run's rows and frozen keys.
     """
 
     seed: int
@@ -140,9 +142,41 @@ class StageInputs:
         )
 
 
-# The frozen teacher, the distilled student and its held-out MSE, keyed by
-# ``to_json(StageInputs)``. The caller owns it; arrays in it are read-only.
-StageCache = dict[str, tuple[TeacherBundle, EncoderParams, float]]
+class RunRows(NamedTuple):
+    """A run's training and validation parts, their ``x_a`` dropped, and the frozen keys encoded from it."""
+
+    train: Dataset
+    val: Dataset
+    key_matrix: np.ndarray
+    val_keys: np.ndarray
+
+
+@dataclass
+class Stages:
+    """The set-up of every run with one ``StageInputs``; every array in it is read-only.
+
+    The frozen teacher, the distilled student and its held-out MSE depend on
+    ``StageInputs`` alone. The rows and their frozen keys depend on ``n_val``
+    as well, so ``rows`` holds them for each ``n_val`` a run has asked for.
+    """
+
+    teacher: TeacherBundle
+    student: EncoderParams
+    held_mse: float
+    rows: dict[int, RunRows] = field(default_factory=dict)
+
+
+# The set-up of the runs a caller shares, keyed by ``to_json(StageInputs)``. The caller owns it and
+# drops it to free the rows.
+StageCache = dict[str, Stages]
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make each array, and every array it is a view of, read-only."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
 
 
 def _clean_pairs(inputs: StageInputs, n_pairs: int, tag: str) -> Dataset:
@@ -218,25 +252,44 @@ def distill_student(inputs: StageInputs, teacher: TeacherBundle) -> tuple[Encode
     return student, held, curve
 
 
-def teacher_and_student(
-    inputs: StageInputs, stages: StageCache | None = None
-) -> tuple[TeacherBundle, EncoderParams, float]:
-    """The teacher, the distilled student and its held-out MSE for ``inputs``.
+def teacher_and_student(inputs: StageInputs, stages: StageCache | None = None) -> Stages:
+    """The ``Stages`` of ``inputs``: the teacher, the distilled student and its held-out MSE.
 
-    Their arrays are read-only, so a run can share them without copying.
-    With a cache, a hit returns the stored stages and a miss builds and
-    stores them; without one they are built every call.
+    With a cache, a hit returns the stored entry, rows included, and a miss
+    trains the teacher and student and stores them under ``to_json(inputs)``;
+    without one they are trained every call. Their arrays are read-only, so
+    a run can share them without copying.
     """
     key = to_json(inputs)
     if stages is not None and key in stages:
         return stages[key]
     teacher = train_teacher(inputs)
     student, held, _ = distill_student(inputs, teacher)
-    for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
-        a.flags.writeable = False
+    _freeze(*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays())
+    entry = Stages(teacher, student, held)
     if stages is not None:
-        stages[key] = (teacher, student, held)
-    return teacher, student, held
+        stages[key] = entry
+    return entry
+
+
+def run_rows(cfg: RunConfig, entry: Stages) -> RunRows:
+    """The training and validation rows of ``cfg`` with their frozen keys, read-only.
+
+    They are built once per ``entry`` and ``n_val``, from one generation
+    pass, and kept in ``entry.rows``: every later run with the same
+    ``StageInputs`` and ``n_val`` reads the same arrays.
+    """
+    if cfg.n_val not in entry.rows:
+        train, val = generate_rows(cfg.data, split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed))
+        # Key embeddings are computed once with the frozen tower and reused all run; no epoch reads x_a.
+        key_matrix = _encode_in_blocks(entry.teacher.key_encoder, train.x_a)
+        val_keys = _encode_in_blocks(entry.teacher.key_encoder, val.x_a)
+        train, val = replace(train, x_a=None), replace(val, x_a=None)
+        for part in (train, val):
+            _freeze(part.ids, part.labels, part.x_b, part.tokens)
+        _freeze(key_matrix, val_keys)
+        entry.rows[cfg.n_val] = RunRows(train, val, key_matrix, val_keys)
+    return entry.rows[cfg.n_val]
 
 
 def _encode_in_blocks(p: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -325,11 +378,13 @@ def _require_validation_pairs(cfg: RunConfig) -> None:
 class PretrainRun:
     """One pretraining run; between epochs its whole state is the fields of this object.
 
-    The constructor is the set-up: teacher and student, data and split, MLM
-    head, frozen training and validation keys, totals, queue and lr plan.
-    Then one ``run_epoch`` per epoch, and ``finish`` writes checkpoints and ``timing.csv``.
-    Once the keys are encoded the run lets the raw key-side inputs go:
-    ``train.x_a`` and ``val.x_a`` are None.
+    The constructor is the set-up: teacher and student, data and split with
+    the frozen training and validation keys (``run_rows``), MLM head, totals,
+    queue and lr plan. Then one ``run_epoch`` per epoch, and ``finish``
+    writes checkpoints and ``timing.csv``. The raw key-side inputs are gone
+    once the keys are encoded: ``train.x_a`` and ``val.x_a`` are None. With
+    a ``StageCache`` the teacher, student, rows and keys are the cache's
+    read-only arrays, shared with every other run that reads them.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None):
@@ -348,27 +403,21 @@ class PretrainRun:
         }
 
         # The teacher and student come first, so distillation's arrays are gone before the rows exist.
-        teacher, student, held_mse = teacher_and_student(StageInputs.of(cfg), stages)
-        self.report.log(0, "distill_held_mse", held_mse)
-
-        train, val = generate_rows(cfg.data, split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed))
+        entry = teacher_and_student(StageInputs.of(cfg), stages)
+        self.report.log(0, "distill_held_mse", entry.held_mse)
+        self.train, self.val, self.key_matrix, self.val_keys = run_rows(cfg, entry)
 
         self.state = EncoderPairState(
-            key_encoder=teacher.key_encoder,
-            query_encoder=student,
+            key_encoder=entry.teacher.key_encoder,
+            query_encoder=entry.student,
             mlm=init_mlm_head(
                 stage_seed(cfg.seed, "head_init"), cfg.data.vocab, cfg.data.d_b, cfg.encoder.embed_dim
             ),
         )
 
-        # Key embeddings are computed once with the frozen tower and reused all run; no epoch reads x_a.
-        self.key_matrix = _encode_in_blocks(self.state.key_encoder, train.x_a)
-        self.val_keys = _encode_in_blocks(self.state.key_encoder, val.x_a)
-        self.train, self.val = replace(train, x_a=None), replace(val, x_a=None)
-
         # Curation state and step ids are training rows; train.ids (increasing) maps a row to its output id.
         self.totals = np.zeros(len(self.train))  # smoothed total score of each row
-        self.setup_student = student  # read-only; the query tower that scores without refresh
+        self.setup_student = entry.student  # read-only; the query tower that scores without refresh
         self.retained = np.arange(len(self.train))  # sorted rows
         self.filtering_active = cfg.filtering_on
         self.queue = MemoryQueue(cfg.train.queue_capacity, cfg.encoder.embed_dim)
@@ -510,8 +559,9 @@ def pretrain(
     rule. Once filtering stops, training continues contrastive-only on
     the frozen subset. With ``filtering_on`` false the loop is the plain
     baseline over the full noisy set. ``stages`` lets runs with equal
-    ``StageInputs`` share one teacher and student (see
-    ``teacher_and_student``).
+    ``StageInputs`` share one teacher and student, and those with equal
+    ``n_val`` too their rows and frozen keys (see ``teacher_and_student``
+    and ``run_rows``).
     """
     run = PretrainRun(cfg, out_dir, stages)
     for epoch in range(1, cfg.train.epochs + 1):
@@ -678,8 +728,10 @@ def cmd_sweep(
 
     Every grid point is built, validated and checked to be distinct before
     anything runs. The sweep axes lie outside ``StageInputs``, so the points
-    of one seed share one teacher and student through a cache that lives
-    for this call.
+    of one seed share one set-up: teacher, student, rows and frozen keys.
+    The grid runs seed by seed with a ``StageCache`` per seed, dropped when
+    the seed's last point ends, and the rows are returned and written in
+    grid order (value by value, seeds within each).
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r} (choose from {sorted(SWEEP_AXES)})")
@@ -702,28 +754,30 @@ def cmd_sweep(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results = []
-    stages: StageCache = {}
-    for variant, (value, _) in zip(points, grid):
-        sub = out / f"{axis}_{value}_seed{variant.seed}"
-        report = pretrain(variant, out_dir=sub, stages=stages)
-        last_epoch = max(e for e, _, _ in report.rows)
-        row = {
-            "axis": axis,
-            "value": value,
-            "seed": variant.seed,
-            "val_f1": report.metric(last_epoch, "val_f1"),
-            "val_r1_b2a": report.metric(last_epoch, "val_r1_b2a"),
-            "frac_noisy": report.metric(last_epoch, "frac_noisy"),
-            "retained_count": report.metric(last_epoch, "retained_count"),
-            "total_steps": report.total_steps,
-            "step_time_s": report.timing_rows[-1][2],
-        }
-        results.append(row)
+    results: dict[int, dict] = {}  # by grid index
+    for seed in seeds:
+        stages: StageCache = {}  # this seed's set-up; the next seed's rebinding frees it
+        for i, (variant, (value, _)) in enumerate(zip(points, grid)):
+            if variant.seed != seed:
+                continue
+            report = pretrain(variant, out_dir=out / f"{axis}_{value}_seed{seed}", stages=stages)
+            last_epoch = max(e for e, _, _ in report.rows)
+            results[i] = {
+                "axis": axis,
+                "value": value,
+                "seed": seed,
+                "val_f1": report.metric(last_epoch, "val_f1"),
+                "val_r1_b2a": report.metric(last_epoch, "val_r1_b2a"),
+                "frac_noisy": report.metric(last_epoch, "frac_noisy"),
+                "retained_count": report.metric(last_epoch, "retained_count"),
+                "total_steps": report.total_steps,
+                "step_time_s": report.timing_rows[-1][2],
+            }
 
-    names = list(results[0])
-    write_csv(out / f"sweep_{axis}.csv", names, ([row[k] for k in names] for row in results))
-    return results
+    rows = [results[i] for i in range(len(points))]
+    names = list(rows[0])
+    write_csv(out / f"sweep_{axis}.csv", names, ([row[k] for k in names] for row in rows))
+    return rows
 
 
 def benchmark_step_time(

@@ -586,7 +586,8 @@ def test_frozen_towers_are_encoded_once(monkeypatch):
             monkeypatch.setattr(mod, "encode_batch", spy)
     stages = {}
     pretrain(tiny_config(23), stages=stages)
-    ((teacher, _, _),) = stages.values()
+    (entry,) = stages.values()
+    teacher = entry.teacher
     assert sum(p is teacher.key_encoder for p in encoded) == 2
     assert sum(p is teacher.text_encoder for p in encoded) == 1
 
@@ -616,7 +617,8 @@ def test_blocked_passes_equal_the_whole_set_encode_and_score(tmp_path, monkeypat
     run = PretrainRun(cfg, tmp_path, stages)
     run.run_epoch(1)
     assert len(scored) == 499 // 6
-    ((teacher, student, _),) = stages.values()
+    (entry,) = stages.values()
+    teacher, student = entry.teacher, entry.student
     train, val = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
     keys, val_keys = (encode_batch(teacher.key_encoder, part.x_a)[0] for part in (train, val))
     assert run.key_matrix.tobytes() == keys.tobytes()
@@ -694,7 +696,8 @@ def test_shadow_is_the_set_up_pair_or_the_pair_at_the_epoch_boundary(tmp_path):
     # scores before any training (so with the set-up pair too) and later epochs with the trained pair.
     cfg = tiny_config(22)
     stages = {}
-    teacher, student, _ = teacher_and_student(StageInputs.of(cfg), stages)
+    entry = teacher_and_student(StageInputs.of(cfg), stages)
+    teacher, student = entry.teacher, entry.student
     train, _ = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
     set_up_scores = score_pairs(encode_batch(teacher.key_encoder, train.x_a)[0], student, train.x_b)
     set_up = dict(zip(train.ids.tolist(), set_up_scores.tolist()))
@@ -1061,8 +1064,9 @@ def test_stage_cache_hit_writes_identical_run_dir(tmp_path, monkeypatch):
     stages = {}
     pretrain(cfg, out_dir=tmp_path / "miss", stages=stages)
     teacher_runs = count_calls(monkeypatch, "train_teacher")
+    rows_runs = count_calls(monkeypatch, "generate_rows")
     pretrain(cfg, out_dir=tmp_path / "hit", stages=stages)
-    assert teacher_runs == [] and len(stages) == 1
+    assert teacher_runs == [] and rows_runs == [] and len(stages) == 1
     plain = _run_files(tmp_path / "plain")
     assert "metrics.csv" in plain and "checkpoints/query.ecpm" in plain
     assert _run_files(tmp_path / "miss") == plain
@@ -1074,13 +1078,42 @@ def test_stage_cache_arrays_are_read_only():
     cfg.teacher.steps = 20
     cfg.distill.steps = 20
     stages = {}
+    run = PretrainRun(cfg, stages=stages)
     cached = teacher_and_student(StageInputs.of(cfg), stages)
-    assert teacher_and_student(StageInputs.of(cfg), stages)[1] is cached[1]
-    # Built afresh they are read-only too: a run shares them with its scoring pair uncopied.
-    for teacher, student, _ in (cached, teacher_and_student(StageInputs.of(cfg))):
-        for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays()):
-            with pytest.raises(ValueError):
-                a.flat[0] = 0.0
+    assert cached.student is run.setup_student
+    # A hit reads the cached rows and keys uncopied.
+    hit = PretrainRun(cfg, stages=stages)
+    shared = ("train", "val", "key_matrix", "val_keys", "setup_student")
+    assert all(getattr(hit, name) is getattr(run, name) for name in shared)
+    # Every array the cache holds is read-only, and so is every array of a set-up built afresh:
+    # a run shares them with its scoring pair uncopied.
+    held = _reachable_arrays(stages)
+    teacher, student = cached.teacher, cached.student
+    for a in (*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays(),
+              run.key_matrix, run.val_keys, run.train.x_b, run.train.tokens, run.train.labels, run.train.ids,
+              run.val.x_b, run.val.tokens, run.val.labels, run.val.ids):
+        assert any(a is b for b in held)
+    fresh = harness.run_rows(cfg, teacher_and_student(StageInputs.of(cfg)))
+    for a in (*held, *_reachable_arrays(fresh)):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+def test_runs_that_differ_in_n_val_build_their_own_rows(monkeypatch):
+    # The teacher and student depend on StageInputs alone, the rows and frozen keys on n_val too.
+    cfg = tiny_config(25)
+    cfg.teacher.steps = 20
+    cfg.distill.steps = 20
+    wider = copy.deepcopy(cfg)
+    wider.n_val = cfg.n_val + 7
+    teacher_runs = count_calls(monkeypatch, "train_teacher")
+    rows_runs = count_calls(monkeypatch, "generate_rows")
+    stages = {}
+    first, other, again = (PretrainRun(c, stages=stages) for c in (cfg, wider, cfg))
+    assert len(teacher_runs) == len(stages) == 1 and len(rows_runs) == 2
+    assert (len(first.val), len(other.val)) == (cfg.n_val, wider.n_val)
+    assert len(other.train) == len(first.train) - 7 and len(other.key_matrix) == len(other.train)
+    assert again.key_matrix is first.key_matrix and other.setup_student is first.setup_student
 
 
 def _stage_leaves(obj, prefix=()):
@@ -1133,12 +1166,40 @@ def test_every_stage_input_is_in_the_cache_key(monkeypatch):
 
 
 def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
+    # Each seed's points share its teacher, student, rows and frozen keys: one generation pass and
+    # one encode of its training and validation keys per seed, whatever the number of values. The
+    # grid runs seed by seed, and no earlier seed's set-up is alive when the next one starts.
     cfg = tiny_config(20)
     cfg.train.epochs = 1
-    teacher_runs = count_calls(monkeypatch, "train_teacher")
+    teachers, set_ups_alive = [], []
+    real_teacher = harness.train_teacher
+
+    def set_ups():
+        return sum(isinstance(o, harness.Stages) for o in gc.get_objects())
+
+    def kept_teacher(inputs):
+        set_ups_alive.append(set_ups())
+        teachers.append(real_teacher(inputs))
+        return teachers[-1]
+
+    encoded = []  # (parameters, rows) of every harness encode
+
+    def spy(p, x):
+        encoded.append((p, len(x)))
+        return encode_batch(p, x)
+
+    monkeypatch.setattr(harness, "train_teacher", kept_teacher)
+    monkeypatch.setattr(harness, "encode_batch", spy)
+    rows_runs = count_calls(monkeypatch, "generate_rows")
+    before = set_ups()
     rows = cmd_sweep(cfg, "queue", [8, 64], seeds=[0, 1], out_dir=tmp_path / "sweep")
-    assert len(rows) == 4
-    assert len(teacher_runs) == 2
+    grid = [(8, 0), (8, 1), (64, 0), (64, 1)]
+    assert [(row["value"], row["seed"]) for row in rows] == grid
+    with open(tmp_path / "sweep/sweep_queue.csv", newline="") as f:
+        assert [(int(r["value"]), int(r["seed"])) for r in csv.DictReader(f)] == grid
+    assert len(teachers) == 2 and len(rows_runs) == 2 and set_ups_alive == [before, before]
+    for teacher in teachers:
+        assert [n for p, n in encoded if p is teacher.key_encoder] == [cfg.data.n_pairs - cfg.n_val, cfg.n_val]
 
 
 @pytest.mark.parametrize(

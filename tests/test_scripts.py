@@ -68,13 +68,14 @@ def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsy
     assert _stage_names(lines[:-1]) == ["start", "teacher", "distillation", "rows", "keys", "epoch 1", "epoch 2"]
     assert json.loads(lines[-1])["total_steps"] > 0
 
-    # The two points share one teacher and student, so only the first reports them.
+    # The two points share one teacher, student, rows and keys, so only the first reports the
+    # teacher, the distillation and the rows.
     sweep = ["sweep", "--axis", "queue", "--values", "64,128", "--seeds", "3", "--out-dir", str(tmp_path / "sw")]
     assert script.main([*sweep, *data, *small]) == 0
     lines = capsys.readouterr().out.splitlines()
-    point = ["rows", "keys", "epoch 1", "epoch 2"]
+    point = ["keys", "epoch 1", "epoch 2"]
     assert _stage_names(lines[:-1]) == [
-        "start", "teacher", "distillation", *point, "queue_64_seed3", *point, "queue_128_seed3"
+        "start", "teacher", "distillation", "rows", *point, "queue_64_seed3", *point, "queue_128_seed3"
     ]
 
     assert script.main(["gen-data", *data, "--out-dir", str(tmp_path / "d")]) == 0
