@@ -754,15 +754,14 @@ def cmd_sweep(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results: dict[int, dict] = {}  # by grid index
-    for seed in seeds:
+    rows: list = [None] * len(points)
+    for s, seed in enumerate(seeds):
         stages: StageCache = {}  # this seed's set-up; the next seed's rebinding frees it
-        for i, (variant, (value, _)) in enumerate(zip(points, grid)):
-            if variant.seed != seed:
-                continue
-            report = pretrain(variant, out_dir=out / f"{axis}_{value}_seed{seed}", stages=stages)
+        for i in range(s, len(points), len(seeds)):  # grid order puts this seed's points len(seeds) apart
+            value = grid[i][0]
+            report = pretrain(points[i], out_dir=out / f"{axis}_{value}_seed{seed}", stages=stages)
             last_epoch = max(e for e, _, _ in report.rows)
-            results[i] = {
+            rows[i] = {
                 "axis": axis,
                 "value": value,
                 "seed": seed,
@@ -774,7 +773,6 @@ def cmd_sweep(
                 "step_time_s": report.timing_rows[-1][2],
             }
 
-    rows = [results[i] for i in range(len(points))]
     names = list(rows[0])
     write_csv(out / f"sweep_{axis}.csv", names, ([row[k] for k in names] for row in rows))
     return rows

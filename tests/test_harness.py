@@ -1093,7 +1093,8 @@ def test_stage_cache_arrays_are_read_only():
               run.key_matrix, run.val_keys, run.train.x_b, run.train.tokens, run.train.labels, run.train.ids,
               run.val.x_b, run.val.tokens, run.val.labels, run.val.ids):
         assert any(a is b for b in held)
-    fresh = harness.run_rows(cfg, teacher_and_student(StageInputs.of(cfg)))
+    fresh = teacher_and_student(StageInputs.of(cfg))
+    harness.run_rows(cfg, fresh)
     for a in (*held, *_reachable_arrays(fresh)):
         with pytest.raises(ValueError):
             a.flat[0] = 0
