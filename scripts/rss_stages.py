@@ -5,20 +5,23 @@ Runs ``pairsieve <command>`` in this process with the given arguments and
 prints one line at the start and one after each stage of the command:
 
 - ``pretrain``: the teacher, the distillation, the training and validation
-  rows, the set-up's end (the frozen keys are its last large step) and
-  each epoch.
+  rows with their frozen keys (one generation pass, each block's ``x_a``
+  encoded as it arrives), the set-up's end and each epoch.
 - ``sweep``: the same stages for each grid point, then a line named after
   the point's output directory (``queue_4096_seed7``) when it ends. The
   points of one seed share their teacher, distillation, rows and frozen
-  keys, so only the first point of each seed reports the teacher, the
-  distillation and the rows; every point reports its set-up's end.
+  keys, so only the first point of each seed reports the teacher and the
+  distillation; every point reports its rows (a later point reads them
+  from the cache) and its set-up's end.
 - ``eval``: the manifest labels (with ``--data-dir`` only), the blocked
   read and encode of both towers, and the validation metrics.
 
 Other commands print the start line only. Each line gives ``VmHWM`` (the
 process's peak resident memory so far, which perfbench reports as
 ``peak_rss_mb``) and ``VmRSS`` (resident now), in MiB, as Linux reports
-them in ``/proc/self/status``. It only reads that file and changes nothing
+them in ``/proc/self/status``. A last line names the stage whose line
+last showed a higher ``VmHWM`` than the line before it: the stage that set
+the peak (``start`` if none did). It only reads that file and changes nothing
 the run computes, so its outputs are the CLI's. The arguments after the
 script name are the CLI's, for example noise_removal's job:
 
@@ -44,8 +47,8 @@ from pairsieve import cli, harness
 PRETRAIN_STAGES = [
     (harness, "train_teacher", lambda *args: "teacher"),
     (harness, "distill_student", lambda *args: "distillation"),
-    (harness, "generate_rows", lambda *args: "rows"),
-    (harness.PretrainRun, "__init__", lambda *args: "keys"),
+    (harness, "run_rows", lambda *args: "rows"),
+    (harness.PretrainRun, "__init__", lambda *args: "set-up"),
     (harness.PretrainRun, "run_epoch", lambda run, epoch: f"epoch {epoch}"),
 ]
 STAGES = {
@@ -69,35 +72,45 @@ def memory_mib() -> tuple[float, float]:
     return tuple(int(fields[name].split()[0]) / 1024 for name in ("VmHWM", "VmRSS"))
 
 
-def report(stage: str) -> None:
-    hwm, rss = memory_mib()
-    print(f"{stage:<17} VmHWM {hwm:8.2f} MiB  VmRSS {rss:8.2f} MiB", flush=True)
+class StageLog:
+    """Prints one line per stage and keeps the stage whose line last showed a higher VmHWM."""
 
+    def __init__(self) -> None:
+        self.hwm, self.peak_stage = 0.0, "start"
 
-def reporting(fn, stage_name):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        report(stage_name(*args, **kwargs))
-        return out
+    def report(self, stage: str) -> None:
+        hwm, rss = memory_mib()
+        if hwm > self.hwm:
+            self.hwm, self.peak_stage = hwm, stage
+        print(f"{stage:<17} VmHWM {hwm:8.2f} MiB  VmRSS {rss:8.2f} MiB", flush=True)
 
-    return wrapper
+    def reporting(self, fn, stage_name):
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.report(stage_name(*args, **kwargs))
+            return out
+
+        return wrapper
 
 
 @contextmanager
-def stage_reports(command: str):
-    """Report after each stage of ``command``; the original functions are back on exit."""
+def stage_reports(command: str, log: StageLog):
+    """Report to ``log`` after each stage of ``command``; the original functions are back on exit."""
     with ExitStack() as patches:
         for owner, attr, stage_name in STAGES.get(command, []):
-            patches.enter_context(patch.object(owner, attr, reporting(getattr(owner, attr), stage_name)))
+            patches.enter_context(patch.object(owner, attr, log.reporting(getattr(owner, attr), stage_name)))
         yield
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    report("start")
-    with stage_reports(argv[0] if argv else ""):
-        return cli.main(argv)
+    log = StageLog()
+    log.report("start")
+    with stage_reports(argv[0] if argv else "", log):
+        code = cli.main(argv)
+    print(f"peak set by       {log.peak_stage} (VmHWM {log.hwm:.2f} MiB)", flush=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import LABEL_TAGS, Label
-from .encoder import EncoderParams, encode_batch
+from .encoder import EncoderParams, encode_batch, row_blocks
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
 from .store import atomic_open
 
@@ -123,13 +123,15 @@ def write_ledger_dump(
 
     The arguments are columns of equal length; ``retained`` is a boolean
     column. Each line has the bytes that ``csv.writer`` gives the row with
-    the floats as ``repr``, built directly: no field holds a comma, quote
-    or line break, so none is quoted.
+    the floats as ``repr``, built directly, one block of rows at a time: no
+    field holds a comma, quote or line break, so none is quoted.
     """
-    flags = np.asarray(retained, dtype=np.int64).tolist()
+    flags = np.asarray(retained, dtype=np.int64)
     with atomic_open(path, "w", newline="") as f:
         f.write("id,epoch_score,total_score,retained,oracle_label\r\n")
-        for rid, score, total, kept, lab in zip(
-            ids.tolist(), scores.tolist(), totals.tolist(), flags, labels.tolist()
-        ):
-            f.write(f"{rid},{score!r},{total!r},{kept},{LABEL_TAGS[lab]}\r\n")
+        for block in row_blocks(len(ids), 1024):  # whole columns as Python lists would outweigh the epoch's arrays
+            columns = (ids[block], scores[block], totals[block], flags[block], labels[block])
+            f.write("".join(
+                f"{rid},{score!r},{total!r},{kept},{LABEL_TAGS[lab]}\r\n"
+                for rid, score, total, kept, lab in zip(*(column.tolist() for column in columns))
+            ))

@@ -231,60 +231,28 @@ def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
         )
 
 
-def generate_rows(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> list[Dataset]:
-    """One ``Dataset`` per array of sorted rows: those rows of ``generate_dataset(cfg)``, filled from one pass.
+def generate_row_blocks(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> Iterator[list[Dataset]]:
+    """For each block of ``generate_blocks`` in turn, one ``Dataset`` per array of sorted rows: its rows in the block.
 
-    Only the requested rows and one generated block are held, never the whole dataset.
+    One generation pass serves every array, and one generated block is held at a time.
     """
-    parts = [_unfilled(cfg, rows) for rows in row_sets]
     for block in generate_blocks(cfg):
-        for part in parts:
-            _fill(part, block)
-    return parts
-
-
-def generate_row_blocks(cfg: GenConfig, rows: np.ndarray, blocks: Sequence[slice]) -> Iterator[Dataset]:
-    """For each slice of ``blocks`` in turn, a ``Dataset`` of those entries of ``rows``, from one generation pass.
-
-    ``rows`` is sorted and ``blocks`` cover it in order, as ``row_blocks``
-    gives them. One block of the requested rows and one generated block
-    are held at a time.
-    """
-    generated, block = generate_blocks(cfg), None
-    for entries in blocks:
-        part = _unfilled(cfg, rows[entries])
-        if block is not None:
-            _fill(part, block)
-        while block is None or block.ids[-1] < part.ids[-1]:
-            block = next(generated)
-            _fill(part, block)
-        yield part
-        del part  # before the next block of rows exists
-
-
-def _unfilled(cfg: GenConfig, rows: np.ndarray) -> Dataset:
-    """A ``Dataset`` with the ids ``rows`` and every other column left to ``_fill``."""
-    return Dataset(
-        ids=np.asarray(rows, dtype=np.int64),
-        labels=np.empty(len(rows), dtype=np.int8),
-        x_a=np.empty((len(rows), cfg.d_a)),
-        x_b=np.empty((len(rows), cfg.d_b)),
-        tokens=np.empty((len(rows), cfg.seq_len), dtype=np.int64),
-        config=cfg,
-    )
-
-
-def _fill(part: Dataset, block: Dataset) -> None:
-    """Copy the rows of the generated ``block`` that ``part`` holds into ``part``."""
-    lo, hi = np.searchsorted(part.ids, (block.ids[0], block.ids[-1] + 1))
-    picked = part.ids[lo:hi] - block.ids[0]
-    part.labels[lo:hi], part.tokens[lo:hi] = block.labels[picked], block.tokens[picked]
-    part.x_a[lo:hi], part.x_b[lo:hi] = block.x_a[picked], block.x_b[picked]
+        bounds = [np.searchsorted(rows, (block.ids[0], block.ids[-1] + 1)) for rows in row_sets]
+        yield [block.take_rows(rows[lo:hi] - block.ids[0]) for rows, (lo, hi) in zip(row_sets, bounds)]
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
-    """Deterministically generate ``cfg.n_pairs`` labeled pairs: the blocks of ``generate_blocks``, joined."""
-    return generate_rows(cfg, [np.arange(cfg.n_pairs)])[0]
+    """Deterministically generate ``cfg.n_pairs`` labeled pairs: the blocks of ``generate_blocks``, joined.
+
+    Only the result and one generated block are held.
+    """
+    n = cfg.n_pairs
+    ds = Dataset(np.arange(n, dtype=np.int64), np.empty(n, np.int8), np.empty((n, cfg.d_a)), np.empty((n, cfg.d_b)),
+                 np.empty((n, cfg.seq_len), np.int64), cfg)
+    for block in generate_blocks(cfg):
+        at = slice(block.ids[0], block.ids[-1] + 1)
+        ds.labels[at], ds.x_a[at], ds.x_b[at], ds.tokens[at] = block.labels, block.x_a, block.x_b, block.tokens
+    return ds
 
 
 def split_rows(labels: np.ndarray, n_val: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

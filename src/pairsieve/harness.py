@@ -43,7 +43,6 @@ from .data import (
     generate_blocks,
     generate_dataset,
     generate_row_blocks,
-    generate_rows,
     label_plan,
     largest_remainder_counts,
     orthonormal_columns,
@@ -277,19 +276,49 @@ def run_rows(cfg: RunConfig, entry: Stages) -> RunRows:
 
     They are built once per ``entry`` and ``n_val``, from one generation
     pass, and kept in ``entry.rows``: every later run with the same
-    ``StageInputs`` and ``n_val`` reads the same arrays.
+    ``StageInputs`` and ``n_val`` reads the same arrays. No epoch reads
+    ``x_a``, so each generated block's ``x_a`` rows are encoded into the keys
+    as the block arrives, and the set-up never holds the column.
     """
     if cfg.n_val not in entry.rows:
-        train, val = generate_rows(cfg.data, split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed))
-        # Key embeddings are computed once with the frozen tower and reused all run; no epoch reads x_a.
-        key_matrix = _encode_in_blocks(entry.teacher.key_encoder, train.x_a)
-        val_keys = _encode_in_blocks(entry.teacher.key_encoder, val.x_a)
-        train, val = replace(train, x_a=None), replace(val, x_a=None)
-        for part in (train, val):
-            _freeze(part.ids, part.labels, part.x_b, part.tokens)
-        _freeze(key_matrix, val_keys)
-        entry.rows[cfg.n_val] = RunRows(train, val, key_matrix, val_keys)
+        d, plan = cfg.data, label_plan(cfg.data)
+        row_sets = split_rows(plan, cfg.n_val, cfg.seed)
+        parts = [
+            Dataset(rows, plan[rows], None, np.empty((len(rows), d.d_b)), np.empty((len(rows), d.seq_len), np.int64), d)
+            for rows in row_sets
+        ]
+        keys = [_ArrivingEncode(entry.teacher.key_encoder, len(rows)) for rows in row_sets]
+        for pieces in generate_row_blocks(d, row_sets):
+            for part, encode, piece in zip(parts, keys, pieces):
+                at = slice(encode.arrived, encode.arrived + len(piece))  # the piece's rows in its part
+                part.x_b[at], part.tokens[at] = piece.x_b, piece.tokens
+                encode.add(piece.x_a)
+        for part, encode in zip(parts, keys):
+            _freeze(part.ids, part.labels, part.x_b, part.tokens, encode.out)
+        entry.rows[cfg.n_val] = RunRows(*parts, *(encode.out for encode in keys))
     return entry.rows[cfg.n_val]
+
+
+class _ArrivingEncode:
+    """``encode_batch`` of rows that arrive in pieces, written to ``out`` bit for bit as one encode of them all.
+
+    An encode takes the rows that have arrived, but never a lone row unless
+    it is the only one: a one-row product takes numpy's matrix-vector path,
+    which rounds differently. So a lone row waits for the next piece, and
+    the rows before a lone last row wait for it.
+    """
+
+    def __init__(self, p: EncoderParams, n: int):
+        self.p, self.out = p, np.empty((n, p.embed_dim))
+        self.encoded, self.arrived, self.waiting = 0, 0, []  # waiting: the pieces after the encoded rows
+
+    def add(self, x: np.ndarray) -> None:
+        self.waiting.append(x)
+        self.arrived += len(x)
+        new, left = self.arrived - self.encoded, len(self.out) - self.arrived
+        if new and (not left or min(new, left) >= 2):
+            self.out[self.encoded : self.arrived] = encode_batch(self.p, np.concatenate(self.waiting))[0]
+            self.encoded, self.waiting = self.arrived, []
 
 
 def _encode_in_blocks(p: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -629,7 +658,7 @@ def cmd_eval(
     raw rows while it encodes. With ``data_dir`` one pass over the
     manifest keeps the labels, and the rows are then read from the stores
     a block at a time; without it, the labels come from the label plan and
-    the rows are kept from one generation pass, block by block.
+    the rows are taken from one generation pass, block by block.
     """
     ck = Path(checkpoint_dir)
     try:
@@ -663,24 +692,22 @@ def _check_row_counts(d: Path, n_rows: int, sa: StoreHandle, sb: StoreHandle) ->
 def _eval_embeddings(
     cfg: RunConfig, data_dir: str | Path | None, key_enc: EncoderParams, query_enc: EncoderParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, keys and queries of the rows eval scores, encoded ``_ROW_BLOCK`` rows at a time.
+    """Labels, keys and queries of the rows eval scores, encoded a block of rows at a time.
 
     From ``data_dir`` the whole manifest is checked before any store row is
-    read, and each block of rows is then read and encoded in turn. Without
-    it, each block is kept from the generation pass as it goes and encoded
-    once it is whole. Either way one block of raw rows is held at a time.
+    read, and each block of ``_ROW_BLOCK`` rows is then read and encoded in
+    turn. Without it, the rows of each generated block are encoded as the
+    block arrives (see ``_ArrivingEncode``). Either way one block of raw
+    rows is held at a time.
     """
     if data_dir is None:
         labels = label_plan(cfg.data)
         rows = _eval_rows(labels, cfg)
-        blocks = row_blocks(len(rows), _ROW_BLOCK)
-        keys = np.empty((len(rows), key_enc.embed_dim))
-        queries = np.empty((len(rows), query_enc.embed_dim))
-        for block, part in zip(blocks, generate_row_blocks(cfg.data, rows, blocks)):
-            keys[block] = encode_batch(key_enc, part.x_a)[0]
-            queries[block] = encode_batch(query_enc, part.x_b)[0]
-            del part  # before the next block of rows exists
-        return labels[rows], keys, queries
+        keys, queries = _ArrivingEncode(key_enc, len(rows)), _ArrivingEncode(query_enc, len(rows))
+        for (part,) in generate_row_blocks(cfg.data, [rows]):
+            keys.add(part.x_a)
+            queries.add(part.x_b)
+        return labels[rows], keys.out, queries.out
     d = Path(data_dir)
     labels = read_manifest_labels(d / "manifest.jsonl")
     with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:

@@ -85,7 +85,9 @@ def select_threshold(true_scores: np.ndarray, mismatch_scores: np.ndarray) -> fl
     true_sorted, mism_sorted = np.sort(true_scores), np.sort(mismatch_scores)
     if true_sorted.size == 0 or mism_sorted.size == 0:
         raise ValueError("both score populations must be non-empty")
-    pooled = np.unique(np.concatenate([true_sorted, mism_sorted]))
+    # np.unique gives the same for finite scores, but it imports numpy.ma (through np.ma.is_masked) into the process.
+    pooled = np.sort(np.concatenate([true_sorted, mism_sorted]))
+    pooled = pooled[np.concatenate([[True], pooled[1:] != pooled[:-1]])]
     candidates = np.concatenate([[pooled[0] - 1.0], (pooled[:-1] + pooled[1:]) / 2.0])
     tp = true_sorted.size - np.searchsorted(true_sorted, candidates, side="right")
     fp = mism_sorted.size - np.searchsorted(mism_sorted, candidates, side="right")

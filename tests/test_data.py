@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from pairsieve.data import (
     Label,
     _BLOCK,
     generate_dataset,
-    generate_rows,
+    generate_row_blocks,
     label_plan,
     largest_remainder_counts,
     mixing_matrices,
@@ -174,13 +173,23 @@ def test_generation_matches_per_record_reference_across_blocks(cfg):
     _assert_matches_reference(cfg)
 
 
-def test_generate_rows_are_the_dataset_rows():
+def _joined(pieces, name):
+    return np.concatenate([getattr(piece, name) for piece in pieces])
+
+
+def test_generate_row_blocks_are_the_dataset_rows():
+    # Each generated block gives each row set its rows in that block, so the pieces join to the dataset's rows.
     cfg = small_cfg(n_pairs=600, seed=4)
     ds = generate_dataset(cfg)
-    for rows in (np.arange(600), np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 599]), np.arange(0)):
-        (part,) = generate_rows(cfg, [rows])
-        assert part.x_a.tobytes() == ds.x_a[rows].tobytes()
-        assert part.x_b.tobytes() == ds.x_b[rows].tobytes()
+    row_sets = [np.arange(600), np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 599]), np.arange(0)]
+    blocks = list(generate_row_blocks(cfg, row_sets))
+    assert len(blocks) == -(-600 // _BLOCK)
+    for i, (start, pieces) in enumerate(zip(range(0, 600, _BLOCK), blocks)):
+        assert all(np.all((start <= piece.ids) & (piece.ids < start + _BLOCK)) for piece in pieces), i
+    for rows, pieces in zip(row_sets, zip(*blocks), strict=True):
+        assert _joined(pieces, "ids").tobytes() == rows.astype(np.int64).tobytes()
+        assert _joined(pieces, "x_a").tobytes() == ds.x_a[rows].tobytes()
+        assert _joined(pieces, "x_b").tobytes() == ds.x_b[rows].tobytes()
 
 
 def test_rows_for_ids_matches_positions_and_rejects_unknown_ids():
@@ -276,34 +285,19 @@ def test_split_rows_partitions_the_rows_and_draws_good_ones(codes, data, seed):
         split_rows(labels, n_good + data.draw(st.integers(1, 5), label="excess"), seed)
 
 
-def test_generate_rows_of_split_rows_is_the_split_of_the_dataset():
+def test_generate_row_blocks_of_split_rows_is_the_split_of_the_dataset():
     # One generation pass over several blocks gives the parts split_validation cuts from the whole dataset.
     cfg = small_cfg(n_pairs=2 * _BLOCK + 88, seed=4)
     ds = generate_dataset(cfg)
     for n_val in (0, 50, int(np.sum(ds.labels == Label.GOOD))):
-        got_parts = generate_rows(cfg, split_rows(label_plan(cfg), n_val, seed=5))
-        for got, want in zip(got_parts, split_validation(ds, n_val, seed=5), strict=True):
+        blocks = list(generate_row_blocks(cfg, split_rows(label_plan(cfg), n_val, seed=5)))
+        for pieces, want in zip(zip(*blocks), split_validation(ds, n_val, seed=5), strict=True):
             for name in ("ids", "labels", "x_a", "x_b", "tokens"):
-                a, b = getattr(got, name), getattr(want, name)
+                a, b = _joined(pieces, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (n_val, name)
-            assert got.config == want.config
+            assert all(piece.config == want.config for piece in pieces)
     with pytest.raises(ConfigError):
         split_rows(label_plan(cfg), int(np.sum(ds.labels == Label.GOOD)) + 1, seed=5)
-
-
-def test_generate_rows_holds_the_parts_and_a_block():
-    # At 10000 pairs the two parts are 10.0 MB of arrays. Measured traced peaks: 11.8 MB for
-    # generate_rows of the split rows on a first call, against 21.7 MB for
-    # split_validation(generate_dataset(...)), which holds the whole dataset beside its copy.
-    # The bound leaves 1.2 MB of headroom.
-    cfg = GenConfig(n_pairs=10000, seed=3)
-    tracemalloc.start()
-    try:
-        generate_rows(cfg, split_rows(label_plan(cfg), 1000, seed=5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 13e6
 
 
 def test_threshold_ladder_good_fraction_non_decreasing():

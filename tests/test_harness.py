@@ -4,9 +4,13 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from pairsieve.config import (
     to_json,
 )
 from pairsieve.curation import score_pairs
-from pairsieve.data import _BLOCK, Dataset, GenConfig, generate_dataset, split_validation
+from pairsieve.data import _BLOCK, Dataset, GenConfig, generate_dataset, label_plan, split_rows, split_validation
 from pairsieve.encoder import encode_batch, init_mlm_head, init_params, load_params, save_params
 from pairsieve.errors import ConfigError, FormatError
 from pairsieve import contrastive, harness
@@ -42,6 +46,8 @@ from pairsieve.harness import (
 )
 from pairsieve.metrics import recall_at_k
 from pairsieve.store import StoreHandle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_config(seed=0, **data_kw) -> RunConfig:
@@ -569,16 +575,16 @@ def test_metrics_csv_keeps_finished_epochs_of_a_failed_run(tmp_path, monkeypatch
 
 
 def test_frozen_towers_are_encoded_once(monkeypatch):
-    # The frozen key tower encodes the training keys and the validation keys, once each, and the
-    # teacher text tower the distillation targets once; scoring, validation and every distillation
-    # step read those embeddings.
+    # The frozen key tower encodes each training and validation row once, as the generated blocks
+    # arrive, and the teacher text tower the distillation targets once; scoring, validation and every
+    # distillation step read those embeddings.
     from pairsieve import contrastive, curation, distill, encoder, mlm
 
     real = encoder.encode_batch
-    encoded = []  # the parameters of every call, kept alive so that identities stay distinct
+    encoded = []  # the parameters and row count of every call; parameters kept alive so that identities stay distinct
 
     def spy(p, x):
-        encoded.append(p)
+        encoded.append((p, len(x)))
         return real(p, x)
 
     for mod in (encoder, harness, distill, curation, contrastive, mlm):
@@ -588,8 +594,8 @@ def test_frozen_towers_are_encoded_once(monkeypatch):
     pretrain(tiny_config(23), stages=stages)
     (entry,) = stages.values()
     teacher = entry.teacher
-    assert sum(p is teacher.key_encoder for p in encoded) == 2
-    assert sum(p is teacher.text_encoder for p in encoded) == 1
+    assert sum(n for p, n in encoded if p is teacher.key_encoder) == tiny_config(23).data.n_pairs
+    assert sum(p is teacher.text_encoder for p, _ in encoded) == 1
 
 
 def test_frozen_key_tower_and_store_consistency(tmp_path):
@@ -607,8 +613,9 @@ def test_frozen_key_tower_and_store_consistency(tmp_path):
 
 def test_blocked_passes_equal_the_whole_set_encode_and_score(tmp_path, monkeypatch):
     # 499 training rows in blocks of 6 end in a lone row, which joins the block before it; the
-    # 101 validation rows leave 5. The keys, epoch 1's ledger scores and its validation metrics
-    # equal those of one whole-set encode_batch and score_pairs, byte for byte.
+    # 101 validation rows leave 5. The keys (encoded as the generated blocks arrive), epoch 1's
+    # ledger scores and its validation metrics equal those of one whole-set encode_batch and
+    # score_pairs, byte for byte.
     monkeypatch.setattr(harness, "_ROW_BLOCK", 6)
     scored = count_calls(monkeypatch, "score_pairs")
     cfg = tiny_config(24)
@@ -628,6 +635,87 @@ def test_blocked_passes_equal_the_whole_set_encode_and_score(tmp_path, monkeypat
     assert ledger.tobytes() == score_pairs(keys, student, train.x_b).tobytes()
     whole = harness.validation_metrics(val_keys, encode_batch(run.state.query_encoder, val.x_b)[0])
     assert {name: run.report.metric(1, name) for name in whole} == whole
+
+
+def _untrained_set_up(cfg) -> harness.Stages:
+    """A set-up with untrained towers: ``run_rows`` reads only its key tower."""
+    enc = cfg.encoder
+    key = init_params(1, cfg.data.d_a, enc.hidden, enc.embed_dim)
+    text = init_params(2, cfg.data.d_b, enc.hidden, enc.embed_dim)
+    return harness.Stages(TeacherBundle(key, text, np.eye(cfg.data.d_b)), text, 0.0)
+
+
+def test_streamed_keys_equal_the_whole_set_encode(monkeypatch):
+    # Each of the three generated blocks holds one validation row. The first block's lone row waits
+    # for the second's; those two then wait for the last block's row, which would otherwise be
+    # encoded alone. So no encode takes a lone row, the keys equal one whole-set encode_batch byte
+    # for byte, and the parts are the split of the whole dataset, without x_a.
+    for seed in range(1000):
+        cfg = RunConfig(data=GenConfig(n_pairs=3 * _BLOCK, seed=seed), seed=seed)
+        cfg.n_val = 3
+        val_rows = split_rows(label_plan(cfg.data), cfg.n_val, cfg.seed)[1]
+        if np.bincount(val_rows // _BLOCK, minlength=3).tolist() == [1, 1, 1]:
+            break
+    else:
+        raise AssertionError("no seed puts one validation row in each generated block")
+    sizes = []
+
+    def spy(p, x):
+        sizes.append(len(x))
+        return encode_batch(p, x)
+
+    monkeypatch.setattr(harness, "encode_batch", spy)
+    entry = _untrained_set_up(cfg)
+    rows = harness.run_rows(cfg, entry)
+    assert min(sizes) >= 2 and sum(sizes) == cfg.data.n_pairs
+    key_tower = entry.teacher.key_encoder
+    split = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
+    for got, keys, want in zip(rows[:2], rows[2:], split, strict=True):
+        assert got.x_a is None
+        for name in ("ids", "labels", "x_b", "tokens"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert keys.tobytes() == encode_batch(key_tower, want.x_a)[0].tobytes()
+
+
+def test_run_rows_never_holds_the_x_a_column():
+    # At 10000 pairs the rows run_rows keeps (ids, labels, x_b and tokens of both parts) and their
+    # keys are 6.2 MB. Measured traced peaks: 7.5 MB, against 11.8 MB when the parts were
+    # generated whole, x_a (5.1 MB) included, and their keys encoded afterwards. The bound leaves
+    # 1.5 MB of headroom.
+    cfg = RunConfig(data=GenConfig(n_pairs=10000, seed=3), seed=5)
+    cfg.n_val = 1000
+    entry = _untrained_set_up(cfg)
+    tracemalloc.start()
+    try:
+        rows = harness.run_rows(cfg, entry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+    raw = {(len(rows.train), cfg.data.d_a), (len(rows.val), cfg.data.d_a)}
+    assert [a.shape for a in _reachable_arrays(entry) if a.shape in raw] == []
+
+
+def test_cli_jobs_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a process about 1.3 MiB of resident memory and 15 ms to import. numpy 2.4's
+    # np.unique imports it (through np.ma.is_masked), so select_threshold sorts and masks instead.
+    flags = ["--seed", "3", "--set", "data.n_pairs=600", "--set", "n_val=100", "--set", "teacher.n_pairs=400",
+             "--set", "teacher.steps=20", "--set", "distill.corpus_size=256", "--set", "distill.held_out=64",
+             "--set", "distill.steps=20", "--set", "train.epochs=2"]
+    code = (
+        "import sys\n"
+        "from pairsieve.cli import main\n"
+        f"flags = {flags!r}\n"
+        "assert main(['pretrain', '--out-dir', 'run', *flags]) == 0\n"
+        "assert main(['eval', '--checkpoint', 'run/checkpoints', '--out-dir', 'ev', *flags]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ev/eval.csv").exists()
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _reachable_arrays(root) -> list[np.ndarray]:
@@ -996,7 +1084,7 @@ def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
         raise AssertionError("training started")
 
     monkeypatch.setattr("pairsieve.harness.generate_dataset", no_training)
-    monkeypatch.setattr("pairsieve.harness.generate_rows", no_training)
+    monkeypatch.setattr("pairsieve.harness.generate_row_blocks", no_training)
     monkeypatch.setattr("pairsieve.harness.train_teacher", no_training)
     out = str(tmp_path / "out")
     # n_val above the good-pair count (240 of 600) is refused before data generation too.
@@ -1064,7 +1152,7 @@ def test_stage_cache_hit_writes_identical_run_dir(tmp_path, monkeypatch):
     stages = {}
     pretrain(cfg, out_dir=tmp_path / "miss", stages=stages)
     teacher_runs = count_calls(monkeypatch, "train_teacher")
-    rows_runs = count_calls(monkeypatch, "generate_rows")
+    rows_runs = count_calls(monkeypatch, "generate_row_blocks")
     pretrain(cfg, out_dir=tmp_path / "hit", stages=stages)
     assert teacher_runs == [] and rows_runs == [] and len(stages) == 1
     plain = _run_files(tmp_path / "plain")
@@ -1108,7 +1196,7 @@ def test_runs_that_differ_in_n_val_build_their_own_rows(monkeypatch):
     wider = copy.deepcopy(cfg)
     wider.n_val = cfg.n_val + 7
     teacher_runs = count_calls(monkeypatch, "train_teacher")
-    rows_runs = count_calls(monkeypatch, "generate_rows")
+    rows_runs = count_calls(monkeypatch, "generate_row_blocks")
     stages = {}
     first, other, again = (PretrainRun(c, stages=stages) for c in (cfg, wider, cfg))
     assert len(teacher_runs) == len(stages) == 1 and len(rows_runs) == 2
@@ -1191,7 +1279,7 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "train_teacher", kept_teacher)
     monkeypatch.setattr(harness, "encode_batch", spy)
-    rows_runs = count_calls(monkeypatch, "generate_rows")
+    rows_runs = count_calls(monkeypatch, "generate_row_blocks")
     before = set_ups()
     rows = cmd_sweep(cfg, "queue", [8, 64], seeds=[0, 1], out_dir=tmp_path / "sweep")
     grid = [(8, 0), (8, 1), (64, 0), (64, 1)]
@@ -1199,8 +1287,10 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
     with open(tmp_path / "sweep/sweep_queue.csv", newline="") as f:
         assert [(int(r["value"]), int(r["seed"])) for r in csv.DictReader(f)] == grid
     assert len(teachers) == 2 and len(rows_runs) == 2 and set_ups_alive == [before, before]
+    # The keys are encoded as the generated blocks arrive: the key tower encodes each row once, no row alone.
     for teacher in teachers:
-        assert [n for p, n in encoded if p is teacher.key_encoder] == [cfg.data.n_pairs - cfg.n_val, cfg.n_val]
+        rows = [n for p, n in encoded if p is teacher.key_encoder]
+        assert sum(rows) == cfg.data.n_pairs and min(rows) >= 2
 
 
 @pytest.mark.parametrize(

@@ -56,38 +56,60 @@ def _stage_names(lines) -> list[str]:
     return [line.split("VmHWM")[0].strip() for line in lines]
 
 
+def _check_peak_line(lines, last) -> None:
+    """``last`` names the stage whose line last showed a higher VmHWM than every line before it, and its VmHWM."""
+    hwms = [float(re.search(r"VmHWM +([\d.]+)", line).group(1)) for line in lines]
+    rose = [i for i, hwm in enumerate(hwms) if hwm > max(hwms[:i], default=0.0)][-1]
+    assert last == f"peak set by       {_stage_names(lines)[rose]} (VmHWM {hwms[rose]:.2f} MiB)"
+
+
 def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsys):
     script = _load("rss_stages")
-    originals = (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch, harness.pretrain,
+    originals = (harness.train_teacher, harness.run_rows, harness.PretrainRun.run_epoch, harness.pretrain,
                  harness.read_manifest_labels, harness._eval_embeddings, harness.validation_metrics)
     data = ["--seed", "3", "--set", "data.n_pairs=600", "--set", "n_val=100"]
     small = ["--set", "teacher.n_pairs=400", "--set", "teacher.steps=50", "--set", "distill.corpus_size=256",
              "--set", "distill.held_out=64", "--set", "distill.steps=50", "--set", "train.epochs=2"]
     assert script.main(["pretrain", *data, *small, "--out-dir", str(tmp_path / "run")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert _stage_names(lines[:-1]) == ["start", "teacher", "distillation", "rows", "keys", "epoch 1", "epoch 2"]
-    assert json.loads(lines[-1])["total_steps"] > 0
+    *lines, result, last = capsys.readouterr().out.splitlines()
+    assert _stage_names(lines) == ["start", "teacher", "distillation", "rows", "set-up", "epoch 1", "epoch 2"]
+    assert json.loads(result)["total_steps"] > 0
+    _check_peak_line(lines, last)
 
     # The two points share one teacher, student, rows and keys, so only the first reports the
-    # teacher, the distillation and the rows.
+    # teacher and the distillation; the second reads its rows from the cache.
     sweep = ["sweep", "--axis", "queue", "--values", "64,128", "--seeds", "3", "--out-dir", str(tmp_path / "sw")]
     assert script.main([*sweep, *data, *small]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    point = ["keys", "epoch 1", "epoch 2"]
-    assert _stage_names(lines[:-1]) == [
-        "start", "teacher", "distillation", "rows", *point, "queue_64_seed3", *point, "queue_128_seed3"
+    *lines, result, last = capsys.readouterr().out.splitlines()
+    point = ["rows", "set-up", "epoch 1", "epoch 2"]
+    assert _stage_names(lines) == [
+        "start", "teacher", "distillation", *point, "queue_64_seed3", *point, "queue_128_seed3"
     ]
+    _check_peak_line(lines, last)
 
     assert script.main(["gen-data", *data, "--out-dir", str(tmp_path / "d")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert _stage_names(lines[:-1]) == ["start"]
+    *lines, result, last = capsys.readouterr().out.splitlines()
+    assert _stage_names(lines) == ["start"]
+    _check_peak_line(lines, last)
     eval_args = ["eval", *data, "--checkpoint", str(tmp_path / "run/checkpoints"), "--out-dir", str(tmp_path / "ev")]
     assert script.main([*eval_args, "--data-dir", str(tmp_path / "d")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert _stage_names(lines[:-1]) == ["start", "labels", "encode", "metrics"]
-    assert 0 <= json.loads(lines[-1])["val_f1"] <= 1
-    assert (harness.train_teacher, harness.generate_rows, harness.PretrainRun.run_epoch, harness.pretrain,
+    *lines, result, last = capsys.readouterr().out.splitlines()
+    assert _stage_names(lines) == ["start", "labels", "encode", "metrics"]
+    assert 0 <= json.loads(result)["val_f1"] <= 1
+    _check_peak_line(lines, last)
+    assert (harness.train_teacher, harness.run_rows, harness.PretrainRun.run_epoch, harness.pretrain,
             harness.read_manifest_labels, harness._eval_embeddings, harness.validation_metrics) == originals
+
+
+def test_rss_stages_names_the_stage_that_last_raised_the_peak(monkeypatch, capsys):
+    script = _load("rss_stages")
+    readings = iter([(40.0, 40.0), (45.0, 44.0), (45.0, 41.0), (47.5, 47.5), (47.5, 46.0)])
+    monkeypatch.setattr(script, "memory_mib", lambda: next(readings))
+    log = script.StageLog()
+    for stage in ("start", "teacher", "rows", "epoch 1", "epoch 2"):
+        log.report(stage)
+    assert (log.peak_stage, log.hwm) == ("epoch 1", 47.5)
+    _check_peak_line(capsys.readouterr().out.splitlines(), "peak set by       epoch 1 (VmHWM 47.50 MiB)")
 
 
 def _protocol_output(root, timing_value="0.012", step_time="0.0031", metric="0.5"):
