@@ -31,6 +31,8 @@ import time
 from pathlib import Path
 
 _HEADLINE = ["--set", "stop.enabled=false", "--set", "train.filter_epochs_max=11", "--set", "train.epochs=12"]
+_LONE = ["--set", "data.n_pairs=513", "--set", "teacher.n_pairs=400", "--set", "teacher.steps=150",
+         "--set", "distill.corpus_size=512", "--set", "distill.held_out=128", "--set", "distill.steps=300"]
 
 # (name, pairsieve CLI arguments), run in order from inside the --out directory.
 COMMANDS: list[tuple[str, list[str]]] = [
@@ -59,6 +61,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
                "--set", "n_val=5000", "--out-dir", "ev50k"]),
     ("genv", ["gen-data", "--seed", "3", "--set", "data.vocab=100", "--set", "data.seq_len=10",
               "--set", "data.token_coords=3", "--out-dir", "genv"]),
+    # 513 pairs = 2 * data._BLOCK + 1: a lone last row, whose keys and embeddings must match a whole-set encode
+    ("lone", ["pretrain", "--seed", "5", *_LONE, "--set", "n_val=100", "--set", "train.epochs=3", "--out-dir", "lone"]),
+    # eval without --data-dir over every pair (n_val=0), the lone row included
+    ("evlone", ["eval", "--seed", "5", *_LONE, "--set", "n_val=0", "--checkpoint", "lone/checkpoints",
+                "--out-dir", "evlone"]),
 ]
 
 DIGESTS = "digests.json"

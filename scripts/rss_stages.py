@@ -6,13 +6,12 @@ prints one line at the start and one after each stage of the command:
 
 - ``pretrain``: the teacher, the distillation, the training and validation
   rows with their frozen keys (one generation pass, each block's ``x_a``
-  encoded as it arrives), the set-up's end and each epoch.
+  encoded whole as it arrives), the set-up's end and each epoch.
 - ``sweep``: the same stages for each grid point, then a line named after
   the point's output directory (``queue_4096_seed7``) when it ends. The
-  points of one seed share their teacher, distillation, rows and frozen
-  keys, so only the first point of each seed reports the teacher and the
-  distillation; every point reports its rows (a later point reads them
-  from the cache) and its set-up's end.
+  points of one seed share one set-up (teacher, distillation, rows and
+  frozen keys), so only the first point of each seed reports the teacher,
+  the distillation and the rows; every point reports its set-up's end.
 - ``eval``: the manifest labels (with ``--data-dir`` only), the blocked
   read and encode of both towers, and the validation metrics.
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import LABEL_TAGS, Label
-from .encoder import EncoderParams, encode_batch, row_blocks
+from .encoder import ROW_BLOCK, EncoderParams, encode_batch, row_blocks
 from .errors import ConfigError, EmptySet, LedgerMiss, NonFiniteLoss
 from .store import atomic_open
 
@@ -129,7 +129,7 @@ def write_ledger_dump(
     flags = np.asarray(retained, dtype=np.int64)
     with atomic_open(path, "w", newline="") as f:
         f.write("id,epoch_score,total_score,retained,oracle_label\r\n")
-        for block in row_blocks(len(ids), 1024):  # whole columns as Python lists would outweigh the epoch's arrays
+        for block in row_blocks(len(ids), ROW_BLOCK):  # whole columns as Python lists would outweigh the epoch's arrays
             columns = (ids[block], scores[block], totals[block], flags[block], labels[block])
             f.write("".join(
                 f"{rid},{score!r},{total!r},{kept},{LABEL_TAGS[lab]}\r\n"

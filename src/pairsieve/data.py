@@ -23,6 +23,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .encoder import row_blocks
 from .errors import ConfigError, FormatError
 from .rng import Substreams, substream
 from .store import atomic_open
@@ -166,12 +167,14 @@ _BLOCK = 256
 
 
 def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
-    """Generate ``cfg.n_pairs`` labeled pairs as consecutive blocks of at most ``_BLOCK`` rows.
+    """Generate ``cfg.n_pairs`` labeled pairs as the consecutive blocks ``row_blocks(n_pairs, _BLOCK)``.
 
     Each record is produced from its own (seed, "record", id) substream,
     so output is independent of generation order. The records of a block
     draw in turn from one re-keyed generator; the math then runs over the
     whole block. Each block is a fresh ``Dataset`` whose ids are its rows.
+    No block is a lone row unless the set is, so a caller may encode each
+    block whole and get the rows of one whole-set encode bit for bit.
     """
     a_mix, b_mix = mixing_matrices(cfg)
     labels = label_plan(cfg)
@@ -189,10 +192,10 @@ def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
     # record draws z_a, then z_b if noisy, then the noise for a and for b,
     # so a noisy record fills its row in one call. A good or clean record
     # has one latent: it fills the row from z_b on, then copies z_b to z_a.
-    draws = np.empty((_BLOCK, 2 * k + d_a + cfg.d_b))
+    draws = np.empty((_BLOCK + 1, 2 * k + d_a + cfg.d_b))  # a lone last row joins the block before it
     streams = Substreams(cfg.seed, "record")
-    for start in range(0, cfg.n_pairs, _BLOCK):
-        stop = min(start + _BLOCK, cfg.n_pairs)
+    for at in row_blocks(cfg.n_pairs, _BLOCK):
+        start, stop = at.start, at.stop
         block = draws[: stop - start]
         block_labels = labels[start:stop]
         x_a = np.empty((stop - start, d_a))
@@ -231,14 +234,10 @@ def generate_blocks(cfg: GenConfig) -> Iterator[Dataset]:
         )
 
 
-def generate_row_blocks(cfg: GenConfig, row_sets: Sequence[np.ndarray]) -> Iterator[list[Dataset]]:
-    """For each block of ``generate_blocks`` in turn, one ``Dataset`` per array of sorted rows: its rows in the block.
-
-    One generation pass serves every array, and one generated block is held at a time.
-    """
-    for block in generate_blocks(cfg):
-        bounds = [np.searchsorted(rows, (block.ids[0], block.ids[-1] + 1)) for rows in row_sets]
-        yield [block.take_rows(rows[lo:hi] - block.ids[0]) for rows, (lo, hi) in zip(row_sets, bounds)]
+def rows_in_block(rows: np.ndarray, block: Dataset) -> tuple[slice, np.ndarray]:
+    """The slice of sorted ``rows`` that a block of ``generate_blocks`` holds, and those rows within the block."""
+    lo, hi = np.searchsorted(rows, (block.ids[0], block.ids[-1] + 1))
+    return slice(lo, hi), rows[lo:hi] - block.ids[0]
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:

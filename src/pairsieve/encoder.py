@@ -120,6 +120,10 @@ def init_mlm_head(seed: int, vocab: int, d_in: int, embed_dim: int) -> MlmHead:
 # temporaries stay within a 2 MB L2 cache. Callers take blocks of ``max(2, CELL_BUDGET // width)`` rows.
 CELL_BUDGET = 1 << 17
 
+# Rows per block in each full-set pass: a pretraining run's scoring and validation, eval's read and
+# encode, and a ledger dump's joined lines. It bounds those passes' temporaries whatever the set size.
+ROW_BLOCK = 1024
+
 
 def row_blocks(n: int, size: int) -> list[slice]:
     """Consecutive slices of ``size`` rows that cover ``range(n)``, for ``size`` of 2 or more.

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import ceil
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,18 +41,19 @@ from .data import (
     Label,
     generate_blocks,
     generate_dataset,
-    generate_row_blocks,
     label_plan,
     largest_remainder_counts,
     orthonormal_columns,
     read_manifest,
     read_manifest_labels,
+    rows_in_block,
     split_rows,
     write_csv,
     write_manifest_lines,
 )
 from .distill import distill_mse, run_distillation
 from .encoder import (
+    ROW_BLOCK,
     EncoderPairState,
     EncoderParams,
     cosine_warmup_lr,
@@ -89,12 +89,6 @@ _STAGE = {
 }
 
 
-# Rows per encode in each full-set pass: a pretraining run's frozen keys at set-up and each epoch's
-# scoring and validation, and eval's read and encode. It bounds those passes' temporaries whatever
-# the set size.
-_ROW_BLOCK = 1024
-
-
 def stage_seed(master: int, tag: str) -> int:
     return master * 256 + _STAGE[tag]
 
@@ -115,14 +109,15 @@ class TeacherBundle:
 
 @dataclass(frozen=True)
 class StageInputs:
-    """Everything the teacher and distillation stages read, and nothing else.
+    """Everything a run's set-up reads, and nothing else.
 
-    Both stages are pure functions of this value, so ``to_json`` of it is
-    the key under which a ``StageCache`` keeps their outputs. With ``n_val``
-    it also fixes a run's rows and frozen keys.
+    The teacher, the distillation, the training and validation rows and
+    their frozen keys are pure functions of this value, so ``to_json`` of it
+    is the key under which a ``StageCache`` keeps the set-up.
     """
 
     seed: int
+    n_val: int
     data: GenConfig
     encoder: EncoderConfig
     teacher: TeacherConfig
@@ -136,33 +131,27 @@ class StageInputs:
     def of(cls, cfg: RunConfig) -> "StageInputs":
         t = cfg.train
         return cls(
-            cfg.seed, cfg.data, cfg.encoder, cfg.teacher, cfg.distill,
+            cfg.seed, cfg.n_val, cfg.data, cfg.encoder, cfg.teacher, cfg.distill,
             t.tau, t.weight_decay, t.warmup_frac, t.base_lr,
         )
-
-
-class RunRows(NamedTuple):
-    """A run's training and validation parts, their ``x_a`` dropped, and the frozen keys encoded from it."""
-
-    train: Dataset
-    val: Dataset
-    key_matrix: np.ndarray
-    val_keys: np.ndarray
 
 
 @dataclass
 class Stages:
     """The set-up of every run with one ``StageInputs``; every array in it is read-only.
 
-    The frozen teacher, the distilled student and its held-out MSE depend on
-    ``StageInputs`` alone. The rows and their frozen keys depend on ``n_val``
-    as well, so ``rows`` holds them for each ``n_val`` a run has asked for.
+    The frozen teacher, the distilled student and its held-out MSE; the
+    training and validation parts, their ``x_a`` dropped, and the frozen
+    keys encoded from it (``run_rows``).
     """
 
     teacher: TeacherBundle
     student: EncoderParams
     held_mse: float
-    rows: dict[int, RunRows] = field(default_factory=dict)
+    train: Dataset
+    val: Dataset
+    key_matrix: np.ndarray
+    val_keys: np.ndarray
 
 
 # The set-up of the runs a caller shares, keyed by ``to_json(StageInputs)``. The caller owns it and
@@ -251,13 +240,14 @@ def distill_student(inputs: StageInputs, teacher: TeacherBundle) -> tuple[Encode
     return student, held, curve
 
 
-def teacher_and_student(inputs: StageInputs, stages: StageCache | None = None) -> Stages:
-    """The ``Stages`` of ``inputs``: the teacher, the distilled student and its held-out MSE.
+def set_up(inputs: StageInputs, stages: StageCache | None = None) -> Stages:
+    """The ``Stages`` of ``inputs``: teacher, student and held-out MSE, then the rows and frozen keys.
 
-    With a cache, a hit returns the stored entry, rows included, and a miss
-    trains the teacher and student and stores them under ``to_json(inputs)``;
-    without one they are trained every call. Their arrays are read-only, so
-    a run can share them without copying.
+    With a cache, a hit returns the stored entry, and a miss builds it and
+    stores it under ``to_json(inputs)``; without one it is built every call.
+    Its arrays are read-only, so runs share them without copying. The
+    teacher and student come first, so distillation's arrays are gone
+    before the rows exist.
     """
     key = to_json(inputs)
     if stages is not None and key in stages:
@@ -265,66 +255,40 @@ def teacher_and_student(inputs: StageInputs, stages: StageCache | None = None) -
     teacher = train_teacher(inputs)
     student, held, _ = distill_student(inputs, teacher)
     _freeze(*teacher.key_encoder.arrays(), *teacher.text_encoder.arrays(), teacher.view, *student.arrays())
-    entry = Stages(teacher, student, held)
+    entry = Stages(teacher, student, held, *run_rows(inputs, teacher.key_encoder))
     if stages is not None:
         stages[key] = entry
     return entry
 
 
-def run_rows(cfg: RunConfig, entry: Stages) -> RunRows:
-    """The training and validation rows of ``cfg`` with their frozen keys, read-only.
+def run_rows(inputs: StageInputs, key_encoder: EncoderParams) -> tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
+    """The training and validation parts of ``inputs``, ``x_a`` dropped, and their frozen keys; read-only.
 
-    They are built once per ``entry`` and ``n_val``, from one generation
-    pass, and kept in ``entry.rows``: every later run with the same
-    ``StageInputs`` and ``n_val`` reads the same arrays. No epoch reads
-    ``x_a``, so each generated block's ``x_a`` rows are encoded into the keys
-    as the block arrives, and the set-up never holds the column.
+    One generation pass builds them. No epoch reads ``x_a``, so each
+    generated block's ``x_a`` is encoded whole as the block arrives and the
+    set-up never holds the column.
     """
-    if cfg.n_val not in entry.rows:
-        d, plan = cfg.data, label_plan(cfg.data)
-        row_sets = split_rows(plan, cfg.n_val, cfg.seed)
-        parts = [
-            Dataset(rows, plan[rows], None, np.empty((len(rows), d.d_b)), np.empty((len(rows), d.seq_len), np.int64), d)
-            for rows in row_sets
-        ]
-        keys = [_ArrivingEncode(entry.teacher.key_encoder, len(rows)) for rows in row_sets]
-        for pieces in generate_row_blocks(d, row_sets):
-            for part, encode, piece in zip(parts, keys, pieces):
-                at = slice(encode.arrived, encode.arrived + len(piece))  # the piece's rows in its part
-                part.x_b[at], part.tokens[at] = piece.x_b, piece.tokens
-                encode.add(piece.x_a)
-        for part, encode in zip(parts, keys):
-            _freeze(part.ids, part.labels, part.x_b, part.tokens, encode.out)
-        entry.rows[cfg.n_val] = RunRows(*parts, *(encode.out for encode in keys))
-    return entry.rows[cfg.n_val]
-
-
-class _ArrivingEncode:
-    """``encode_batch`` of rows that arrive in pieces, written to ``out`` bit for bit as one encode of them all.
-
-    An encode takes the rows that have arrived, but never a lone row unless
-    it is the only one: a one-row product takes numpy's matrix-vector path,
-    which rounds differently. So a lone row waits for the next piece, and
-    the rows before a lone last row wait for it.
-    """
-
-    def __init__(self, p: EncoderParams, n: int):
-        self.p, self.out = p, np.empty((n, p.embed_dim))
-        self.encoded, self.arrived, self.waiting = 0, 0, []  # waiting: the pieces after the encoded rows
-
-    def add(self, x: np.ndarray) -> None:
-        self.waiting.append(x)
-        self.arrived += len(x)
-        new, left = self.arrived - self.encoded, len(self.out) - self.arrived
-        if new and (not left or min(new, left) >= 2):
-            self.out[self.encoded : self.arrived] = encode_batch(self.p, np.concatenate(self.waiting))[0]
-            self.encoded, self.waiting = self.arrived, []
+    d, plan = inputs.data, label_plan(inputs.data)
+    row_sets = split_rows(plan, inputs.n_val, inputs.seed)
+    parts = [
+        Dataset(rows, plan[rows], None, np.empty((len(rows), d.d_b)), np.empty((len(rows), d.seq_len), np.int64), d)
+        for rows in row_sets
+    ]
+    keys = [np.empty((len(rows), key_encoder.embed_dim)) for rows in row_sets]
+    for block in generate_blocks(d):
+        block_keys = encode_batch(key_encoder, block.x_a)[0]
+        for part, part_keys in zip(parts, keys):
+            at, local = rows_in_block(part.ids, block)
+            part.x_b[at], part.tokens[at], part_keys[at] = block.x_b[local], block.tokens[local], block_keys[local]
+    for part, part_keys in zip(parts, keys):
+        _freeze(part.ids, part.labels, part.x_b, part.tokens, part_keys)
+    return (*parts, *keys)
 
 
 def _encode_in_blocks(p: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """The embeddings ``encode_batch(p, x)`` gives, bit for bit, encoded ``_ROW_BLOCK`` rows at a time."""
+    """The embeddings ``encode_batch(p, x)`` gives, bit for bit, encoded ``ROW_BLOCK`` rows at a time."""
     out = np.empty((len(x), p.embed_dim))
-    for block in row_blocks(len(x), _ROW_BLOCK):
+    for block in row_blocks(len(x), ROW_BLOCK):
         out[block] = encode_batch(p, x[block])[0]
     return out
 
@@ -407,13 +371,14 @@ def _require_validation_pairs(cfg: RunConfig) -> None:
 class PretrainRun:
     """One pretraining run; between epochs its whole state is the fields of this object.
 
-    The constructor is the set-up: teacher and student, data and split with
-    the frozen training and validation keys (``run_rows``), MLM head, totals,
-    queue and lr plan. Then one ``run_epoch`` per epoch, and ``finish``
-    writes checkpoints and ``timing.csv``. The raw key-side inputs are gone
-    once the keys are encoded: ``train.x_a`` and ``val.x_a`` are None. With
-    a ``StageCache`` the teacher, student, rows and keys are the cache's
-    read-only arrays, shared with every other run that reads them.
+    The constructor reads the run's ``Stages`` (``set_up``: teacher and
+    student, data and split with the frozen training and validation keys),
+    then builds the MLM head, totals, queue and lr plan. Then one
+    ``run_epoch`` per epoch, and ``finish`` writes checkpoints and
+    ``timing.csv``. The raw key-side inputs are gone once the keys are
+    encoded: ``train.x_a`` and ``val.x_a`` are None. With a ``StageCache``
+    the set-up's arrays are the cache's, shared with every other run that
+    has the same ``StageInputs``.
     """
 
     def __init__(self, cfg: RunConfig, out_dir: str | Path | None = None, stages: StageCache | None = None):
@@ -431,10 +396,9 @@ class PretrainRun:
             "mlm_steps": 0,
         }
 
-        # The teacher and student come first, so distillation's arrays are gone before the rows exist.
-        entry = teacher_and_student(StageInputs.of(cfg), stages)
+        entry = set_up(StageInputs.of(cfg), stages)
         self.report.log(0, "distill_held_mse", entry.held_mse)
-        self.train, self.val, self.key_matrix, self.val_keys = run_rows(cfg, entry)
+        self.train, self.val, self.key_matrix, self.val_keys = entry.train, entry.val, entry.key_matrix, entry.val_keys
 
         self.state = EncoderPairState(
             key_encoder=entry.teacher.key_encoder,
@@ -482,7 +446,7 @@ class PretrainRun:
             before = self.retained
             query_encoder = self.state.query_encoder if cfg.shadow_refresh_on else self.setup_student
             scores = np.empty(len(before))
-            for block in row_blocks(len(before), _ROW_BLOCK):
+            for block in row_blocks(len(before), ROW_BLOCK):
                 rows = before[block]
                 scores[block] = score_pairs(self.key_matrix[rows], query_encoder, train.x_b[rows])
             update_total_scores(self.totals, before, scores, cfg.train.alpha)
@@ -588,9 +552,8 @@ def pretrain(
     rule. Once filtering stops, training continues contrastive-only on
     the frozen subset. With ``filtering_on`` false the loop is the plain
     baseline over the full noisy set. ``stages`` lets runs with equal
-    ``StageInputs`` share one teacher and student, and those with equal
-    ``n_val`` too their rows and frozen keys (see ``teacher_and_student``
-    and ``run_rows``).
+    ``StageInputs`` share one set-up: teacher, student, rows and frozen keys
+    (see ``set_up``).
     """
     run = PretrainRun(cfg, out_dir, stages)
     for epoch in range(1, cfg.train.epochs + 1):
@@ -695,19 +658,20 @@ def _eval_embeddings(
     """Labels, keys and queries of the rows eval scores, encoded a block of rows at a time.
 
     From ``data_dir`` the whole manifest is checked before any store row is
-    read, and each block of ``_ROW_BLOCK`` rows is then read and encoded in
-    turn. Without it, the rows of each generated block are encoded as the
-    block arrives (see ``_ArrivingEncode``). Either way one block of raw
-    rows is held at a time.
+    read, and each block of ``ROW_BLOCK`` rows is then read and encoded in
+    turn. Without it, each generated block's ``x_a`` and ``x_b`` are encoded
+    whole as the block arrives, and the embeddings of its eval rows kept.
+    Either way one block of raw rows is held at a time.
     """
     if data_dir is None:
         labels = label_plan(cfg.data)
         rows = _eval_rows(labels, cfg)
-        keys, queries = _ArrivingEncode(key_enc, len(rows)), _ArrivingEncode(query_enc, len(rows))
-        for (part,) in generate_row_blocks(cfg.data, [rows]):
-            keys.add(part.x_a)
-            queries.add(part.x_b)
-        return labels[rows], keys.out, queries.out
+        keys, queries = np.empty((len(rows), key_enc.embed_dim)), np.empty((len(rows), query_enc.embed_dim))
+        for block in generate_blocks(cfg.data):
+            at, local = rows_in_block(rows, block)
+            keys[at] = encode_batch(key_enc, block.x_a)[0][local]
+            queries[at] = encode_batch(query_enc, block.x_b)[0][local]
+        return labels[rows], keys, queries
     d = Path(data_dir)
     labels = read_manifest_labels(d / "manifest.jsonl")
     with StoreHandle(d / "x_a.ecst") as sa, StoreHandle(d / "x_b.ecst") as sb:
@@ -715,7 +679,7 @@ def _eval_embeddings(
         rows = _eval_rows(labels, cfg)
         keys = np.empty((len(rows), key_enc.embed_dim))
         queries = np.empty((len(rows), query_enc.embed_dim))
-        for block in row_blocks(len(rows), _ROW_BLOCK):
+        for block in row_blocks(len(rows), ROW_BLOCK):
             keys[block] = encode_batch(key_enc, sa.read_rows(rows[block]))[0]
             queries[block] = encode_batch(query_enc, sb.read_rows(rows[block]))[0]
     return labels[rows], keys, queries
@@ -817,8 +781,11 @@ def benchmark_step_time(
     thread's CPU time, which leaves out time given to other processes (not
     their slowing of a shared core) and BLAS workers spinning between calls.
     As in a run, each step gathers its keys from one encode of the frozen
-    tower, made outside the timed blocks.
+    tower, made outside the timed blocks. ``steps`` and ``reps`` below 1 are
+    refused before any work: they would time nothing.
     """
+    if steps < 1 or reps < 1:
+        raise ValueError(f"steps and reps must be at least 1, got steps={steps}, reps={reps}")
     rng = substream(cfg.seed, "bench")
     d_e = cfg.encoder.embed_dim
     key_enc = init_params(stage_seed(cfg.seed, "key_init"), cfg.data.d_a, cfg.encoder.hidden, d_e)

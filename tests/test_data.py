@@ -12,13 +12,14 @@ from pairsieve.data import (
     GenConfig,
     Label,
     _BLOCK,
+    generate_blocks,
     generate_dataset,
-    generate_row_blocks,
     label_plan,
     largest_remainder_counts,
     mixing_matrices,
     read_manifest,
     read_manifest_labels,
+    rows_in_block,
     split_rows,
     split_validation,
     write_csv,
@@ -166,6 +167,7 @@ def test_generation_matches_per_record_reference(cfg):
     "cfg",
     [
         GenConfig(n_pairs=589, seed=5),  # two full blocks and a partial one
+        GenConfig(n_pairs=2 * _BLOCK + 1, seed=6),  # a lone last row joins the block before it
         GenConfig(n_pairs=300, seed=3, world_seed=-1, vocab=100, seq_len=10, token_coords=3),
     ],
 )
@@ -173,16 +175,43 @@ def test_generation_matches_per_record_reference_across_blocks(cfg):
     _assert_matches_reference(cfg)
 
 
+def test_generate_blocks_never_yield_a_lone_row():
+    # At 2 * _BLOCK + 1 pairs the last row joins the block before it, so a caller that encodes each
+    # block whole never takes numpy's one-row product path; a lone-row set is its own block.
+    for n_pairs, sizes in ((2 * _BLOCK + 1, [_BLOCK, _BLOCK + 1]), (2 * _BLOCK, [_BLOCK, _BLOCK]), (1, [1]), (0, [])):
+        blocks = list(generate_blocks(small_cfg(n_pairs=n_pairs)))
+        assert [len(block) for block in blocks] == sizes, n_pairs
+        assert [i for block in blocks for i in block.ids.tolist()] == list(range(n_pairs)), n_pairs
+
+
 def _joined(pieces, name):
     return np.concatenate([getattr(piece, name) for piece in pieces])
 
 
-def test_generate_row_blocks_are_the_dataset_rows():
+def _row_pieces(cfg, row_sets):
+    """For each generated block, one ``Dataset`` per array of sorted rows: its rows in the block (``rows_in_block``).
+
+    Each piece's slice of its rows is checked to follow the one before it, so the pieces join to the rows.
+    """
+    blocks, ends = [], [0] * len(row_sets)
+    for block in generate_blocks(cfg):
+        pieces = []
+        for i, rows in enumerate(row_sets):
+            at, local = rows_in_block(rows, block)
+            assert at.start == ends[i] and (rows[at] - block.ids[0]).tolist() == local.tolist()
+            ends[i] = at.stop
+            pieces.append(block.take_rows(local))
+        blocks.append(pieces)
+    assert ends == [len(rows) for rows in row_sets]
+    return blocks
+
+
+def test_rows_in_block_are_the_dataset_rows():
     # Each generated block gives each row set its rows in that block, so the pieces join to the dataset's rows.
     cfg = small_cfg(n_pairs=600, seed=4)
     ds = generate_dataset(cfg)
     row_sets = [np.arange(600), np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 599]), np.arange(0)]
-    blocks = list(generate_row_blocks(cfg, row_sets))
+    blocks = _row_pieces(cfg, row_sets)
     assert len(blocks) == -(-600 // _BLOCK)
     for i, (start, pieces) in enumerate(zip(range(0, 600, _BLOCK), blocks)):
         assert all(np.all((start <= piece.ids) & (piece.ids < start + _BLOCK)) for piece in pieces), i
@@ -285,12 +314,12 @@ def test_split_rows_partitions_the_rows_and_draws_good_ones(codes, data, seed):
         split_rows(labels, n_good + data.draw(st.integers(1, 5), label="excess"), seed)
 
 
-def test_generate_row_blocks_of_split_rows_is_the_split_of_the_dataset():
+def test_rows_in_block_of_split_rows_is_the_split_of_the_dataset():
     # One generation pass over several blocks gives the parts split_validation cuts from the whole dataset.
     cfg = small_cfg(n_pairs=2 * _BLOCK + 88, seed=4)
     ds = generate_dataset(cfg)
     for n_val in (0, 50, int(np.sum(ds.labels == Label.GOOD))):
-        blocks = list(generate_row_blocks(cfg, split_rows(label_plan(cfg), n_val, seed=5)))
+        blocks = _row_pieces(cfg, split_rows(label_plan(cfg), n_val, seed=5))
         for pieces, want in zip(zip(*blocks), split_validation(ds, n_val, seed=5), strict=True):
             for name in ("ids", "labels", "x_a", "x_b", "tokens"):
                 a, b = _joined(pieces, name), getattr(want, name)

@@ -40,8 +40,8 @@ from pairsieve.harness import (
     cmd_sweep,
     load_dataset_dir,
     pretrain,
+    set_up,
     stage_seed,
-    teacher_and_student,
     train_teacher,
 )
 from pairsieve.metrics import recall_at_k
@@ -416,8 +416,8 @@ def test_blocked_eval_equals_the_whole_set_eval(tmp_path, monkeypatch):
     ck = _untrained_checkpoints(tmp_path / "ck", cfg)
     scored = count_calls(monkeypatch, "validation_metrics")
     csvs = []
-    for block in (6, harness._ROW_BLOCK):
-        monkeypatch.setattr(harness, "_ROW_BLOCK", block)
+    for block in (6, harness.ROW_BLOCK):
+        monkeypatch.setattr(harness, "ROW_BLOCK", block)
         for data_dir in (tmp_path / "d", None):
             out = tmp_path / f"ev{len(csvs)}"
             cmd_eval(ck, cfg, out, data_dir)
@@ -613,10 +613,10 @@ def test_frozen_key_tower_and_store_consistency(tmp_path):
 
 def test_blocked_passes_equal_the_whole_set_encode_and_score(tmp_path, monkeypatch):
     # 499 training rows in blocks of 6 end in a lone row, which joins the block before it; the
-    # 101 validation rows leave 5. The keys (encoded as the generated blocks arrive), epoch 1's
+    # 101 validation rows leave 5. The keys (each generated block encoded whole), epoch 1's
     # ledger scores and its validation metrics equal those of one whole-set encode_batch and
     # score_pairs, byte for byte.
-    monkeypatch.setattr(harness, "_ROW_BLOCK", 6)
+    monkeypatch.setattr(harness, "ROW_BLOCK", 6)
     scored = count_calls(monkeypatch, "score_pairs")
     cfg = tiny_config(24)
     cfg.n_val = 101
@@ -638,18 +638,20 @@ def test_blocked_passes_equal_the_whole_set_encode_and_score(tmp_path, monkeypat
 
 
 def _untrained_set_up(cfg) -> harness.Stages:
-    """A set-up with untrained towers: ``run_rows`` reads only its key tower."""
+    """A set-up with untrained towers, its rows and frozen keys from ``run_rows``."""
     enc = cfg.encoder
     key = init_params(1, cfg.data.d_a, enc.hidden, enc.embed_dim)
     text = init_params(2, cfg.data.d_b, enc.hidden, enc.embed_dim)
-    return harness.Stages(TeacherBundle(key, text, np.eye(cfg.data.d_b)), text, 0.0)
+    return harness.Stages(
+        TeacherBundle(key, text, np.eye(cfg.data.d_b)), text, 0.0, *harness.run_rows(StageInputs.of(cfg), key)
+    )
 
 
 def test_streamed_keys_equal_the_whole_set_encode(monkeypatch):
-    # Each of the three generated blocks holds one validation row. The first block's lone row waits
-    # for the second's; those two then wait for the last block's row, which would otherwise be
-    # encoded alone. So no encode takes a lone row, the keys equal one whole-set encode_batch byte
-    # for byte, and the parts are the split of the whole dataset, without x_a.
+    # Each of the three generated blocks holds one validation row. Each block's x_a is encoded whole,
+    # once, and the keys of the block's training and validation rows are kept from that encode. So
+    # no encode takes a lone row, the keys equal one whole-set encode_batch byte for byte, and the
+    # parts are the split of the whole dataset, without x_a.
     for seed in range(1000):
         cfg = RunConfig(data=GenConfig(n_pairs=3 * _BLOCK, seed=seed), seed=seed)
         cfg.n_val = 3
@@ -666,16 +668,44 @@ def test_streamed_keys_equal_the_whole_set_encode(monkeypatch):
 
     monkeypatch.setattr(harness, "encode_batch", spy)
     entry = _untrained_set_up(cfg)
-    rows = harness.run_rows(cfg, entry)
     assert min(sizes) >= 2 and sum(sizes) == cfg.data.n_pairs
     key_tower = entry.teacher.key_encoder
     split = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
-    for got, keys, want in zip(rows[:2], rows[2:], split, strict=True):
+    for got, keys, want in zip((entry.train, entry.val), (entry.key_matrix, entry.val_keys), split, strict=True):
         assert got.x_a is None
         for name in ("ids", "labels", "x_b", "tokens"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert keys.tobytes() == encode_batch(key_tower, want.x_a)[0].tobytes()
+
+
+def test_a_lone_last_row_is_encoded_with_its_block(tmp_path, monkeypatch):
+    # At 2 * _BLOCK + 1 pairs the last row is the 257th row of the second generated block, not a
+    # block of its own. The set-up's keys equal one encode_batch of each part's x_a, and eval of
+    # every pair writes the same eval.csv from the generated blocks as from the stores, whose 513
+    # rows it encodes in one ROW_BLOCK block.
+    cfg = RunConfig(data=GenConfig(n_pairs=2 * _BLOCK + 1, seed=9), seed=9)
+    cfg.n_val = 50
+    sizes = []
+
+    def spy(p, x):
+        sizes.append(len(x))
+        return encode_batch(p, x)
+
+    monkeypatch.setattr(harness, "encode_batch", spy)
+    entry = _untrained_set_up(cfg)
+    assert sizes == [_BLOCK, _BLOCK + 1]
+    key_tower = entry.teacher.key_encoder
+    split = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
+    for keys, part in zip((entry.key_matrix, entry.val_keys), split, strict=True):
+        assert keys.tobytes() == encode_batch(key_tower, part.x_a)[0].tobytes()
+
+    cmd_gen_data(cfg, tmp_path / "d")
+    ck = _untrained_checkpoints(tmp_path / "ck", cfg)
+    cfg.n_val = 0
+    cmd_eval(ck, cfg, tmp_path / "regen")
+    cmd_eval(ck, cfg, tmp_path / "stored", tmp_path / "d")
+    assert (tmp_path / "regen/eval.csv").read_bytes() == (tmp_path / "stored/eval.csv").read_bytes()
 
 
 def test_run_rows_never_holds_the_x_a_column():
@@ -685,15 +715,14 @@ def test_run_rows_never_holds_the_x_a_column():
     # 1.5 MB of headroom.
     cfg = RunConfig(data=GenConfig(n_pairs=10000, seed=3), seed=5)
     cfg.n_val = 1000
-    entry = _untrained_set_up(cfg)
     tracemalloc.start()
     try:
-        rows = harness.run_rows(cfg, entry)
+        entry = _untrained_set_up(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 9e6
-    raw = {(len(rows.train), cfg.data.d_a), (len(rows.val), cfg.data.d_a)}
+    raw = {(len(entry.train), cfg.data.d_a), (len(entry.val), cfg.data.d_a)}
     assert [a.shape for a in _reachable_arrays(entry) if a.shape in raw] == []
 
 
@@ -784,18 +813,18 @@ def test_shadow_is_the_set_up_pair_or_the_pair_at_the_epoch_boundary(tmp_path):
     # scores before any training (so with the set-up pair too) and later epochs with the trained pair.
     cfg = tiny_config(22)
     stages = {}
-    entry = teacher_and_student(StageInputs.of(cfg), stages)
+    entry = set_up(StageInputs.of(cfg), stages)
     teacher, student = entry.teacher, entry.student
     train, _ = split_validation(generate_dataset(cfg.data), cfg.n_val, cfg.seed)
     set_up_scores = score_pairs(encode_batch(teacher.key_encoder, train.x_a)[0], student, train.x_b)
-    set_up = dict(zip(train.ids.tolist(), set_up_scores.tolist()))
+    set_up_by_id = dict(zip(train.ids.tolist(), set_up_scores.tolist()))
     for refresh, expected in ((False, [True, True, True]), (True, [True, False, False])):
         cfg.shadow_refresh_on = refresh
         pretrain(cfg, out_dir=tmp_path / str(refresh), stages=stages)
         same = []
         for epoch in (1, 2, 3):
             scores = _ledger_epoch_scores(tmp_path / str(refresh), epoch)
-            same.append(scores == {i: set_up[i] for i in scores})
+            same.append(scores == {i: set_up_by_id[i] for i in scores})
         assert same == expected, refresh
 
 
@@ -937,6 +966,19 @@ def test_benchmark_step_time_positive():
     cfg = tiny_config(14)
     times = benchmark_step_time(cfg, (8, 64), steps=5, reps=2)
     assert len(times) == 2 and all(t > 0 for t in times)
+
+
+@pytest.mark.parametrize("steps, reps", [(0, 2), (5, 0), (-1, -1)])
+def test_benchmark_step_time_refuses_to_time_nothing(monkeypatch, steps, reps):
+    # With no timed step or no repetition there is no figure: reps=0 would return inf for every
+    # size and steps=0 would read a start time never taken. Both are refused before any work.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "substream", no_work)
+    monkeypatch.setattr(harness, "init_params", no_work)
+    with pytest.raises(ValueError, match="at least 1"):
+        benchmark_step_time(tiny_config(14), (8, 64), steps=steps, reps=reps)
 
 
 def test_benchmark_step_encodes_the_key_tower_once(monkeypatch):
@@ -1084,7 +1126,7 @@ def test_cli_training_needs_validation_pairs(tmp_path, capsys, monkeypatch):
         raise AssertionError("training started")
 
     monkeypatch.setattr("pairsieve.harness.generate_dataset", no_training)
-    monkeypatch.setattr("pairsieve.harness.generate_row_blocks", no_training)
+    monkeypatch.setattr("pairsieve.harness.generate_blocks", no_training)
     monkeypatch.setattr("pairsieve.harness.train_teacher", no_training)
     out = str(tmp_path / "out")
     # n_val above the good-pair count (240 of 600) is refused before data generation too.
@@ -1152,7 +1194,7 @@ def test_stage_cache_hit_writes_identical_run_dir(tmp_path, monkeypatch):
     stages = {}
     pretrain(cfg, out_dir=tmp_path / "miss", stages=stages)
     teacher_runs = count_calls(monkeypatch, "train_teacher")
-    rows_runs = count_calls(monkeypatch, "generate_row_blocks")
+    rows_runs = count_calls(monkeypatch, "generate_blocks")
     pretrain(cfg, out_dir=tmp_path / "hit", stages=stages)
     assert teacher_runs == [] and rows_runs == [] and len(stages) == 1
     plain = _run_files(tmp_path / "plain")
@@ -1167,7 +1209,7 @@ def test_stage_cache_arrays_are_read_only():
     cfg.distill.steps = 20
     stages = {}
     run = PretrainRun(cfg, stages=stages)
-    cached = teacher_and_student(StageInputs.of(cfg), stages)
+    cached = set_up(StageInputs.of(cfg), stages)
     assert cached.student is run.setup_student
     # A hit reads the cached rows and keys uncopied.
     hit = PretrainRun(cfg, stages=stages)
@@ -1181,28 +1223,30 @@ def test_stage_cache_arrays_are_read_only():
               run.key_matrix, run.val_keys, run.train.x_b, run.train.tokens, run.train.labels, run.train.ids,
               run.val.x_b, run.val.tokens, run.val.labels, run.val.ids):
         assert any(a is b for b in held)
-    fresh = teacher_and_student(StageInputs.of(cfg))
-    harness.run_rows(cfg, fresh)
+    fresh = set_up(StageInputs.of(cfg))
     for a in (*held, *_reachable_arrays(fresh)):
         with pytest.raises(ValueError):
             a.flat[0] = 0
 
 
 def test_runs_that_differ_in_n_val_build_their_own_rows(monkeypatch):
-    # The teacher and student depend on StageInputs alone, the rows and frozen keys on n_val too.
+    # n_val is a StageInputs field: runs that differ in it get set-ups of their own, each with its
+    # teacher, student, rows and frozen keys. The teacher and student do not read n_val, so the two
+    # set-ups train the same student.
     cfg = tiny_config(25)
     cfg.teacher.steps = 20
     cfg.distill.steps = 20
     wider = copy.deepcopy(cfg)
     wider.n_val = cfg.n_val + 7
     teacher_runs = count_calls(monkeypatch, "train_teacher")
-    rows_runs = count_calls(monkeypatch, "generate_row_blocks")
+    rows_runs = count_calls(monkeypatch, "generate_blocks")
     stages = {}
     first, other, again = (PretrainRun(c, stages=stages) for c in (cfg, wider, cfg))
-    assert len(teacher_runs) == len(stages) == 1 and len(rows_runs) == 2
+    assert len(teacher_runs) == len(stages) == 2 and len(rows_runs) == 2
     assert (len(first.val), len(other.val)) == (cfg.n_val, wider.n_val)
     assert len(other.train) == len(first.train) - 7 and len(other.key_matrix) == len(other.train)
-    assert again.key_matrix is first.key_matrix and other.setup_student is first.setup_student
+    assert again.key_matrix is first.key_matrix and again.setup_student is first.setup_student
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(other.setup_student.arrays(), first.setup_student.arrays()))
 
 
 def _stage_leaves(obj, prefix=()):
@@ -1224,14 +1268,15 @@ def test_every_stage_input_is_in_the_cache_key(monkeypatch):
 
     monkeypatch.setattr(harness, "train_teacher", fake_teacher)
     monkeypatch.setattr(harness, "distill_student", lambda inputs, teacher: (init_params(2, 2, 2, 2), 0.0, []))
+    monkeypatch.setattr(harness, "run_rows", lambda inputs, key_encoder: (None, None, None, None))
     stages = {}
-    teacher_and_student(StageInputs.of(cfg), stages)
+    set_up(StageInputs.of(cfg), stages)
 
     # Each leaf of StageInputs, reached through the RunConfig field it comes from.
     leaves = list(_stage_leaves(StageInputs.of(cfg)))
     for path in leaves:
         variant = copy.deepcopy(cfg)
-        if path == ("seed",):
+        if path in (("seed",), ("n_val",)):
             owner = variant
         elif len(path) == 1:
             owner = variant.train  # tau, weight_decay, warmup_frac, base_lr
@@ -1239,7 +1284,7 @@ def test_every_stage_input_is_in_the_cache_key(monkeypatch):
             owner = getattr(variant, path[0])
         value = getattr(owner, path[-1])
         setattr(owner, path[-1], 1 if value is None else value + 1)
-        teacher_and_student(StageInputs.of(variant), stages)
+        set_up(StageInputs.of(variant), stages)
     assert len(teacher_runs) == len(stages) == 1 + len(leaves)
 
     # Fields outside StageInputs, the sweep axes among them, hit.
@@ -1250,7 +1295,7 @@ def test_every_stage_input_is_in_the_cache_key(monkeypatch):
         ("train.epochs", "9"),
         ("filtering_on", "false"),
     ):
-        teacher_and_student(StageInputs.of(apply_override(cfg, dotted, raw)), stages)
+        set_up(StageInputs.of(apply_override(cfg, dotted, raw)), stages)
     assert len(teacher_runs) == 1 + len(leaves)
 
 
@@ -1279,7 +1324,7 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "train_teacher", kept_teacher)
     monkeypatch.setattr(harness, "encode_batch", spy)
-    rows_runs = count_calls(monkeypatch, "generate_row_blocks")
+    rows_runs = count_calls(monkeypatch, "generate_blocks")
     before = set_ups()
     rows = cmd_sweep(cfg, "queue", [8, 64], seeds=[0, 1], out_dir=tmp_path / "sweep")
     grid = [(8, 0), (8, 1), (64, 0), (64, 1)]
@@ -1287,7 +1332,7 @@ def test_sweep_trains_one_teacher_per_seed(tmp_path, monkeypatch):
     with open(tmp_path / "sweep/sweep_queue.csv", newline="") as f:
         assert [(int(r["value"]), int(r["seed"])) for r in csv.DictReader(f)] == grid
     assert len(teachers) == 2 and len(rows_runs) == 2 and set_ups_alive == [before, before]
-    # The keys are encoded as the generated blocks arrive: the key tower encodes each row once, no row alone.
+    # Each generated block is encoded whole: the key tower encodes each row once, no row alone.
     for teacher in teachers:
         rows = [n for p, n in encoded if p is teacher.key_encoder]
         assert sum(rows) == cfg.data.n_pairs and min(rows) >= 2

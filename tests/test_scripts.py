@@ -76,14 +76,14 @@ def test_rss_stages_reports_every_stage_and_restores_the_harness(tmp_path, capsy
     assert json.loads(result)["total_steps"] > 0
     _check_peak_line(lines, last)
 
-    # The two points share one teacher, student, rows and keys, so only the first reports the
-    # teacher and the distillation; the second reads its rows from the cache.
+    # The two points share one set-up (teacher, student, rows and keys), so only the first reports
+    # the teacher, the distillation and the rows; the second reads its set-up from the cache.
     sweep = ["sweep", "--axis", "queue", "--values", "64,128", "--seeds", "3", "--out-dir", str(tmp_path / "sw")]
     assert script.main([*sweep, *data, *small]) == 0
     *lines, result, last = capsys.readouterr().out.splitlines()
-    point = ["rows", "set-up", "epoch 1", "epoch 2"]
+    point = ["set-up", "epoch 1", "epoch 2"]
     assert _stage_names(lines) == [
-        "start", "teacher", "distillation", *point, "queue_64_seed3", *point, "queue_128_seed3"
+        "start", "teacher", "distillation", "rows", *point, "queue_64_seed3", *point, "queue_128_seed3"
     ]
     _check_peak_line(lines, last)
 
